@@ -165,7 +165,7 @@ def _cmd_lattice(args) -> tuple[dict, dict, list[str]]:
     crit = report.embedding
     text = [
         "blocks: " + ", ".join(b if b == "U" else f"<{b}>" for b in report.lattice.blocks),
-        f"rank: {report.rank}  signature: ({report.signature[0]}, {report.signature[1]})  even: {report.is_even}",
+        f"rank: {report.rank}  signature: ({report.signature[0]}, {report.signature[1]})",
         f"rational space: <{', '.join(report.rational_space.to_json())}>",
         f"transcendental part: {json.dumps(report.transcendental_invariants.to_json(), sort_keys=True)}",
         f"embedding criterion: {crit.verdict} "

@@ -37,15 +37,14 @@ from .arith import check_prime
 from .weilpoly import (
     NewtonPolygon,
     RatPoly,
-    denominators_are_p_power,
+    _off_p_indices,
+    _on_unit_circle,
+    _slope_shape,
+    _squarefree_power,
     has_cyclotomic_factor,
-    kronecker_certificate,
     newton_polygon,
-    poly_gcd,
     reciprocal_transform,
-    squarefree_decompose,
     sturm_count,
-    unit_circle_check,
 )
 
 __all__ = [
@@ -123,55 +122,17 @@ class CandidateReport:
         }
 
 
-def _check_unit_circle(L: RatPoly) -> CheckResult:
-    # The root set of L equals that of its squarefree part, and the
-    # circle test needs a squarefree symmetric factor, so test that part.
-    squarefree = L / poly_gcd(L, L.derivative())
-    squarefree = squarefree / squarefree.constant
-    ok = unit_circle_check(squarefree)
-    return CheckResult("pass" if ok else "fail", {"squarefree_degree": squarefree.degree})
-
-
-def _check_no_root_of_unity(L: RatPoly) -> CheckResult:
-    k = has_cyclotomic_factor(L)
-    if k is None:
-        return CheckResult("pass", {})
-    return CheckResult("fail", {"cyclotomic_index": k})
-
-
-def _check_integrality(L: RatPoly, p: int) -> CheckResult:
-    if denominators_are_p_power(L, p):
-        return CheckResult("pass", {})
-    bad = []
-    for i, c in enumerate(L.coeffs):
-        d = c.denominator
-        while d % p == 0:
-            d //= p
-        if d != 1:
-            bad.append(i)
-    return CheckResult("fail", {"offending_indices": bad})
-
-
-def _check_slope_profile(polygon: NewtonPolygon, m: int) -> CheckResult:
-    """Match against (-a/h, h), [0, 2m-2h], (a/h, h); returns h, a on success."""
-    segs = polygon.segments
-    detail: dict = {"segments": polygon.to_json()}
-    if len(segs) in (2, 3):
-        s_neg, l_neg = segs[0]
-        s_pos, l_pos = segs[-1]
-        # segment lengths always sum to 2m, so symmetry plus a flat middle
-        # (when present) pins the whole shape
-        symmetric = s_neg < 0 and s_pos == -s_neg and l_pos == l_neg
-        middle_ok = len(segs) == 2 or segs[1][0] == 0
-        cand_a = -s_neg * l_neg
-        if symmetric and middle_ok and cand_a.denominator == 1 and cand_a >= 1:
-            detail.update({"h": l_neg, "a": int(cand_a)})
-            return CheckResult("pass", detail)
-    return CheckResult("fail", detail)
+def _result(ok: bool, detail: dict) -> CheckResult:
+    return CheckResult("pass" if ok else "fail", detail)
 
 
 def check_candidate(L: RatPoly, p: int) -> CandidateReport:
-    """Run the six-part test on L in characteristic p.  See the module docstring."""
+    """Run the six-part test on L in characteristic p.  See the module docstring.
+
+    L is analysed once; the six checks and the premises of the
+    irreducibility certificate for its squarefree part are read from
+    that one analysis.
+    """
     check_prime(p)
     if L.is_zero or L.constant != 1:
         raise ValueError("candidate must have constant term 1")
@@ -182,30 +143,59 @@ def check_candidate(L: RatPoly, p: int) -> CandidateReport:
         raise ValueError(f"candidate degree exceeds 2*{MAX_M}")
 
     polygon = newton_polygon(L, p)
-    checks: dict[str, CheckResult] = {}
-    checks["unit_circle"] = _check_unit_circle(L)
-    checks["no_root_of_unity"] = _check_no_root_of_unity(L)
-    checks["integral_away_from_p"] = _check_integrality(L, p)
-    checks["slope_profile"] = _check_slope_profile(polygon, m)
+    # R has the roots of L, each once, so the circle and cyclotomic tests
+    # run on R: the circle test needs a squarefree input, and Phi_k
+    # divides L iff it divides R.  e is None unless L = R^e.
+    R, e = _squarefree_power(L)
+    on_circle = _on_unit_circle(R, known_squarefree=True)
+    cyc = has_cyclotomic_factor(R)
+    offending = _off_p_indices(L, p)
 
-    h = checks["slope_profile"].detail.get("h")
-    a = checks["slope_profile"].detail.get("a")
+    h = a = None
+    local = CheckResult("fail", {"reason": "negative part is empty or splits by slope"})
+    shape = _slope_shape(polygon)
+    if shape is not None:
+        slope, length, symmetric = shape
+        if symmetric and (slope * length).denominator == 1:
+            h, a = length, int(-slope * length)
+        if e is not None:
+            # L = R^e, so R's polygon is L's with every length divided by e
+            local = _result(
+                slope.denominator == length // e,
+                {"slope": f"{slope.numerator}/{slope.denominator}", "length": length // e},
+            )
+    checks = {
+        "unit_circle": _result(on_circle, {"squarefree_degree": R.degree}),
+        "no_root_of_unity": _result(cyc is None, {} if cyc is None else {"cyclotomic_index": cyc}),
+        "integral_away_from_p": _result(not offending, {"offending_indices": offending} if offending else {}),
+        "slope_profile": _result(
+            h is not None, {"segments": polygon.to_json(), **({"h": h, "a": a} if h else {})}
+        ),
+    }
 
-    decomposition = squarefree_decompose(L)
-    e = None
-    if decomposition is None:
+    if e is None:
         checks["prime_power_shape"] = CheckResult("fail", {"reason": "not a power of a squarefree polynomial"})
         checks["local_factor_irreducible"] = CheckResult(
             "unknown", {"reason": "no prime-power decomposition"}
         )
     else:
-        Q, e = decomposition
-        cert = kronecker_certificate(Q, p)
-        status = "pass" if cert.certified else "unknown"
+        # Each premise of R's certificate is a check already made: the
+        # circle and cyclotomic tests ran on R; content(L) = content(R)^e
+        # by Gauss's lemma, so R is integral away from p iff L is; and R's
+        # polygon has the pure symmetric shape iff L's has the slope
+        # profile and R's local factor is irreducible.
+        premises = {
+            "pure_negative_slope": h is not None and local.status == "pass",
+            "no_cyclotomic_factor": cyc is None,
+            "unit_circle": on_circle,
+            "denominators_p_power": not offending,
+        }
+        certified = all(premises.values())
         checks["prime_power_shape"] = CheckResult(
-            status, {"e": e, "irreducibility": cert.verdict, "premises": dict(cert.premises)}
+            "pass" if certified else "unknown",
+            {"e": e, "irreducibility": "certified" if certified else "unknown", "premises": premises},
         )
-        checks["local_factor_irreducible"] = _check_local_factor(Q, p)
+        checks["local_factor_irreducible"] = local
 
     failed = [name for name in _CHECK_NAMES if checks[name].status == "fail"]
     unknown = [name for name in _CHECK_NAMES if checks[name].status == "unknown"]
@@ -220,24 +210,6 @@ def check_candidate(L: RatPoly, p: int) -> CandidateReport:
         slope_profile=polygon,
         checks=checks,
     )
-
-
-def _check_local_factor(Q: RatPoly, p: int) -> CheckResult:
-    """Pure-slope criterion on Q's negative polygon part.
-
-    One negative segment whose length equals the denominator of its slope
-    means the slope -a'/h' is in lowest terms over exactly h' roots, so
-    the corresponding local factor is irreducible over Q_p.
-    """
-    if Q.constant == 0:
-        return CheckResult("fail", {"reason": "zero constant term"})
-    negs = newton_polygon(Q, p).negative_segments()
-    if len(negs) != 1:
-        return CheckResult("fail", {"reason": "negative part is empty or splits by slope"})
-    slope, length = negs[0]
-    ok = (-slope).denominator == length
-    detail = {"slope": f"{slope.numerator}/{slope.denominator}", "length": length}
-    return CheckResult("pass" if ok else "fail", detail)
 
 
 # Seed polynomials: monic, integral, degree m, with m distinct nonzero
@@ -300,6 +272,8 @@ def construct_witness(
         raise ValueError("need 1 <= h <= m <= 10")
     if a_start < 1:
         raise ValueError("a_start must be >= 1")
+    if a_start > a_cap:
+        raise ValueError(f"a_start = {a_start} exceeds a_cap = {a_cap}")
     seed = seed_polynomial(m)
     perturbation_degree = m - h
     for a in range(a_start, a_cap + 1):

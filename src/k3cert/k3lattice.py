@@ -80,11 +80,6 @@ class LatticeSpec:
                 neg += 1
         return (pos, neg)
 
-    @property
-    def is_even(self) -> bool:
-        # U is even; diagonal blocks are validated even at construction.
-        return True
-
     def to_json(self) -> dict:
         return {"blocks": [b if b == "U" else {"diag": b} for b in self.blocks]}
 
@@ -231,7 +226,6 @@ class LatticeReport:
     lattice: LatticeSpec
     rank: int
     signature: tuple[int, int]
-    is_even: bool
     rational_space: QuadSpace
     picard_invariants: SpaceInvariants
     transcendental_invariants: SpaceInvariants
@@ -246,7 +240,6 @@ class LatticeReport:
             "lattice": self.lattice.to_json(),
             "rank": self.rank,
             "signature": list(self.signature),
-            "is_even": self.is_even,
             "rational_space": self.rational_space.to_json(),
             "picard_invariants": self.picard_invariants.to_json(),
             "transcendental_invariants": self.transcendental_invariants.to_json(),
@@ -289,7 +282,6 @@ def verify_lattice(m: int, fielddata: CMFieldData) -> LatticeReport:
         lattice=spec,
         rank=spec.rank,
         signature=spec.signature,
-        is_even=spec.is_even,
         rational_space=space,
         picard_invariants=picard_inv,
         transcendental_invariants=t_inv,

@@ -282,6 +282,11 @@ def sturm_count(f: RatPoly, lo, hi) -> int:
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise ValueError("need lo < hi")
+    return _sturm_count(f, lo, hi)
+
+
+def _sturm_count(f: RatPoly, lo: Fraction, hi: Fraction) -> int:
+    """`sturm_count` without its guards, for f known to be squarefree."""
     count = 0
     # Peel off rational endpoint roots so the classical theorem applies
     # on the open interval; hi is in the interval, lo is not.
@@ -306,16 +311,18 @@ def unit_circle_check(L: RatPoly) -> bool:
     exact for such L; anything else — odd degree, a non-palindrome, or a
     repeated symmetric factor — conservatively returns False.
     """
-    if L.is_zero or L.degree <= 0 or L.degree % 2 != 0:
-        return False
-    if L.coeffs != L.coeffs[::-1]:
+    return _on_unit_circle(L, known_squarefree=False)
+
+
+def _on_unit_circle(L: RatPoly, known_squarefree: bool) -> bool:
+    """`unit_circle_check`; for squarefree L the gcd guard on G is skipped,
+    since a repeated root g of G would make T^2 - gT + 1 a repeated factor of L."""
+    if L.degree <= 0 or L.coeffs != L.coeffs[::-1]:
         return False
     G = symmetric_descent(L)
-    if G is None:
+    if G is None or not known_squarefree and poly_gcd(G, G.derivative()).degree > 0:
         return False
-    if poly_gcd(G, G.derivative()).degree > 0:
-        return False
-    inside = sturm_count(G, -2, 2) + (1 if G.evaluate(-2) == 0 else 0)
+    inside = _sturm_count(G, Fraction(-2), Fraction(2)) + (1 if G.evaluate(-2) == 0 else 0)
     return inside == G.degree
 
 
@@ -438,27 +445,37 @@ def squarefree_decompose(L: RatPoly) -> tuple[RatPoly, int] | None:
         raise ValueError("decomposition needs L(0) = 1")
     if L.degree == 0:
         return L, 1
-    g = poly_gcd(L, L.derivative())
-    R = L / g
+    R, e = _squarefree_power(L)
+    return None if e is None else (R, e)
+
+
+def _squarefree_power(L: RatPoly) -> tuple[RatPoly, int | None]:
+    """(R, e) for L(0) = 1 and deg L >= 1: R = L / gcd(L, L') scaled to
+    R(0) = 1, and e with L = R^e, or None when L is no power of R."""
+    R = L / poly_gcd(L, L.derivative())
     R = R / R.constant
-    if R == L:
-        return R, 1
     e, rem = divmod(L.degree, R.degree)
-    if rem != 0 or R**e != L:
-        return None
+    if R != L and (rem != 0 or R**e != L):
+        return R, None
     return R, e
 
 
 def denominators_are_p_power(P: RatPoly, p: int) -> bool:
     """True when every coefficient denominator is a power of p (i.e. P is integral away from p)."""
     check_prime(p)
-    for c in P.coeffs:
+    return not _off_p_indices(P, p)
+
+
+def _off_p_indices(P: RatPoly, p: int) -> list[int]:
+    """Indices of the coefficients of P whose denominator is not a power of p."""
+    bad = []
+    for i, c in enumerate(P.coeffs):
         d = c.denominator
         while d % p == 0:
             d //= p
         if d != 1:
-            return False
-    return True
+            bad.append(i)
+    return bad
 
 
 @dataclass(frozen=True)
@@ -481,24 +498,23 @@ class IrreducibilityCertificate:
         return {"verdict": self.verdict, "premises": dict(self.premises), "detail": dict(self.detail)}
 
 
-def _pure_negative_slope(polygon: NewtonPolygon) -> tuple[bool, dict]:
-    """Check the symmetric pure-slope shape (-a/h, h), [0, mid], (a/h, h), gcd(a, h) = 1."""
-    segs = polygon.segments
-    detail: dict = {"segments": polygon.to_json()}
-    if len(segs) not in (2, 3):
-        return False, detail
-    (s_neg, h) = segs[0]
-    (s_pos, l_pos) = segs[-1]
-    if not (s_neg < 0 and s_pos == -s_neg and l_pos == h):
-        return False, detail
-    if len(segs) == 3 and segs[1][0] != 0:
-        return False, detail
-    slope = -s_neg
-    # slope = a/h in lowest terms with segment length exactly h forces
-    # gcd(a, h) = 1: the negative part is then irreducible over Q_p.
-    ok = slope.denominator == h
-    detail.update({"h": h, "a": slope.numerator if ok else None})
-    return ok, detail
+def _slope_shape(polygon: NewtonPolygon) -> tuple[Fraction, int, bool] | None:
+    """The lone negative segment (s, l) of polygon, and whether the polygon
+    is the symmetric shape (s, l), [(0, *)], (-s, l); None when the
+    negative part is empty or splits by slope.
+
+    A local factor whose length l equals the denominator of its slope s
+    is irreducible over Q_p: the slope is then in lowest terms over
+    exactly l roots.
+    """
+    negs = polygon.negative_segments()
+    if len(negs) != 1:
+        return None
+    slope, length = negs[0]
+    rest = polygon.segments[1:]
+    if rest and rest[0][0] == 0:
+        rest = rest[1:]
+    return slope, length, rest == ((-slope, length),)
 
 
 def kronecker_certificate(R: RatPoly, p: int) -> IrreducibilityCertificate:
@@ -517,16 +533,19 @@ def kronecker_certificate(R: RatPoly, p: int) -> IrreducibilityCertificate:
     if poly_gcd(R, R.derivative()).degree > 0:
         raise ValueError("certificate needs a squarefree polynomial")
     polygon = newton_polygon(R, p)
-    pure, pure_detail = _pure_negative_slope(polygon)
+    detail: dict = {"segments": polygon.to_json()}
+    slope, h, symmetric = _slope_shape(polygon) or (None, None, False)
+    pure = symmetric and slope.denominator == h
+    if symmetric:
+        detail.update({"h": h, "a": -slope.numerator if pure else None})
     cyc = has_cyclotomic_factor(R)
+    if cyc is not None:
+        detail["cyclotomic_index"] = cyc
     premises = {
         "pure_negative_slope": pure,
         "no_cyclotomic_factor": cyc is None,
-        "unit_circle": unit_circle_check(R),
-        "denominators_p_power": denominators_are_p_power(R, p),
+        "unit_circle": _on_unit_circle(R, known_squarefree=True),
+        "denominators_p_power": not _off_p_indices(R, p),
     }
-    detail = dict(pure_detail)
-    if cyc is not None:
-        detail["cyclotomic_index"] = cyc
     verdict = "certified" if all(premises.values()) else "unknown"
     return IrreducibilityCertificate(verdict, premises, detail)

@@ -181,6 +181,7 @@ def test_hilbert_json(capsys):
         ("check", "--p", "7", "--coeffs", "1,x,1"),  # unparseable
         ("construct", "--p", "7", "--m", "4", "--h", "5"),  # h > m
         ("construct", "--p", "7", "--m", "12", "--h", "1"),  # m out of range
+        ("construct", "--p", "7", "--m", "3", "--h", "1", "--a-start", "60"),  # a_start > a_cap
         ("lattice", "--m", "5", "--n", "1"),  # m below case table
         ("lattice", "--m", "7", "--n", "1"),  # missing p1
         ("lattice", "--m", "9", "--n", "0"),  # bad n

@@ -109,6 +109,18 @@ def test_split_negative_slope_fails_local_factor_check():
     assert "local_factor_irreducible" in report.failed_checks
 
 
+def test_tilted_middle_segment_fails_slope_profile():
+    # slopes -1, 1/2, 1: mirrored ends around a middle that is not flat
+    bent = RatPoly.of(1, Fraction(1, 7), 0, 1, 7)
+    report = check_candidate(bent, 7)
+    assert report.checks["slope_profile"].status == "fail"
+    assert report.h is None
+    # the lone negative segment is still a pure local factor
+    assert report.checks["local_factor_irreducible"].status == "pass"
+    premises = report.checks["prime_power_shape"].detail["premises"]
+    assert premises["pure_negative_slope"] is False
+
+
 def test_squared_witness_passes_with_e_two():
     report = check_candidate(WORKED * WORKED, 7)
     assert report.verdict == "pass"
@@ -221,6 +233,8 @@ def test_construct_witness_rejects_bad_ranges():
         construct_witness(8, 2, 1)  # composite p
     with pytest.raises(ValueError):
         construct_witness(7, 2, 1, a_start=0)
+    with pytest.raises(ValueError):
+        construct_witness(7, 2, 1, a_start=51)  # empty range: a_start > a_cap
 
 
 def test_construct_witness_unreachable_cap():

@@ -33,11 +33,10 @@ def test_latticespec_rank_and_signature():
     spec = LatticeSpec(("U", -12, -4))
     assert spec.rank == 4
     assert spec.signature == (1, 3)
-    assert spec.is_even
 
 
 def test_latticespec_evenness_enforced_at_construction():
-    assert LatticeSpec((2, -40)).is_even
+    LatticeSpec((2, -40))  # even diagonal blocks are accepted
     with pytest.raises(ValueError):
         LatticeSpec((1,))
     with pytest.raises(ValueError):
@@ -126,7 +125,6 @@ def test_case_table_rank_complements_degree():
         spec = build_picard_lattice(m, fd)
         assert spec.rank == K3_RANK - 2 * m
         assert spec.signature == (1, 21 - 2 * m)
-        assert spec.is_even
 
 
 def test_case_table_guards():
@@ -164,7 +162,6 @@ def test_verify_lattice_rank9_case():
     report = verify_lattice(9, fielddata(9, 3))
     assert report.rank == 4
     assert report.signature == (1, 3)
-    assert report.is_even
     assert report.has_U_embedding
     assert report.embedding_rank_ok
     assert report.degree2_vector is None
@@ -268,7 +265,6 @@ def test_verify_lattice_randomized_sweeps():
         p1 = rng.choice(odd34) if m in (7, 8) else None
         report = verify_lattice(m, fielddata(m, n, p1=p1))
         assert report.rank == K3_RANK - 2 * m
-        assert report.is_even
         assert report.embedding_rank_ok
         assert report.transcendental_invariants.det == square_class(n)
         if m in (6, 9):
@@ -281,7 +277,6 @@ def test_report_json_shape():
         "lattice",
         "rank",
         "signature",
-        "is_even",
         "rational_space",
         "picard_invariants",
         "transcendental_invariants",

@@ -489,6 +489,13 @@ def test_kronecker_certificate_unknown_for_split_slope():
     assert cert.premises["pure_negative_slope"] is False
 
 
+def test_kronecker_certificate_unknown_for_tilted_middle():
+    # slopes -1, 1/2, 1: the ends mirror each other but the middle is not flat
+    cert = kronecker_certificate(poly(1, Fraction(1, 7), 0, 1, 7), 7)
+    assert cert.premises["pure_negative_slope"] is False
+    assert "h" not in cert.detail
+
+
 def test_kronecker_certificate_rejects_non_squarefree():
     with pytest.raises(ValueError):
         kronecker_certificate(WORKED * WORKED, 7)
