@@ -38,13 +38,13 @@ from .weilpoly import (
     NewtonPolygon,
     RatPoly,
     _off_p_indices,
-    _on_unit_circle,
     _slope_shape,
     _squarefree_power,
     has_cyclotomic_factor,
     newton_polygon,
     reciprocal_transform,
     sturm_count,
+    unit_circle_check,
 )
 
 __all__ = [
@@ -147,7 +147,7 @@ def check_candidate(L: RatPoly, p: int) -> CandidateReport:
     # run on R: the circle test needs a squarefree input, and Phi_k
     # divides L iff it divides R.  e is None unless L = R^e.
     R, e = _squarefree_power(L)
-    on_circle = _on_unit_circle(R, known_squarefree=True)
+    on_circle = unit_circle_check(R)
     cyc = has_cyclotomic_factor(R)
     offending = _off_p_indices(L, p)
 

@@ -282,11 +282,6 @@ def sturm_count(f: RatPoly, lo, hi) -> int:
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise ValueError("need lo < hi")
-    return _sturm_count(f, lo, hi)
-
-
-def _sturm_count(f: RatPoly, lo: Fraction, hi: Fraction) -> int:
-    """`sturm_count` without its guards, for f known to be squarefree."""
     count = 0
     # Peel off rational endpoint roots so the classical theorem applies
     # on the open interval; hi is in the interval, lo is not.
@@ -311,18 +306,16 @@ def unit_circle_check(L: RatPoly) -> bool:
     exact for such L; anything else — odd degree, a non-palindrome, or a
     repeated symmetric factor — conservatively returns False.
     """
-    return _on_unit_circle(L, known_squarefree=False)
-
-
-def _on_unit_circle(L: RatPoly, known_squarefree: bool) -> bool:
-    """`unit_circle_check`; for squarefree L the gcd guard on G is skipped,
-    since a repeated root g of G would make T^2 - gT + 1 a repeated factor of L."""
-    if L.degree <= 0 or L.coeffs != L.coeffs[::-1]:
+    if L.is_zero or L.degree <= 0 or L.degree % 2 != 0:
+        return False
+    if L.coeffs != L.coeffs[::-1]:
         return False
     G = symmetric_descent(L)
-    if G is None or not known_squarefree and poly_gcd(G, G.derivative()).degree > 0:
+    if G is None:
         return False
-    inside = _sturm_count(G, Fraction(-2), Fraction(2)) + (1 if G.evaluate(-2) == 0 else 0)
+    if poly_gcd(G, G.derivative()).degree > 0:
+        return False
+    inside = sturm_count(G, -2, 2) + (1 if G.evaluate(-2) == 0 else 0)
     return inside == G.degree
 
 
@@ -544,7 +537,7 @@ def kronecker_certificate(R: RatPoly, p: int) -> IrreducibilityCertificate:
     premises = {
         "pure_negative_slope": pure,
         "no_cyclotomic_factor": cyc is None,
-        "unit_circle": _on_unit_circle(R, known_squarefree=True),
+        "unit_circle": unit_circle_check(R),
         "denominators_p_power": not _off_p_indices(R, p),
     }
     verdict = "certified" if all(premises.values()) else "unknown"
