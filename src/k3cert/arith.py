@@ -212,7 +212,7 @@ class Place:
 
     @classmethod
     def finite(cls, p: int) -> "Place":
-        return cls(check_prime(p))
+        return cls(p)
 
     @classmethod
     def infinite(cls) -> "Place":

@@ -57,7 +57,6 @@ def _build_parser() -> _Parser:
     p_lattice = sub.add_parser("lattice", help="build and certify a case lattice")
     p_lattice.add_argument("--m", type=int, required=True)
     p_lattice.add_argument("--n", type=int, required=True)
-    p_lattice.add_argument("--disc-square", choices=("true", "false"), default=None)
     p_lattice.add_argument("--p1", type=int, default=None, help="nonsplit witness prime")
     p_lattice.add_argument(
         "--split",
@@ -149,11 +148,6 @@ def _parse_split_table(pairs: list[str]) -> dict[int, bool]:
 def _cmd_lattice(args) -> tuple[dict, dict, list[str]]:
     split = _parse_split_table(args.split)
     fielddata = CMFieldData.from_m(args.m, args.n, args.p1, split)
-    if args.disc_square is not None and (args.disc_square == "true") != fielddata.disc_is_square:
-        raise UsageError(
-            f"--disc-square {args.disc_square} contradicts n = {args.n} "
-            f"(square class {'trivial' if fielddata.disc_is_square else 'nontrivial'})"
-        )
     report = verify_lattice(args.m, fielddata)
     inputs = {
         "m": args.m,

@@ -13,9 +13,10 @@ order:
   local_factor_irreducible  the negative-slope part of Q is irreducible over Q_p
                             (pure slope: its length equals the slope denominator)
 
-The verdict is "pass", "fail", or "unknown" — the last only when every
-check that could be decided passed but the irreducibility certificate
-came back inconclusive.  h and a are read off the polygon (h is the
+The verdict is "pass" when all six checks pass and "fail" otherwise.  A
+check can be "unknown" (an inconclusive irreducibility certificate), but
+only when another check fails: each irreducibility premise is one of
+the other checks.  h and a are read off the polygon (h is the
 length of the negative segment, a = -slope * h), e from the squarefree
 decomposition, and q = p^a names the field where the slope profile has
 the shape -1/h, 0, 1/h.
@@ -88,7 +89,7 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class CandidateReport:
-    verdict: str  # "pass" | "fail" | "unknown"
+    verdict: str  # "pass" when every check passes, else "fail"
     m: int
     h: int | None
     a: int | None
@@ -197,9 +198,7 @@ def check_candidate(L: RatPoly, p: int) -> CandidateReport:
         )
         checks["local_factor_irreducible"] = local
 
-    failed = [name for name in _CHECK_NAMES if checks[name].status == "fail"]
-    unknown = [name for name in _CHECK_NAMES if checks[name].status == "unknown"]
-    verdict = "fail" if failed else ("unknown" if unknown else "pass")
+    verdict = "pass" if all(c.status == "pass" for c in checks.values()) else "fail"
     return CandidateReport(
         verdict=verdict,
         m=m,

@@ -7,6 +7,8 @@ w = sum_{i<j} (a_i, a_j) at every place, stored sparsely: the map keeps
 only the places with nontrivial bit, all others are implicitly 0.  The
 support is finite (contained in {2, inf} and the primes dividing some
 entry), so equality of Hasse invariants "at every place" is decidable.
+By bilinearity w = sum_j (a_1...a_{j-1}, a_j), which is how it is
+evaluated: n - 1 symbols per place, against the running determinant.
 
 `embedding_criterion` packages the three-part embedding test for a space
 against the invariants of a CM field: determinant matching, even
@@ -114,27 +116,26 @@ class SpaceInvariants:
         }
 
 
-def _entry_support(entries) -> list[Place]:
-    places = {INFINITE_PLACE, Place.finite(2)}
-    places.update(Place.finite(q) for q in support_primes(entries))
-    return sorted(places, key=Place.sort_key)
+def _places(primes) -> list[Place]:
+    """{2, inf} and the given primes, as places in sort order."""
+    return sorted({INFINITE_PLACE, Place.finite(2), *map(Place.finite, primes)}, key=Place.sort_key)
 
 
 def invariants(space: QuadSpace) -> SpaceInvariants:
     """Dimension, determinant class, signature, and sparse Hasse map of a space."""
-    entries = space.entries
-    det = square_class(entries[0])
-    for e in entries[1:]:
-        det = det * square_class(e)
-    pos = sum(1 for e in entries if e > 0)
-    hasse: dict[Place, int] = {}
-    for place in _entry_support(entries):
-        bit = 0
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                bit ^= hilbert(entries[i], entries[j], place)
-        if bit:
-            hasse[place] = 1
+    classes = [square_class(e) for e in space.entries]
+    # the symbol depends only on square classes, so only primes dividing
+    # some class can carry a nontrivial bit besides 2 and inf
+    places = _places(support_primes(c.sqfree for c in classes))
+    bits = dict.fromkeys(places, 0)
+    det = classes[0]
+    for cls in classes[1:]:
+        # det is the class of the prefix product a_1...a_{j-1}
+        for place in places:
+            bits[place] ^= hilbert(det.representative(), cls.representative(), place)
+        det = det * cls
+    pos = sum(1 for e in space.entries if e > 0)
+    hasse = {place: 1 for place, bit in bits.items() if bit}
     return SpaceInvariants(space.dim, det, (pos, space.dim - pos), hasse)
 
 
@@ -160,12 +161,12 @@ def complement_invariants(ambient: SpaceInvariants, sub: SpaceInvariants) -> Spa
     if pos < 0 or neg < 0:
         raise ValueError("subspace signature does not fit inside the ambient space")
     det = ambient.det * sub.det
-    places = {INFINITE_PLACE, Place.finite(2)}
-    places.update(ambient.hasse)
-    places.update(sub.hasse)
-    places.update(Place.finite(q) for q in support_primes([sub.det.sqfree, det.sqfree]))
+    places = _places(
+        support_primes([sub.det.sqfree, det.sqfree])
+        | {pl.prime for pl in (*ambient.hasse, *sub.hasse) if pl.is_finite}
+    )
     hasse: dict[Place, int] = {}
-    for place in sorted(places, key=Place.sort_key):
+    for place in places:
         bit = (
             ambient.hasse_at(place)
             ^ sub.hasse_at(place)
@@ -182,7 +183,7 @@ class CMFieldData:
 
     n is a positive integer representing the discriminant square class
     of the field (up to the (-1)^m sign convention handled by callers);
-    disc_is_square is kept explicit but must agree with n.  The splitting
+    disc_is_square is derived from n, not stored.  The splitting
     side is optional: nonsplit_witness is a prime where some place of the
     real subfield is known to stay inert, and split_table records primes
     with fully known splitting behaviour (True = every place above splits).
@@ -190,7 +191,6 @@ class CMFieldData:
 
     degree: int
     n: int
-    disc_is_square: bool
     nonsplit_witness: int | None = None
     split_table: dict[int, bool] = field(default_factory=dict)
 
@@ -199,8 +199,6 @@ class CMFieldData:
             raise ValueError("degree must be a positive even integer")
         if self.n < 1:
             raise ValueError("n must be a positive integer")
-        if self.disc_is_square != square_class(self.n).is_trivial:
-            raise ValueError("disc_is_square must match the square class of n")
         if self.nonsplit_witness is not None:
             w = self.nonsplit_witness
             check_prime(w)
@@ -219,12 +217,16 @@ class CMFieldData:
         nonsplit_witness: int | None = None,
         split_table: dict[int, bool] | None = None,
     ) -> "CMFieldData":
-        """Build field data for degree 2m, deriving disc_is_square from n."""
-        return cls(2 * m, n, square_class(n).is_trivial, nonsplit_witness, dict(split_table or {}))
+        """Build field data for degree 2m."""
+        return cls(2 * m, n, nonsplit_witness, dict(split_table or {}))
 
     @property
     def m(self) -> int:
         return self.degree // 2
+
+    @property
+    def disc_is_square(self) -> bool:
+        return square_class(self.n).is_trivial
 
     def split_status(self, p: int) -> bool | None:
         """True/False when splitting at p is known, None when it is not."""
@@ -277,14 +279,9 @@ class HyperbolicityReport:
 def hyperbolicity_from_invariants(inv: SpaceInvariants, fielddata: CMFieldData) -> HyperbolicityReport:
     if inv.dim != fielddata.degree:
         raise ValueError("space dimension must equal the field degree")
-    target = invariants(hyperbolic(fielddata.m))
-    primes = sorted(
-        {pl.prime for pl in inv.hasse if pl.is_finite}
-        | {pl.prime for pl in target.hasse if pl.is_finite}
-    )
-    discrepancy = tuple(
-        q for q in primes if inv.hasse_at(Place.finite(q)) != target.hasse_at(Place.finite(q))
-    )
+    # <1, -1>^m has Hasse bit C(m, 2) mod 2 at 2 and inf, 0 at odd primes
+    target = {2} if fielddata.m * (fielddata.m - 1) // 2 % 2 else set()
+    discrepancy = tuple(sorted({pl.prime for pl in inv.hasse if pl.is_finite} ^ target))
     certified, unknown, conflicts = [], [], []
     for q in discrepancy:
         status = fielddata.split_status(q)

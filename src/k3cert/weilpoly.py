@@ -130,14 +130,16 @@ class RatPoly:
     def __pow__(self, e: int) -> "RatPoly":
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        out = RatPoly.one()
-        base = self
-        while e:
+        if e == 0:
+            return RatPoly.one()
+        out, base = None, self
+        while True:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if not e:
+                return out
+            base = base * base
 
     def __divmod__(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
         if other.is_zero:

@@ -95,6 +95,24 @@ def brute_hilbert_bit(a, b, p: int | None) -> int:
     return 1
 
 
+def pairwise_hasse_bit(entries, p: int | None) -> int:
+    """Hasse invariant sum_{i<j} (a_i, a_j) of <entries> at a place, by definition.
+
+    Every pairwise symbol comes from `brute_hilbert_bit`; each distinct pair
+    of square classes is searched once.
+    """
+    classes = [squarefree_part(e) for e in entries]
+    seen: dict[tuple[int, int], int] = {}
+    bit = 0
+    for i in range(len(classes)):
+        for j in range(i + 1, len(classes)):
+            key = (classes[i], classes[j])
+            if key not in seen:
+                seen[key] = brute_hilbert_bit(*key, p)
+            bit ^= seen[key]
+    return bit
+
+
 # ---------------------------------------------------------------------------
 # real root counting: Descartes bound + bisection (Vincent/Collins/Akritas)
 

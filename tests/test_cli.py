@@ -202,12 +202,11 @@ def test_bad_inputs_exit_one(capsys, argv):
     assert "error" in err.lower() or "usage" in err.lower()
 
 
-def test_disc_square_consistency_check(capsys):
-    code, _, err = run(
-        capsys, "lattice", "--m", "10", "--n", "5", "--disc-square", "true"
-    )
-    assert code == 1
-    assert "square" in err
+def test_lattice_json_derives_disc_square(capsys):
+    for n, square in (("4", True), ("5", False)):
+        code, out, _ = run(capsys, "lattice", "--m", "10", "--n", n, "--json")
+        assert code == 0
+        assert json.loads(out)["inputs"]["disc_square"] is square
 
 
 def test_internal_failures_exit_two(capsys, monkeypatch):

@@ -125,5 +125,17 @@ def test_premises_match_kronecker_certificate():
     assert compared > 200
 
 
+def test_unknown_check_comes_with_a_failed_check():
+    """A check is "unknown" only beside a failed one, so the verdict is "fail"."""
+    with_unknown = 0
+    for line in _corpus():
+        report = json.loads(line)["report"]
+        statuses = [check["status"] for check in report["checks"].values()]
+        if "unknown" in statuses:
+            with_unknown += 1
+            assert "fail" in statuses and report["verdict"] == "fail", line
+    assert with_unknown > 0
+
+
 if __name__ == "__main__":
     CORPUS.write_text("\n".join(generate()) + "\n")

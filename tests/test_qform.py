@@ -19,7 +19,7 @@ from k3cert.qform import (
     invariants,
 )
 
-from oracles import brute_hilbert_bit
+from oracles import brute_hilbert_bit, pairwise_hasse_bit
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +149,24 @@ def test_invariants_hasse_against_bruteforce():
         assert inv.hasse_at(place) == bit
 
 
+def test_invariants_hasse_matches_pairwise_oracle():
+    # the running-determinant sum against the defining pairwise sum; entries
+    # stay over primes <= 13 so the brute-force symbol search stays small
+    rng = random.Random(60)
+    primes = (2, 3, 5, 7, 11, 13)
+    for _ in range(60):
+        entries = []
+        for _ in range(rng.randint(1, 20)):
+            num = rng.choice((-1, 1)) * rng.choice((1, 4, 9))
+            for q in rng.sample(primes, rng.randint(0, 2)):
+                num *= q
+            entries.append(Fraction(num, rng.choice((1, 2, 8, 3, 25, 12))))
+        inv = invariants(QuadSpace(tuple(entries)))
+        support = {q for q in primes if any((e.numerator * e.denominator) % q == 0 for e in entries)}
+        for p in sorted(support | {2}) + [None]:
+            assert inv.hasse_at(Place(p)) == pairwise_hasse_bit(entries, p), (entries, p)
+
+
 # ---------------------------------------------------------------------------
 # orthogonal complements
 
@@ -195,11 +213,9 @@ def test_fielddata_from_m_derives_square_flag():
 
 def test_fielddata_validation():
     with pytest.raises(ValueError):
-        CMFieldData(4, 15, True)  # 15 is not a square
+        CMFieldData(3, 1)  # odd degree
     with pytest.raises(ValueError):
-        CMFieldData(3, 1, True)  # odd degree
-    with pytest.raises(ValueError):
-        CMFieldData(4, 0, True)
+        CMFieldData(4, 0)
     with pytest.raises(ValueError):
         CMFieldData.from_m(2, 15, nonsplit_witness=2)
     with pytest.raises(ValueError):
@@ -224,10 +240,12 @@ NEEDS_DATA_SPACE = QuadSpace.of(1, -1, 3, -5)  # det class 15, discrepancy {3, 5
 
 
 def test_hyperbolicity_pass_on_actual_hyperbolic():
-    report = hyperbolicity_check(hyperbolic(2), CMFieldData.from_m(2, 1))
-    assert report.verdict == "pass"
-    assert report.discrepancy == ()
-    assert report.passed
+    # m = 1..10 covers both parities of C(m, 2), the target's bit at 2
+    for m in range(1, 11):
+        report = hyperbolicity_check(hyperbolic(m), CMFieldData.from_m(m, 1))
+        assert report.verdict == "pass"
+        assert report.discrepancy == ()
+        assert report.passed
 
 
 def test_hyperbolicity_needs_data_without_split_info():

@@ -83,6 +83,24 @@ def test_arithmetic_identities():
     assert f**2 == f * f
 
 
+def test_power_forms_no_product_above_its_degree(monkeypatch):
+    L = RatPoly.of(*(Fraction(k, 7) for k in range(1, 22)))  # degree 20
+    expected = [L, L * L, L * L * L, L * L * L * L]
+    degrees = []
+    mul = RatPoly.__mul__
+
+    def recording(self, other):
+        out = mul(self, other)
+        degrees.append(out.degree)
+        return out
+
+    monkeypatch.setattr(RatPoly, "__mul__", recording)
+    for e in range(1, 5):
+        degrees.clear()
+        assert L**e == expected[e - 1]
+        assert max(degrees, default=0) <= e * L.degree, (e, degrees)
+
+
 def test_divmod_exact_cases():
     f = poly(-1, 0, 1)  # T^2 - 1
     g = poly(1, 1)
