@@ -20,7 +20,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from k3cert.arith import format_rational, parse_rational, square_class
+from k3cert.arith import format_rational, parse_rational, square_class, support_primes
 from k3cert.k3lattice import verify_lattice
 from k3cert.qform import CMFieldData, QuadSpace, embedding_criterion
 
@@ -70,7 +70,7 @@ def _embedding_requests() -> list[dict]:
             n = det.sqfree * rng.randint(1, 4) ** 2
         else:
             n = rng.randint(1, 60)
-        support = sorted({q for q in ENTRY_PRIMES if q > 2 and any((e.numerator * e.denominator) % q == 0 for e in entries)})
+        support = sorted(q for q in support_primes(entries) if q > 2)
         p1 = rng.choice(support) if support and rng.random() < 0.5 else None
         pool = [q for q in list(SPLIT_PRIMES) + support if q != p1]
         out.append(
@@ -86,11 +86,15 @@ def _embedding_requests() -> list[dict]:
 
 
 def _report(request: dict):
-    fielddata = lambda m: CMFieldData.from_m(m, request["n"], request["p1"], request["split"])
     if request["kind"] == "verify":
-        return verify_lattice(request["m"], fielddata(request["m"]))
-    space = QuadSpace(tuple(parse_rational(e) for e in request["entries"]))
-    return embedding_criterion(space, fielddata(space.dim // 2))
+        m = request["m"]
+    else:
+        space = QuadSpace(tuple(parse_rational(e) for e in request["entries"]))
+        m = space.dim // 2
+    fielddata = CMFieldData.from_m(m, request["n"], request["p1"], request["split"])
+    if request["kind"] == "verify":
+        return verify_lattice(m, fielddata)
+    return embedding_criterion(space, fielddata)
 
 
 def _line(request: dict) -> str:
