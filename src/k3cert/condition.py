@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .arith import check_prime
 from .weilpoly import (
@@ -236,8 +237,13 @@ _SEED_FACTORS: dict[int, tuple[RatPoly, ...]] = {
 }
 
 
+@lru_cache(maxsize=MAX_M)  # one entry per valid m; a raised ValueError is not cached
 def seed_polynomial(m: int) -> RatPoly:
-    """Monic integer polynomial of degree m with m distinct nonzero real roots in (-2, 2)."""
+    """Monic integer polynomial of degree m with m distinct nonzero real roots in (-2, 2).
+
+    The polynomial is built and verified once per m; later calls return
+    the same (immutable) polynomial.
+    """
     if m not in _SEED_FACTORS:
         raise ValueError(f"seed polynomials cover 1 <= m <= {MAX_M}")
     poly = RatPoly.one()

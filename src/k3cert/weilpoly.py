@@ -13,13 +13,22 @@ certifies exactly l roots of P (in an algebraic closure of Q_p, counted
 with multiplicity) of valuation -s.  For example T - p at p has the
 single segment (-1, 1): one root of valuation +1.
 
-Real root counting is exact, by Sturm chains over Q; `sturm_count`
-counts distinct roots in the half-open interval (lo, hi], with roots at
-the endpoints handled by direct evaluation.
+Real root counting is exact, by Sturm chains; `sturm_count` counts
+distinct roots in the half-open interval (lo, hi], with roots at the
+endpoints handled by direct evaluation.
+
+The inner kernels run in Z[T], on integer multiples of the rational
+inputs: the Sturm chain, `poly_gcd` and the cyclotomic scan work on
+primitive integer polynomials obtained by positive scalings only
+(clearing denominators by a positive lcm, dividing out a positive
+content, pseudo-dividing with the multiplier |lc|).  A positive scaling
+moves neither a root nor a sign, so every answer stays exact and equal
+to the one over Q.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -195,11 +204,58 @@ class RatPoly:
         return f"RatPoly({format_poly(self)!r})"
 
 
+def _cleared(coeffs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
+    """(D, [c * D for c in coeffs]) with D > 0 the lcm of the denominators."""
+    D = math.lcm(*(c.denominator for c in coeffs))
+    return D, [c.numerator * (D // c.denominator) for c in coeffs]
+
+
+def _primitive(cs: list[int]) -> list[int]:
+    """cs divided by its content, the positive gcd of its entries."""
+    g = math.gcd(*cs)
+    return cs if g <= 1 else [c // g for c in cs]
+
+
+def _integer_multiple(P: RatPoly) -> list[int]:
+    """The primitive integer polynomial that is a positive multiple of P."""
+    return _primitive(_cleared(P.coeffs)[1])
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of (a mod b), by pseudo-division in Z[T].
+
+    Each step multiplies the running remainder by |lc(b)|, never by a
+    negative number, so the result has the signs of the remainder over Q.
+    """
+    r = list(a)
+    db = len(b) - 1
+    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    while len(r) > db:
+        c = r.pop()
+        if c:
+            shift = len(r) - db
+            if scale != 1:
+                r = [scale * x for x in r]
+            c *= sign
+            for i in range(db):
+                r[shift + i] -= c * b[i]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
 def poly_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
-    """Monic gcd over Q (zero polynomial if both inputs are zero)."""
-    while not g.is_zero:
-        f, g = g, f % g
-    return f.monic()
+    """Monic gcd over Q (zero polynomial if both inputs are zero).
+
+    Runs a primitive pseudo-remainder sequence on the integer multiples
+    of f and g, then makes the last nonzero member monic.
+    """
+    a, b = _integer_multiple(f), _integer_multiple(g)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return RatPoly(tuple(a)).monic()
 
 
 def parse_poly(text: str) -> RatPoly:
@@ -215,20 +271,24 @@ def format_poly(p: RatPoly) -> str:
     return ",".join(format_rational(c) for c in p.coeffs)
 
 
+@lru_cache(maxsize=None)
+def _binomial_row(k: int) -> tuple[int, ...]:
+    return tuple(math.comb(k, j) for j in range(k + 1))
+
+
 def reciprocal_transform(f: RatPoly) -> RatPoly:
     """Return L(T) = T^m * f(T + 1/T) for m = deg f; L is self-reciprocal of degree 2m."""
     if f.is_zero:
         raise ValueError("cannot transform the zero polynomial")
     m = f.degree
-    base = RatPoly.of(1, 0, 1)  # T^2 + 1, since T^m (T + 1/T)^k = T^(m-k) (T^2+1)^k
-    acc = RatPoly.zero()
-    power = RatPoly.one()
-    for k, c in enumerate(f.coeffs):
-        if c != 0:
-            acc = acc + c * (power * RatPoly.monomial(m - k))
-        if k < m:
-            power = power * base
-    return acc
+    D, cs = _cleared(f.coeffs)
+    # T^m (T + 1/T)^k = T^(m-k) (T^2+1)^k = sum_j C(k, j) T^(m-k+2j)
+    out = [0] * (2 * m + 1)
+    for k, c in enumerate(cs):
+        if c:
+            for j, b in enumerate(_binomial_row(k)):
+                out[m - k + 2 * j] += c * b
+    return RatPoly(tuple(Fraction(c, D) for c in out))
 
 
 def symmetric_descent(L: RatPoly) -> RatPoly | None:
@@ -241,37 +301,41 @@ def symmetric_descent(L: RatPoly) -> RatPoly | None:
     if L.is_zero or L.degree % 2 != 0:
         return None
     m = L.degree // 2
-    base = RatPoly.of(1, 0, 1)
-    powers = [RatPoly.one()]
-    for _ in range(m):
-        powers.append(powers[-1] * base)
-    rem = L
-    g = [Fraction(0)] * (m + 1)
+    D, rem = _cleared(L.coeffs)
+    g = [0] * (m + 1)
     for k in range(m, -1, -1):
-        c = rem.coeff(m + k)
-        g[k] = c
-        if c != 0:
-            rem = rem - c * (powers[k] * RatPoly.monomial(m - k))
-    if not rem.is_zero:
+        c = g[k] = rem[m + k]
+        if c:
+            for j, b in enumerate(_binomial_row(k)):
+                rem[m - k + 2 * j] -= c * b
+    if any(rem):
         return None
-    return RatPoly(tuple(g))
+    return RatPoly(tuple(Fraction(c, D) for c in g))
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _sturm_chain(f: RatPoly) -> list[RatPoly]:
-    chain = [f, f.derivative()]
-    while chain[-1].degree > 0:
-        chain.append(-(chain[-2] % chain[-1]))
-    if chain[-1].is_zero:
+def _sturm_chain(f: RatPoly) -> list[list[int]]:
+    """Sturm chain of f in Z[T]: each member is primitive and a positive
+    multiple of the classical member, so it has the same signs."""
+    a = _integer_multiple(f)
+    chain = [a, _primitive([i * c for i, c in enumerate(a)][1:])]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in _primitive(_prem(chain[-2], chain[-1]))])
+    if not chain[-1]:
         chain.pop()
     return chain
 
 
-def _variations(chain: list[RatPoly], x: Fraction) -> int:
-    signs = [s for s in (_sign(p.evaluate(x)) for p in chain) if s != 0]
+def _variations(chain: list[list[int]], x: Fraction) -> int:
+    # d^k P(n/d) = sum_i c_i n^i d^(k-i) has the sign of P(x) since d > 0
+    n, d = x.numerator, x.denominator
+    signs = []
+    for cs in chain:
+        acc, dk = 0, 1
+        for c in reversed(cs):
+            acc = acc * n + c * dk
+            dk *= d
+        if acc:
+            signs.append(acc > 0)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -344,20 +408,50 @@ def cyclotomic(k: int) -> RatPoly:
     return poly
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic_ints(k: int) -> tuple[int, ...]:
+    """Integer coefficients of the monic cyclotomic(k)."""
+    return tuple(int(c) for c in cyclotomic(k).coeffs)
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_indices(maxdeg: int) -> tuple[int, ...]:
+    # phi(k) >= sqrt(k/2) for every k >= 1, so scanning to 2*maxdeg^2 is enough.
+    return tuple(k for k in range(1, 2 * maxdeg * maxdeg + 1) if euler_phi(k) <= maxdeg)
+
+
 def cyclotomic_index_list(maxdeg: int) -> list[int]:
-    """All k >= 1 with euler_phi(k) <= maxdeg, ascending."""
+    """All k >= 1 with euler_phi(k) <= maxdeg, ascending, as a fresh list."""
     if maxdeg < 1:
         return []
-    # phi(k) >= sqrt(k/2) for every k >= 1, so scanning to 2*maxdeg^2 is enough.
-    return [k for k in range(1, 2 * maxdeg * maxdeg + 1) if euler_phi(k) <= maxdeg]
+    return list(_cyclotomic_indices(maxdeg))
+
+
+def _rem_monic(f: list[int], g: tuple[int, ...]) -> list[int]:
+    """Remainder of f by the monic g; no division happens, so it stays in Z[T]."""
+    r = list(f)
+    dg = len(g) - 1
+    for top in range(len(r) - 1, dg - 1, -1):
+        c = r[top]
+        if c:
+            shift = top - dg
+            for i in range(dg):
+                if g[i]:
+                    r[shift + i] -= c * g[i]
+    return r[:dg]
 
 
 def has_cyclotomic_factor(L: RatPoly) -> int | None:
-    """Smallest k with cyclotomic(k) dividing L, or None."""
+    """Smallest k with cyclotomic(k) dividing L, or None.
+
+    Phi_k is monic in Z[T], so it divides L over Q iff it divides the
+    integer polynomial D * L, where D clears the denominators of L.
+    """
     if L.is_zero:
         raise ValueError("zero polynomial")
+    f = _cleared(L.coeffs)[1]
     for k in cyclotomic_index_list(L.degree):
-        if (L % cyclotomic(k)).is_zero:
+        if not any(_rem_monic(f, _cyclotomic_ints(k))):
             return k
     return None
 

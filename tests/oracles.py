@@ -5,12 +5,15 @@ different algorithm than the code under test: Hilbert symbols by brute-force
 solubility search instead of closed formulas, real root counting by
 Descartes/bisection instead of Sturm chains, factor degree patterns by
 distinct-degree factorization over small prime fields instead of slope
-arguments.  Slow is fine; independent is the point.
+arguments, and gcds and cyclotomic factors by Euclid and long division
+over Fractions instead of integer pseudo-remainders.  Slow is fine;
+independent is the point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +179,70 @@ def count_real_roots_halfopen(coeffs, lo, hi) -> int:
         return open_count(a, mid) + here + open_count(mid, b)
 
     return open_count(lo, hi) + (1 if _horner(cs, hi) == 0 else 0)
+
+
+# ---------------------------------------------------------------------------
+# gcd and cyclotomic factors over Q, by Fraction long division
+
+
+def _q_trim(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _q_divmod(f, g):
+    """(quotient, remainder) of coefficient lists over Q; g is nonzero and trimmed."""
+    f = list(f)
+    quo = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+    while len(f) >= len(g):
+        c = f[-1] / g[-1]
+        shift = len(f) - len(g)
+        quo[shift] = c
+        for i, b in enumerate(g):
+            f[shift + i] -= c * b
+        f = _q_trim(f)
+    return quo, f
+
+
+def rational_gcd_monic(f, g):
+    """Monic gcd of two coefficient lists over Q by the Euclidean algorithm,
+    as a tuple of Fractions (empty when both inputs are zero)."""
+    f, g = _q_trim(f), _q_trim(g)
+    while g:
+        f, g = g, _q_divmod(f, g)[1]
+    return tuple(c / f[-1] for c in f)
+
+
+@cache
+def _q_cyclotomic(k):
+    """Phi_k from T^k - 1, dividing out Phi_d for every proper divisor d of k."""
+    poly = [Fraction(-1)] + [Fraction(0)] * (k - 1) + [Fraction(1)]
+    for d in range(1, k):
+        if k % d == 0:
+            poly, rem = _q_divmod(poly, _q_cyclotomic(d))
+            assert not rem, "division was not exact"
+    return tuple(poly)
+
+
+@cache
+def _phi(k):
+    return naive_phi(k)
+
+
+def cyclotomic_factor_index(coeffs):
+    """Smallest k with Phi_k dividing the polynomial, or None.
+
+    A factor Phi_k has degree phi(k) <= deg, and phi(k) >= sqrt(k/2), so
+    k <= 2 deg^2 bounds the search.
+    """
+    f = _q_trim(coeffs)
+    deg = len(f) - 1
+    for k in range(1, 2 * deg * deg + 1):
+        if _phi(k) <= deg and not _q_divmod(f, _q_cyclotomic(k))[1]:
+            return k
+    return None
 
 
 # ---------------------------------------------------------------------------

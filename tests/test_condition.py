@@ -190,6 +190,25 @@ def test_seed_frozen_factorizations():
         seed_polynomial(0)
 
 
+def test_seed_is_built_and_verified_once_per_m(monkeypatch):
+    import k3cert.condition as condition
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return sturm_count(*args)
+
+    monkeypatch.setattr(condition, "sturm_count", counting)
+    seed_polynomial.cache_clear()
+    first = seed_polynomial(7)
+    assert seed_polynomial(7) is first
+    assert len(calls) == 1
+    for _ in range(2):  # a bad m raises on every call, not only the first
+        with pytest.raises(ValueError):
+            seed_polynomial(11)
+
+
 # ---------------------------------------------------------------------------
 # witness construction
 

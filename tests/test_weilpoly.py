@@ -1,11 +1,14 @@
 """Polynomial layer: exact ops, reciprocal transforms, Sturm counting,
 cyclotomic detection, Newton polygons, and the irreducibility certificate."""
 
+import json
+import random
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from k3cert.arith import is_prime
@@ -31,9 +34,11 @@ from k3cert.weilpoly import (
 
 from oracles import (
     count_real_roots_halfopen,
+    cyclotomic_factor_index,
     ddf_degree_pattern,
     naive_phi,
     proper_factor_degree_candidates,
+    rational_gcd_monic,
 )
 
 WORKED = RatPoly.of(1, Fraction(1, 7), 1, Fraction(1, 7), 1)
@@ -137,6 +142,20 @@ def test_poly_gcd_examples():
     assert poly_gcd(RatPoly.zero(), g) == g.monic()
 
 
+@given(
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6), max_size=6),
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6), max_size=6),
+    small_coeffs,
+)
+@example([], [], [1])
+@example([3, -2], [], [Fraction(1, 2), 0, -5])
+def test_poly_gcd_matches_fraction_euclid(fc, gc, hc):
+    # the shared factor h makes nontrivial gcds common
+    h = RatPoly.of(*hc)
+    f, g = RatPoly.of(*fc) * h, RatPoly.of(*gc) * h
+    assert poly_gcd(f, g).coeffs == rational_gcd_monic(f.coeffs, g.coeffs)
+
+
 def test_derivative_and_evaluate():
     f = poly(5, 0, -4, 1)
     assert f.derivative() == poly(0, -8, 3)
@@ -231,7 +250,16 @@ def test_sturm_rejects_bad_input():
         sturm_count(poly(1, 1), 3, 3)  # empty interval
 
 
-@given(st.lists(st.integers(min_value=-6, max_value=6), min_size=2, max_size=6))
+@given(
+    st.lists(
+        # zeros often: sparse inputs make the Sturm chain skip degrees,
+        # where a pseudo-division multiplies by an odd power of lc
+        st.one_of(st.just(0), st.fractions(min_value=-6, max_value=6, max_denominator=4)),
+        min_size=2,
+        max_size=9,
+    )
+)
+@example([-1, 3, 0, -1])  # negative leading coefficient, no T^2 term
 def test_sturm_agrees_with_descartes_bisection(cs):
     f = RatPoly.of(*cs)
     if f.degree < 1:
@@ -345,6 +373,37 @@ def test_has_cyclotomic_factor():
     assert has_cyclotomic_factor(WORKED * cyclotomic(4)) == 4
     # smallest index wins when several divide
     assert has_cyclotomic_factor(cyclotomic(6) * cyclotomic(1)) == 1
+
+
+def test_cyclotomic_index_list_is_a_fresh_list():
+    indices = cyclotomic_index_list(2)
+    indices.clear()
+    indices.append(5)
+    assert cyclotomic_index_list(2) == [1, 2, 3, 4, 6]
+    assert has_cyclotomic_factor(poly(1, -1, 1)) == 6
+
+
+def test_has_cyclotomic_factor_matches_oracle_on_golden_candidates():
+    corpus = Path(__file__).parent / "golden" / "check_reports.jsonl"
+    found = 0
+    for line in corpus.read_text().splitlines():
+        L = parse_poly(json.loads(line)["coeffs"])
+        want = cyclotomic_factor_index(L.coeffs)
+        assert has_cyclotomic_factor(L) == want, format_poly(L)
+        found += want is not None
+    assert found > 0
+
+
+def test_has_cyclotomic_factor_matches_oracle_on_dressed_witnesses():
+    from k3cert.condition import construct_witness
+
+    rng = random.Random(4)
+    for k in cyclotomic_index_list(20):
+        p, m = rng.choice((5, 7)), rng.randint(1, 3)
+        L, _report = construct_witness(p, m, rng.randint(1, m))
+        dressed = L * cyclotomic(k)
+        assert has_cyclotomic_factor(L) is None
+        assert has_cyclotomic_factor(dressed) == cyclotomic_factor_index(dressed.coeffs) == k
 
 
 def test_strip_cyclotomic_worked_example():
