@@ -102,7 +102,7 @@ def is_prime(n: int) -> bool:
 
 
 def check_prime(p: int) -> int:
-    if not isinstance(p, int) or not is_prime(p):
+    if not isinstance(p, int) or p < 2 or not is_prime(p):
         raise ValueError(f"{p!r} is not a prime")
     return p
 

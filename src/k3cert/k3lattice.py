@@ -18,7 +18,6 @@ represents 2 but not -2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 from .arith import INFINITE_PLACE, Place, SquareClass, check_prime, companion_prime, square_class
 from .qform import (
@@ -145,24 +144,21 @@ def rationalize(spec: LatticeSpec) -> QuadSpace:
 
 @dataclass(frozen=True)
 class NoMinusTwoCertificate:
-    """Proof sketch plus exhaustive check that 2x^2 - 8ny^2 never takes the value -2.
+    """Proof that 2x^2 - 8ny^2 never takes the value -2, and a vector of square +2.
 
     The mod-4 argument: a solution would force x^2 + 1 = 4ny^2, but
     squares are 0 or 1 mod 4, so x^2 + 1 is never divisible by 4.  The
-    box search re-confirms emptiness for |x|, |y| <= bound, and the
-    certificate also records the vector (1, 0) of square +2.
+    certificate records those residues and the vector (1, 0) of square +2.
     """
 
     n: int
-    bound: int
     mod4_square_residues: tuple[int, ...]
     mod4_required_residue: int
-    exhaustive_no_solution: bool
     plus_two_vector: tuple[int, int]
 
     @property
     def holds(self) -> bool:
-        return self.mod4_required_residue not in self.mod4_square_residues and self.exhaustive_no_solution
+        return self.mod4_required_residue not in self.mod4_square_residues
 
     def to_json(self) -> dict:
         return {
@@ -171,39 +167,24 @@ class NoMinusTwoCertificate:
             "mod4": {
                 "square_residues": list(self.mod4_square_residues),
                 "required_residue": self.mod4_required_residue,
-                "obstructed": self.mod4_required_residue not in self.mod4_square_residues,
+                "obstructed": self.holds,
             },
-            "search_bound": self.bound,
-            "exhaustive_no_solution": self.exhaustive_no_solution,
             "plus_two_vector": list(self.plus_two_vector),
         }
 
 
-def no_minus_two_vector(n: int, bound: int = 1000) -> NoMinusTwoCertificate:
+def no_minus_two_vector(n: int) -> NoMinusTwoCertificate:
     """Certify that the form 2x^2 - 8ny^2 does not represent -2.
 
-    Any solution gives x^2 = 4ny^2 - 1 = -1 (mod 4), impossible; the box
-    |x|, |y| <= bound is also searched outright (a solution with |x| <=
-    bound automatically has |y| <= |x|, so scanning x and solving for y
-    exhausts the box).
+    Any solution gives x^2 = 4ny^2 - 1 = -1 (mod 4), impossible: squares
+    are 0 or 1 mod 4.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    no_solution = True
-    for x in range(bound + 1):
-        target = x * x + 1  # would have to equal 4 n y^2
-        if target % (4 * n) == 0:
-            y2 = target // (4 * n)
-            y = isqrt(y2)
-            if y * y == y2 and y <= bound:
-                no_solution = False
-                break
     return NoMinusTwoCertificate(
         n=n,
-        bound=bound,
         mod4_square_residues=(0, 1),
         mod4_required_residue=3,
-        exhaustive_no_solution=no_solution,
         plus_two_vector=(1, 0),
     )
 

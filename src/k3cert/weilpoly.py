@@ -13,9 +13,12 @@ certifies exactly l roots of P (in an algebraic closure of Q_p, counted
 with multiplicity) of valuation -s.  For example T - p at p has the
 single segment (-1, 1): one root of valuation +1.
 
-Real root counting is exact, by Sturm chains; `sturm_count` counts
-distinct roots in the half-open interval (lo, hi], with roots at the
-endpoints handled by direct evaluation.
+Real root counting is exact, by Sturm chains.  For a squarefree f the
+sign variations V(x) of the chain keep their value just right of a root
+and drop by one just left of it, so V(lo) - V(hi) counts the distinct
+roots in the half-open interval (lo, hi], endpoint roots included.  The
+chain is a remainder sequence of (f, f'), so it ends in gcd(f, f') and
+doubles as the squarefree test.
 
 The inner kernels run in Z[T], on integer multiples of the rational
 inputs: the Sturm chain, `poly_gcd` and the cyclotomic scan work on
@@ -221,7 +224,7 @@ def _integer_multiple(P: RatPoly) -> list[int]:
     return _primitive(_cleared(P.coeffs)[1])
 
 
-def _prem(a: list[int], b: list[int]) -> list[int]:
+def _prem(a: list[int], b: list[int] | tuple[int, ...]) -> list[int]:
     """A positive multiple of (a mod b), by pseudo-division in Z[T].
 
     Each step multiplies the running remainder by |lc(b)|, never by a
@@ -315,7 +318,8 @@ def symmetric_descent(L: RatPoly) -> RatPoly | None:
 
 def _sturm_chain(f: RatPoly) -> list[list[int]]:
     """Sturm chain of f in Z[T]: each member is primitive and a positive
-    multiple of the classical member, so it has the same signs."""
+    multiple of the classical member, so it has the same signs.  The last
+    member is a multiple of gcd(f, f'), a constant iff f is squarefree."""
     a = _integer_multiple(f)
     chain = [a, _primitive([i * c for i, c in enumerate(a)][1:])]
     while len(chain[-1]) > 1:
@@ -340,26 +344,20 @@ def _variations(chain: list[list[int]], x: Fraction) -> int:
 
 
 def sturm_count(f: RatPoly, lo, hi) -> int:
-    """Distinct real roots of a squarefree f in the half-open interval (lo, hi]."""
+    """Distinct real roots of a squarefree f in the half-open interval (lo, hi].
+
+    Raises ValueError when f is zero or not squarefree (the chain of f
+    ends in a nonconstant gcd(f, f')), or when lo >= hi.
+    """
     if f.is_zero:
         raise ValueError("zero polynomial")
-    if poly_gcd(f, f.derivative()).degree > 0:
-        raise ValueError("sturm_count requires a squarefree polynomial")
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise ValueError("need lo < hi")
-    count = 0
-    # Peel off rational endpoint roots so the classical theorem applies
-    # on the open interval; hi is in the interval, lo is not.
-    if f.evaluate(hi) == 0:
-        count += 1
-        f = f / RatPoly.of(-hi, 1)
-    if f.evaluate(lo) == 0:
-        f = f / RatPoly.of(-lo, 1)
-    if f.degree <= 0:
-        return count
     chain = _sturm_chain(f)
-    return count + _variations(chain, lo) - _variations(chain, hi)
+    if len(chain[-1]) > 1:
+        raise ValueError("sturm_count requires a squarefree polynomial")
+    return _variations(chain, lo) - _variations(chain, hi)
 
 
 def unit_circle_check(L: RatPoly) -> bool:
@@ -368,9 +366,10 @@ def unit_circle_check(L: RatPoly) -> bool:
     Expects the self-reciprocal shape L(0) = 1, degree 2m.  The test is:
     L must be palindromic, and the unique G with L = T^m * G(T + 1/T)
     must be squarefree with all m of its roots real and in [-2, 2]
-    (Sturm count on (-2, 2] plus a separate check at -2).  The result is
-    exact for such L; anything else — odd degree, a non-palindrome, or a
-    repeated symmetric factor — conservatively returns False.
+    (one Sturm count on (-2, 2], which also rejects a G that is not
+    squarefree, plus a separate check at -2).  The result is exact for
+    such L; anything else — odd degree, a non-palindrome, or a repeated
+    symmetric factor — conservatively returns False.
     """
     if L.is_zero or L.degree <= 0 or L.degree % 2 != 0:
         return False
@@ -379,10 +378,11 @@ def unit_circle_check(L: RatPoly) -> bool:
     G = symmetric_descent(L)
     if G is None:
         return False
-    if poly_gcd(G, G.derivative()).degree > 0:
-        return False
-    inside = sturm_count(G, -2, 2) + (1 if G.evaluate(-2) == 0 else 0)
-    return inside == G.degree
+    try:
+        inside = sturm_count(G, -2, 2)
+    except ValueError:
+        return False  # G has a repeated root
+    return inside + (1 if G.evaluate(-2) == 0 else 0) == G.degree
 
 
 def euler_phi(k: int) -> int:
@@ -427,31 +427,19 @@ def cyclotomic_index_list(maxdeg: int) -> list[int]:
     return list(_cyclotomic_indices(maxdeg))
 
 
-def _rem_monic(f: list[int], g: tuple[int, ...]) -> list[int]:
-    """Remainder of f by the monic g; no division happens, so it stays in Z[T]."""
-    r = list(f)
-    dg = len(g) - 1
-    for top in range(len(r) - 1, dg - 1, -1):
-        c = r[top]
-        if c:
-            shift = top - dg
-            for i in range(dg):
-                if g[i]:
-                    r[shift + i] -= c * g[i]
-    return r[:dg]
-
-
 def has_cyclotomic_factor(L: RatPoly) -> int | None:
     """Smallest k with cyclotomic(k) dividing L, or None.
 
     Phi_k is monic in Z[T], so it divides L over Q iff it divides the
-    integer polynomial D * L, where D clears the denominators of L.
+    integer polynomial D * L, where D clears the denominators of L; and
+    pseudo-division by a monic divisor multiplies by 1, so `_prem` gives
+    the exact remainder.
     """
     if L.is_zero:
         raise ValueError("zero polynomial")
     f = _cleared(L.coeffs)[1]
     for k in cyclotomic_index_list(L.degree):
-        if not any(_rem_monic(f, _cyclotomic_ints(k))):
+        if not _prem(f, _cyclotomic_ints(k)):
             return k
     return None
 

@@ -5,15 +5,17 @@ different algorithm than the code under test: Hilbert symbols by brute-force
 solubility search instead of closed formulas, real root counting by
 Descartes/bisection instead of Sturm chains, factor degree patterns by
 distinct-degree factorization over small prime fields instead of slope
-arguments, and gcds and cyclotomic factors by Euclid and long division
-over Fractions instead of integer pseudo-remainders.  Slow is fine;
-independent is the point.
+arguments, gcds and cyclotomic factors by Euclid and long division
+over Fractions instead of integer pseudo-remainders, and values of a
+binary form by a box search instead of a congruence argument.  Slow is
+fine; independent is the point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import isqrt
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +60,20 @@ def squarefree_part(x) -> int:
             out *= d
         d += 1
     return sign * out * v
+
+
+def diagonal_binary_solution(a: int, b: int, t: int, bound: int):
+    """Some (x, y) with a*x^2 + b*y^2 = t and 0 <= x, y <= bound, or None.
+
+    Scans x and solves for y by an integer square root; b must be nonzero.
+    """
+    for x in range(bound + 1):
+        y2, r = divmod(t - a * x * x, b)
+        if r == 0 and y2 >= 0:
+            y = isqrt(y2)
+            if y * y == y2 and y <= bound:
+                return x, y
+    return None
 
 
 # ---------------------------------------------------------------------------

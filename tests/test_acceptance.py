@@ -33,7 +33,7 @@ from k3cert.k3lattice import k3_ambient_invariants, no_minus_two_vector, verify_
 from k3cert.qform import CMFieldData, invariants
 from k3cert.weilpoly import RatPoly, cyclotomic, parse_poly
 
-from oracles import brute_hilbert_bit
+from oracles import brute_hilbert_bit, diagonal_binary_solution
 
 
 @pytest.fixture()
@@ -177,12 +177,14 @@ def test_acceptance_6_no_minus_two_certificates(announce):
     with announce(6, "(-2)-vector exclusion for all n <= 200, +2 witness at (1,0)"):
         for n in range(1, 201):
             cert = no_minus_two_vector(n)
-            # the two independent routes must agree that nothing was found
+            # two independent routes must agree that nothing was found:
+            # the mod-4 certificate and a box search over |x|, |y| <= 1000
             assert cert.mod4_required_residue == 3
             assert cert.mod4_square_residues == (0, 1)
-            assert cert.exhaustive_no_solution
-            assert cert.bound == 1000
             assert cert.holds
+            assert diagonal_binary_solution(2, -8 * n, -2, 1000) is None
+            # the same search finds the +2 vector, so it is not vacuous
+            assert diagonal_binary_solution(2, -8 * n, 2, 1000) == cert.plus_two_vector
             assert cert.plus_two_vector == (1, 0)
             # and (1, 0) really does represent +2 in <2> + <-8n>
             assert 2 * 1 * 1 - 8 * n * 0 * 0 == 2

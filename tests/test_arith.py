@@ -11,6 +11,7 @@ from k3cert.arith import (
     INFINITE_PLACE,
     Place,
     SquareClass,
+    check_prime,
     companion_prime,
     format_rational,
     hilbert,
@@ -52,6 +53,9 @@ def test_is_prime_range_guard():
         is_prime(2**64)
     with pytest.raises(ValueError):
         is_prime(-7)
+    # check_prime rejects p < 2 itself, before is_prime's range guard
+    with pytest.raises(ValueError, match=r"^-7 is not a prime$"):
+        check_prime(-7)
 
 
 def test_val_p_examples():

@@ -182,6 +182,8 @@ def test_hilbert_json(capsys):
         ("construct", "--p", "7", "--m", "4", "--h", "5"),  # h > m
         ("construct", "--p", "7", "--m", "12", "--h", "1"),  # m out of range
         ("construct", "--p", "7", "--m", "3", "--h", "1", "--a-start", "60"),  # a_start > a_cap
+        ("construct", "--p", "9", "--m", "2", "--h", "1"),  # composite p
+        ("construct", "--p", "7", "--m", "10", "--h", "0"),  # h = 0 on the even-h route
         ("lattice", "--m", "5", "--n", "1"),  # m below case table
         ("lattice", "--m", "7", "--n", "1"),  # missing p1
         ("lattice", "--m", "9", "--n", "0"),  # bad n
@@ -189,9 +191,13 @@ def test_hilbert_json(capsys):
         ("lattice", "--m", "9", "--n", "3", "--split", "4=true"),  # composite prime
         ("feasible", "--p", "3", "--rho", "2", "--height", "1"),  # p too small
         ("feasible", "--p", "7", "--rho", "3", "--height", "1"),  # odd rho
+        ("table", "--p", "4"),  # composite p
+        ("table", "--p", "3"),  # p too small
         ("hilbert", "--a", "0", "--b", "1", "--place", "2"),  # zero argument
         ("hilbert", "--a", "1", "--b", "1", "--place", "9"),  # bad place
         ("strip", "--coeffs", "0"),  # zero polynomial
+        ("strip", "--coeffs", "0,1"),  # zero constant term
+        ("check", "--p", "-7", "--coeffs", "1,0,1"),  # negative p
         ("nonsense",),  # unknown command
         (),  # no command
     ],

@@ -296,9 +296,7 @@ def test_report_json_shape():
 def test_no_minus_two_certificate_structure():
     cert = no_minus_two_vector(5)
     assert cert.n == 5
-    assert cert.bound == 1000
     assert cert.mod4_required_residue == 3
-    assert cert.exhaustive_no_solution
     assert cert.holds
 
 

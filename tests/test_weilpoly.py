@@ -248,25 +248,43 @@ def test_sturm_rejects_bad_input():
         sturm_count(poly(1, -2, 1), -5, 5)  # double root
     with pytest.raises(ValueError):
         sturm_count(poly(1, 1), 3, 3)  # empty interval
+    with pytest.raises(ValueError):
+        sturm_count(poly(1, 0, 1) ** 2 * poly(-3, 1), -5, 5)  # repeated non-real factor
+
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 
 @given(
     st.lists(
         # zeros often: sparse inputs make the Sturm chain skip degrees,
         # where a pseudo-division multiplies by an odd power of lc
-        st.one_of(st.just(0), st.fractions(min_value=-6, max_value=6, max_denominator=4)),
+        st.one_of(st.just(0), small_rationals),
         min_size=2,
         max_size=9,
-    )
+    ),
+    small_rationals,
+    small_rationals,
+    # put roots at the endpoints, which the half-open count must get right
+    st.booleans(),
+    st.booleans(),
 )
-@example([-1, 3, 0, -1])  # negative leading coefficient, no T^2 term
-def test_sturm_agrees_with_descartes_bisection(cs):
+@example([-1, 3, 0, -1], -6, 6, False, False)  # negative leading coefficient, no T^2 term
+@example([-1, 0, 1], -1, 1, False, False)  # roots at both endpoints
+@example([1, 1], Fraction(-1, 2), Fraction(3, 4), True, True)
+def test_sturm_agrees_with_descartes_bisection(cs, a, b, root_at_lo, root_at_hi):
+    if a == b:
+        return
+    lo, hi = min(a, b), max(a, b)
     f = RatPoly.of(*cs)
+    if root_at_lo:
+        f = f * poly(-lo, 1)
+    if root_at_hi:
+        f = f * poly(-hi, 1)
     if f.degree < 1:
         return
     if poly_gcd(f, f.derivative()).degree != 0:
         return  # squarefree inputs only
-    lo, hi = Fraction(-7), Fraction(7)
     assert sturm_count(f, lo, hi) == count_real_roots_halfopen(f.coeffs, lo, hi)
 
 
@@ -315,6 +333,13 @@ def test_unit_circle_rejects_non_palindromes():
 def test_unit_circle_ignores_scaling():
     # scaling does not move roots: 2T^2 + 2 has roots at +-i
     assert unit_circle_check(poly(2, 0, 2))
+
+
+def test_unit_circle_rejects_repeated_descent_roots():
+    # every root is on the circle, but G has a repeated root, so the
+    # answer is the conservative False
+    assert not unit_circle_check(poly(1, 0, 1) ** 2)  # G = T^2
+    assert not unit_circle_check(poly(1, -1, 1) ** 2)  # G = (T - 1)^2
 
 
 def test_unit_circle_mixed_product():
