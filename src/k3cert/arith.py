@@ -113,14 +113,15 @@ def val_p(x, p: int):
     x = Fraction(x)
     if x == 0:
         return INF
+    return _int_val(x.numerator, p) - _int_val(x.denominator, p)
+
+
+def _int_val(n: int, p: int) -> int:
+    """Exponent of p in the nonzero integer n; the caller has checked that p is prime."""
     v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
     return v
 
 

@@ -20,13 +20,15 @@ roots in the half-open interval (lo, hi], endpoint roots included.  The
 chain is a remainder sequence of (f, f'), so it ends in gcd(f, f') and
 doubles as the squarefree test.
 
-The inner kernels run in Z[T], on integer multiples of the rational
-inputs: the Sturm chain, `poly_gcd` and the cyclotomic scan work on
-primitive integer polynomials obtained by positive scalings only
+The whole candidate analysis runs in Z[T], on integer multiples of the
+rational inputs: the squarefree power, the Newton polygon, the descent
+and its circle test, the Sturm chain, `poly_gcd` and the cyclotomic scan
+work on primitive integer lists obtained by positive scalings only
 (clearing denominators by a positive lcm, dividing out a positive
 content, pseudo-dividing with the multiplier |lc|).  A positive scaling
 moves neither a root nor a sign, so every answer stays exact and equal
-to the one over Q.
+to the one over Q.  `Fraction` appears only in what is handed back: the
+slopes of a polygon and the squarefree part R of a candidate.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import check_prime, format_rational, parse_rational, prime_factors, val_p
+from .arith import _int_val, check_prime, format_rational, parse_rational, prime_factors
 
 __all__ = [
     "IrreducibilityCertificate",
@@ -68,7 +70,7 @@ class RatPoly:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        cs = tuple(Fraction(c) for c in self.coeffs)
+        cs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
@@ -139,20 +141,6 @@ class RatPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "RatPoly":
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        if e == 0:
-            return RatPoly.one()
-        out, base = None, self
-        while True:
-            if e & 1:
-                out = base if out is None else out * base
-            e >>= 1
-            if not e:
-                return out
-            base = base * base
-
     def __divmod__(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -172,12 +160,6 @@ class RatPoly:
                 rem[shift + i] -= factor * c
             rem.pop()
         return RatPoly(tuple(q)), RatPoly(tuple(rem))
-
-    def __floordiv__(self, other: "RatPoly") -> "RatPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "RatPoly") -> "RatPoly":
-        return divmod(self, other)[1]
 
     def __truediv__(self, other):
         """Exact division; raises when the divisor does not divide exactly."""
@@ -247,18 +229,50 @@ def _prem(a: list[int], b: list[int] | tuple[int, ...]) -> list[int]:
     return r
 
 
+def _gcd_ints(a: list[int], b: list[int]) -> list[int]:
+    """A primitive gcd of the primitive integer polynomials a and b, of
+    either sign, by a primitive pseudo-remainder sequence ([] if both are 0)."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return a
+
+
+def _divexact(a: list[int], b: list[int]) -> list[int]:
+    """a / b in Z[T] for a primitive b dividing a over Q; by Gauss's lemma
+    the quotient is then integral.  Raises ValueError otherwise."""
+    r = list(a)
+    db = len(b) - 1
+    q = [0] * (len(r) - db)
+    for shift in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[shift + db], b[-1])
+        if rem:
+            raise ValueError("inexact polynomial division")
+        q[shift] = c
+        for i in range(db):
+            r[shift + i] -= c * b[i]
+    if any(r[:db]):
+        raise ValueError("inexact polynomial division")
+    return q
+
+
+def _mul_ints(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 def poly_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
     """Monic gcd over Q (zero polynomial if both inputs are zero).
 
     Runs a primitive pseudo-remainder sequence on the integer multiples
     of f and g, then makes the last nonzero member monic.
     """
-    a, b = _integer_multiple(f), _integer_multiple(g)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _primitive(_prem(a, b))
-    return RatPoly(tuple(a)).monic()
+    return RatPoly(tuple(_gcd_ints(_integer_multiple(f), _integer_multiple(g)))).monic()
 
 
 def parse_poly(text: str) -> RatPoly:
@@ -303,17 +317,22 @@ def symmetric_descent(L: RatPoly) -> RatPoly | None:
     """
     if L.is_zero or L.degree % 2 != 0:
         return None
-    m = L.degree // 2
-    D, rem = _cleared(L.coeffs)
+    D, cs = _cleared(L.coeffs)
+    g = _descent_ints(cs)
+    return None if g is None else RatPoly(tuple(Fraction(c, D) for c in g))
+
+
+def _descent_ints(rem: list[int]) -> list[int] | None:
+    """The integer g with sum_k g_k T^(m-k) (T^2+1)^k equal to rem, of
+    degree 2m; None when rem is not in the span.  Overwrites rem."""
+    m = (len(rem) - 1) // 2
     g = [0] * (m + 1)
     for k in range(m, -1, -1):
         c = g[k] = rem[m + k]
         if c:
             for j, b in enumerate(_binomial_row(k)):
                 rem[m - k + 2 * j] -= c * b
-    if any(rem):
-        return None
-    return RatPoly(tuple(Fraction(c, D) for c in g))
+    return None if any(rem) else g
 
 
 def _sturm_chain(f: RatPoly) -> list[list[int]]:
@@ -375,14 +394,17 @@ def unit_circle_check(L: RatPoly) -> bool:
         return False
     if L.coeffs != L.coeffs[::-1]:
         return False
-    G = symmetric_descent(L)
-    if G is None:
+    g = _descent_ints(_integer_multiple(L))
+    if g is None:
         return False
     try:
-        inside = sturm_count(G, -2, 2)
+        inside = sturm_count(RatPoly(tuple(g)), -2, 2)
     except ValueError:
         return False  # G has a repeated root
-    return inside + (1 if G.evaluate(-2) == 0 else 0) == G.degree
+    at_minus_two = 0
+    for c in reversed(g):
+        at_minus_two = -2 * at_minus_two + c
+    return inside + (1 if at_minus_two == 0 else 0) == len(g) - 1
 
 
 def euler_phi(k: int) -> int:
@@ -491,12 +513,17 @@ class NewtonPolygon:
 
 
 def newton_polygon(P: RatPoly, p: int) -> NewtonPolygon:
-    """Newton polygon of P at p; requires a nonzero constant term."""
+    """Newton polygon of P at p; requires a nonzero constant term.
+
+    The hull is built on the integer points (i, v_p(N_i)) of the cleared
+    numerators N = D * P: v_p(N_i) = v_p(c_i) + v_p(D), and the shift
+    v_p(D) cancels in every slope.
+    """
     check_prime(p)
     if P.is_zero or P.constant == 0:
         raise ValueError("newton polygon needs a nonzero constant term")
-    pts = [(i, Fraction(val_p(c, p))) for i, c in enumerate(P.coeffs) if c != 0]
-    hull: list[tuple[int, Fraction]] = []
+    pts = [(i, _int_val(c, p)) for i, c in enumerate(_cleared(P.coeffs)[1]) if c]
+    hull: list[tuple[int, int]] = []
     for x, y in pts:
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
@@ -506,7 +533,7 @@ def newton_polygon(P: RatPoly, p: int) -> NewtonPolygon:
                 break
         hull.append((x, y))
     segs = tuple(
-        ((y2 - y1) / (x2 - x1), x2 - x1)
+        (Fraction(y2 - y1, x2 - x1), x2 - x1)
         for (x1, y1), (x2, y2) in zip(hull, hull[1:])
     )
     return NewtonPolygon(segs)
@@ -528,13 +555,26 @@ def squarefree_decompose(L: RatPoly) -> tuple[RatPoly, int] | None:
 
 def _squarefree_power(L: RatPoly) -> tuple[RatPoly, int | None]:
     """(R, e) for L(0) = 1 and deg L >= 1: R = L / gcd(L, L') scaled to
-    R(0) = 1, and e with L = R^e, or None when L is no power of R."""
-    R = L / poly_gcd(L, L.derivative())
-    R = R / R.constant
-    e, rem = divmod(L.degree, R.degree)
-    if R != L and (rem != 0 or R**e != L):
+    R(0) = 1, and e with L = R^e, or None when L is no power of R.
+
+    Runs in Z[T] on f, the primitive integer multiple of L (f(0) > 0).
+    g = gcd(f, f') is primitive, so r = f / g is integral by Gauss's
+    lemma, as in Yun (SYMSAC 1976); its sign is chosen so that r(0) > 0.
+    Then r^e and f are both primitive with a positive constant term, so
+    L = R^e exactly when r^e == f.
+    """
+    f = _integer_multiple(L)
+    r = _divexact(f, _gcd_ints(f, _primitive([i * c for i, c in enumerate(f)][1:])))
+    if r[0] < 0:
+        r = [-c for c in r]
+    R = RatPoly(tuple(Fraction(c, r[0]) for c in r))
+    e, rem = divmod(len(f) - 1, len(r) - 1)
+    if rem:
         return R, None
-    return R, e
+    power = r
+    for _ in range(e - 1):
+        power = _mul_ints(power, r)
+    return R, (e if power == f else None)
 
 
 def denominators_are_p_power(P: RatPoly, p: int) -> bool:

@@ -5,8 +5,9 @@ different algorithm than the code under test: Hilbert symbols by brute-force
 solubility search instead of closed formulas, real root counting by
 Descartes/bisection instead of Sturm chains, factor degree patterns by
 distinct-degree factorization over small prime fields instead of slope
-arguments, gcds and cyclotomic factors by Euclid and long division
-over Fractions instead of integer pseudo-remainders, and values of a
+arguments, gcds, cyclotomic factors and squarefree powers by Euclid and long
+division over Fractions instead of integer pseudo-remainders, Newton
+polygons from Fraction valuations instead of integer ones, and values of a
 binary form by a box search instead of a congruence argument.  Slow is
 fine; independent is the point.
 """
@@ -259,6 +260,59 @@ def cyclotomic_factor_index(coeffs):
         if _phi(k) <= deg and not _q_divmod(f, _q_cyclotomic(k))[1]:
             return k
     return None
+
+
+# ---------------------------------------------------------------------------
+# squarefree power and Newton polygon over Q, by Fraction arithmetic
+
+
+def _q_mul(f, g):
+    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def fraction_squarefree_power(coeffs):
+    """(R, e) for L(0) = 1 and deg L >= 1, over Q: R = L / gcd(L, L') with
+    R(0) = 1 as a tuple of Fractions, and e with L = R^e, or None when L
+    is no power of R."""
+    L = _q_trim(coeffs)
+    R, rem = _q_divmod(L, rational_gcd_monic(L, [i * c for i, c in enumerate(L)][1:]))
+    assert not rem, "gcd(L, L') does not divide L"
+    R = [c / R[0] for c in R]
+    e, r = divmod(len(L) - 1, len(R) - 1)
+    power = [Fraction(1)]
+    for _ in range(e):
+        power = _q_mul(power, R)
+    return tuple(R), (e if r == 0 and power == L else None)
+
+
+def _q_val(x, p):
+    x = Fraction(x)
+    v, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+def fraction_newton_polygon(coeffs, p):
+    """Segments (slope, length) of the lower hull of the points
+    (i, v_p(c_i)), with Fraction valuations and Fraction cross-products."""
+    pts = [(i, Fraction(_q_val(c, p))) for i, c in enumerate(_q_trim(coeffs)) if c != 0]
+    hull = []
+    for x, y in pts:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (x - x2) >= (y - y2) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append((x, y))
+    return tuple(((y2 - y1) / (x2 - x1), x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
 
 
 # ---------------------------------------------------------------------------
