@@ -137,13 +137,17 @@ def legendre(a: int, p: int) -> int:
 
 
 def prime_factors(n: int) -> dict[int, int]:
-    """Factor |n| by trial division; inputs here are small by design."""
-    n = abs(n)
+    """Factor |n| by trial division below 2**20; a larger cofactor must be a proven prime < 2**64."""
+    number = n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
+        if d > 1 << 20:
+            if n >= 1 << 64 or not is_prime(n):
+                raise ValueError(f"cannot factor {number}: cofactor {n} is not a proven prime")
+            break
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d

@@ -168,8 +168,6 @@ def _cmd_lattice(args) -> tuple[dict, dict, list[str]]:
             "discrepancy primes: "
             + ", ".join(str(q) for q in crit.hyperbolicity.discrepancy)
         )
-    if report.degree2_vector is not None:
-        text.append(f"degree-2 vector: {report.degree2_vector.to_json()}")
     if report.no_minus2_certificate is not None:
         text.append(f"no -2 vector: holds = {report.no_minus2_certificate.holds}")
     return inputs, {"report": report.to_json()}, text
@@ -213,7 +211,7 @@ def _cmd_table(args) -> tuple[dict, dict, list[str]]:
                 marks.append(" u")
             else:
                 marks.append(" o")
-        rows.append(f"{rho:>5} " + " ".join(m.strip().rjust(2) for m in marks))
+        rows.append(f"{rho:>5} " + " ".join(marks))
     rows.append("legend: o feasible, u feasible (no witness route), . infeasible")
     return {"p": args.p}, {"cells": cells}, rows
 

@@ -31,7 +31,6 @@ from .qform import (
 )
 
 __all__ = [
-    "Degree2Witness",
     "K3_RANK",
     "LatticeReport",
     "LatticeSpec",
@@ -44,7 +43,6 @@ __all__ = [
 ]
 
 K3_RANK = 22
-_EMBEDDING_MAX_RANK = 10  # rank bound under which primitive embeddings into the K3 lattice are automatic
 
 
 @dataclass(frozen=True)
@@ -100,6 +98,8 @@ def build_picard_lattice(m: int, fielddata: CMFieldData) -> LatticeSpec:
     m in {7, 8} two auxiliary odd primes p1 (the caller-supplied nonsplit
     witness) and p2 = companion_prime(p1) pad the determinant; for m = 10
     the block is U when disc is a square and <2> + <-8n> otherwise.
+    The rank 22 - 2m <= 10 is what makes the primitive embedding of the
+    block into the K3 lattice automatic (Nikulin).
     """
     if not 6 <= m <= 10:
         raise ValueError("case table covers 6 <= m <= 10")
@@ -190,17 +190,6 @@ def no_minus_two_vector(n: int) -> NoMinusTwoCertificate:
 
 
 @dataclass(frozen=True)
-class Degree2Witness:
-    """An explicit lattice vector of square 2, in block coordinates."""
-
-    coordinates: tuple[int, ...]
-    square: int
-
-    def to_json(self) -> dict:
-        return {"coordinates": list(self.coordinates), "square": self.square}
-
-
-@dataclass(frozen=True)
 class LatticeReport:
     """Everything `verify_lattice` establishes about one case of the table."""
 
@@ -211,10 +200,7 @@ class LatticeReport:
     picard_invariants: SpaceInvariants
     transcendental_invariants: SpaceInvariants
     embedding: EmbeddingReport
-    has_U_embedding: bool
-    degree2_vector: Degree2Witness | None
     no_minus2_certificate: NoMinusTwoCertificate | None
-    embedding_rank_ok: bool
 
     def to_json(self) -> dict:
         return {
@@ -225,16 +211,9 @@ class LatticeReport:
             "picard_invariants": self.picard_invariants.to_json(),
             "transcendental_invariants": self.transcendental_invariants.to_json(),
             "embedding": self.embedding.to_json(),
-            "has_U_embedding": self.has_U_embedding,
-            "degree2_vector": self.degree2_vector.to_json() if self.degree2_vector else None,
             "no_minus2_certificate": (
                 self.no_minus2_certificate.to_json() if self.no_minus2_certificate else None
             ),
-            "embedding_rank_bound": {
-                "rank": self.rank,
-                "max_rank": _EMBEDDING_MAX_RANK,
-                "ok": self.embedding_rank_ok,
-            },
         }
 
 
@@ -243,22 +222,17 @@ def verify_lattice(m: int, fielddata: CMFieldData) -> LatticeReport:
 
     Computes the complement invariants inside the K3 lattice and runs the
     embedding criterion on them; for the m = 10 non-square case, attaches
-    the degree-2 vector and the no-(-2)-vector certificate that replace
-    the hyperbolic-plane embedding.
+    the no-(-2)-vector certificate, with its vector of square 2, that
+    replaces the hyperbolic-plane embedding.
     """
     spec = build_picard_lattice(m, fielddata)
     space = rationalize(spec)
     picard_inv = invariants(space)
     t_inv = complement_invariants(k3_ambient_invariants(), picard_inv)
     embedding = embedding_from_invariants(t_inv, fielddata)
-    has_u = spec.blocks[0] == "U"
-    degree2 = None
-    no_minus2 = None
-    if not has_u:
-        # <2> + <-8n>: the first basis vector has square 2, and -2 is not
-        # represented at all, which is what the surface-side argument needs.
-        degree2 = Degree2Witness(coordinates=(1, 0), square=2)
-        no_minus2 = no_minus_two_vector(fielddata.n)
+    # <2> + <-8n> represents 2 but not -2, which is what the surface-side
+    # argument needs in place of U.
+    no_minus2 = None if spec.blocks[0] == "U" else no_minus_two_vector(fielddata.n)
     return LatticeReport(
         lattice=spec,
         rank=spec.rank,
@@ -267,8 +241,5 @@ def verify_lattice(m: int, fielddata: CMFieldData) -> LatticeReport:
         picard_invariants=picard_inv,
         transcendental_invariants=t_inv,
         embedding=embedding,
-        has_U_embedding=has_u,
-        degree2_vector=degree2,
         no_minus2_certificate=no_minus2,
-        embedding_rank_ok=spec.rank <= _EMBEDDING_MAX_RANK,
     )

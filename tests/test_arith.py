@@ -91,6 +91,18 @@ def test_prime_factors():
     assert prime_factors(97) == {97: 1}
 
 
+def test_prime_factors_refuses_a_cofactor_it_cannot_prove_prime():
+    # trial division stops at 2**20: a semiprime of two larger primes, and a
+    # prime beyond the range of is_prime, are refused rather than factored
+    for n in (33554467 * 33554473, 2**89 - 1):
+        with pytest.raises(ValueError, match=f"cannot factor {n}"):
+            prime_factors(n)
+
+
+def test_prime_factors_accepts_a_proven_prime_cofactor():
+    assert prime_factors(3 * (2**61 - 1)) == {3: 1, 2**61 - 1: 1}
+
+
 # ---------------------------------------------------------------------------
 # Legendre symbol
 

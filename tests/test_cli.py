@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, output shapes, and JSON stability."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -206,6 +209,28 @@ def test_bad_inputs_exit_one(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert "error" in err.lower() or "usage" in err.lower()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("--m", "6", "--n", "1125902456980891"), 1),  # 33554467 * 33554473: refused
+        (("--m", "7", "--n", "1", "--p1", "4611686018427388039"), 0),  # a prime near 2**62
+    ],
+)
+def test_lattice_large_inputs_return_promptly(argv, code):
+    # a subprocess with a timeout, so a factoring loop that never ends fails the test
+    # instead of hanging the suite
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3cert.cli", "lattice", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_lattice_json_derives_disc_square(capsys):

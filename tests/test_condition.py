@@ -115,10 +115,10 @@ def test_tilted_middle_segment_fails_slope_profile():
     report = check_candidate(bent, 7)
     assert report.checks["slope_profile"].status == "fail"
     assert report.h is None
-    # the lone negative segment is still a pure local factor
+    # the lone negative segment is still a pure local factor, but the
+    # failed slope profile leaves the irreducibility certificate open
     assert report.checks["local_factor_irreducible"].status == "pass"
-    premises = report.checks["prime_power_shape"].detail["premises"]
-    assert premises["pure_negative_slope"] is False
+    assert report.checks["prime_power_shape"].status == "unknown"
 
 
 def test_squared_witness_passes_with_e_two():

@@ -109,18 +109,17 @@ def test_reports_match_corpus_bytes():
 
 
 def test_premises_match_kronecker_certificate():
-    """The premises read off the six checks equal the from-scratch certificate."""
+    """prime_power_shape passes exactly when the from-scratch certificate is certified."""
     compared = 0
     for line in _corpus():
         doc = json.loads(line)
         shape = doc["report"]["checks"]["prime_power_shape"]
         decomposition = squarefree_decompose(parse_poly(doc["coeffs"]))
-        assert (decomposition is None) == ("premises" not in shape)
+        assert (decomposition is None) == ("e" not in shape)
         if decomposition is None:
             continue
         cert = kronecker_certificate(decomposition[0], doc["p"])
-        assert cert.premises == shape["premises"], doc["coeffs"]
-        assert cert.verdict == shape["irreducibility"]
+        assert cert.certified == (shape["status"] == "pass"), doc["coeffs"]
         compared += 1
     assert compared > 200
 
