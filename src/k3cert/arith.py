@@ -1,9 +1,9 @@
 """Exact arithmetic over Q: valuations, square classes, and local symbols.
 
-Rationals are `fractions.Fraction` everywhere, so numerators and
-denominators are always coprime and denominators positive.  In text and
-JSON a rational is written "num/den", with the "/den" part omitted when
-the denominator is 1.
+Rationals enter as `fractions.Fraction`, so numerators and denominators
+are coprime and denominators positive; Hilbert symbols are read from the
+integer num * den in the square class.  In text and JSON a rational is
+written "num/den", with the "/den" part omitted when the denominator is 1.
 
 Places of Q are the finite primes together with the single real place,
 spelled "inf".  Classes in the 2-torsion of a Brauer group are returned
@@ -137,7 +137,7 @@ def legendre(a: int, p: int) -> int:
 
 
 def prime_factors(n: int) -> dict[int, int]:
-    """Factor |n| by trial division below 2**20; a larger cofactor must be a proven prime < 2**64."""
+    """Factor |n| by trial division below 2**20; a cofactor left must be a proven prime < 2**64 or its square."""
     number = n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -145,6 +145,8 @@ def prime_factors(n: int) -> dict[int, int]:
     d = 2
     while d * d <= n:
         if d > 1 << 20:
+            if (r := math.isqrt(n)) ** 2 == n and r < 1 << 64 and is_prime(r):
+                return out | {r: 2}
             if n >= 1 << 64 or not is_prime(n):
                 raise ValueError(f"cannot factor {number}: cofactor {n} is not a proven prime")
             break
@@ -248,19 +250,16 @@ class Place:
 INFINITE_PLACE = Place(None)
 
 
-def _unit_residue(u: Fraction, p: int) -> int:
-    # num * den = (num/den) * den^2, so same square class mod p.
-    return (u.numerator * u.denominator) % p
-
-
 def hilbert(a, b, place: Place) -> int:
     """Hilbert symbol of (a, b) at a place of Q, as an additive bit.
 
     At the real place the symbol is nontrivial exactly when both arguments
-    are negative.  At a finite prime p the arguments are split as
-    a = p^alpha * u, b = p^beta * w with u, w p-adic units, and the symbol
-    is evaluated by the classical closed forms: Legendre symbols of the
-    unit parts for odd p, and the mod-8 characters eps/omega at p = 2.
+    are negative.  At a finite place, p is the prime `Place` proved; each
+    argument a becomes the integer num * den of its square class, split as
+    p^alpha * u with u a p-adic unit.  v_p(num * den) = v_p(a) (mod 2), and
+    the closed forms (Serre, *A Course in Arithmetic*, III.1, Thm. 1) read
+    only alpha mod 2: Euler's criterion on the units for odd p, the mod-8
+    characters eps/omega at p = 2.
     """
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
@@ -268,19 +267,17 @@ def hilbert(a, b, place: Place) -> int:
     if not place.is_finite:
         return 1 if (a < 0 and b < 0) else 0
     p = place.prime
-    alpha, beta = val_p(a, p), val_p(b, p)
-    u = a / Fraction(p) ** alpha
-    w = b / Fraction(p) ** beta
+    A, B = a.numerator * a.denominator, b.numerator * b.denominator
+    alpha, beta = _int_val(A, p), _int_val(B, p)
+    u, w = A // p**alpha, B // p**beta
     if p == 2:
-        ru = _unit_residue(u, 8)
-        rw = _unit_residue(w, 8)
-        eps_u, eps_w = (ru - 1) // 2 % 2, (rw - 1) // 2 % 2
-        omega_u = 1 if ru in (3, 5) else 0
-        omega_w = 1 if rw in (3, 5) else 0
+        eps_u, eps_w = (u - 1) // 2 % 2, (w - 1) // 2 % 2
+        omega_u = 1 if u % 8 in (3, 5) else 0
+        omega_w = 1 if w % 8 in (3, 5) else 0
         return (eps_u * eps_w + alpha * omega_w + beta * omega_u) % 2
     eps_p = (p - 1) // 2 % 2
-    lu = 0 if legendre(_unit_residue(u, p), p) == 1 else 1
-    lw = 0 if legendre(_unit_residue(w, p), p) == 1 else 1
+    lu = 0 if pow(u, (p - 1) // 2, p) == 1 else 1
+    lw = 0 if pow(w, (p - 1) // 2, p) == 1 else 1
     return (alpha * beta * eps_p + beta * lu + alpha * lw) % 2
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from k3cert import arith
 from k3cert.arith import (
     INF,
     INFINITE_PLACE,
@@ -101,6 +102,9 @@ def test_prime_factors_refuses_a_cofactor_it_cannot_prove_prime():
 
 def test_prime_factors_accepts_a_proven_prime_cofactor():
     assert prime_factors(3 * (2**61 - 1)) == {3: 1, 2**61 - 1: 1}
+    # or the square of one
+    assert prime_factors((2**20 + 7) ** 2) == {1048583: 2}
+    assert prime_factors(4 * (2**20 + 7) ** 2) == {2: 2, 1048583: 2}
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +226,12 @@ def test_hilbert_rejects_zero():
 
 
 def test_hilbert_matches_bruteforce_grid():
+    # the fractions carry the place's prime in the numerator or the denominator
     values = [1, -1, 2, -2, 3, -3, 10, -10]
-    for place in (Place.finite(2), Place.finite(3), Place.finite(5), INFINITE_PLACE):
+    values += [Fraction(1, 2), Fraction(-3, 4), Fraction(5, 9), Fraction(-2, 27)]
+    values += [Fraction(7, 50), Fraction(-6, 49)]
+    places = (Place.finite(2), Place.finite(3), Place.finite(5), Place.finite(7), INFINITE_PLACE)
+    for place in places:
         for a in values:
             for b in values:
                 assert hilbert(a, b, place) == brute_hilbert_bit(a, b, place.prime), (
@@ -231,6 +239,19 @@ def test_hilbert_matches_bruteforce_grid():
                     b,
                     str(place),
                 )
+
+
+def test_hilbert_trusts_the_prime_of_its_place(monkeypatch):
+    # the Place proves its prime once; hilbert does not test it again
+    with pytest.raises(ValueError, match=r"^4 is not a prime$"):
+        Place.finite(4)
+    places = (Place.finite(2), Place.finite(5), INFINITE_PLACE)
+    calls = []
+    real_is_prime = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real_is_prime(n))
+    for place in places:
+        hilbert(3, 5, place)
+    assert calls == []
 
 
 def test_hilbert_fractional_arguments():

@@ -233,6 +233,22 @@ def test_lattice_large_inputs_return_promptly(argv, code):
     assert "Traceback" not in proc.stderr
 
 
+def test_lattice_accepts_the_square_of_a_large_prime():
+    # n = (2**20 + 7)**2: the cofactor left after trial division is a prime
+    # squared, so n has the trivial square class
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3cert.cli", "lattice", "--m", "6", "--n", "1099526307889", "--json"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)["result"]["report"]
+    assert report["transcendental_invariants"]["det"] == {"sign": 1, "sqfree": 1}
+
+
 def test_lattice_json_derives_disc_square(capsys):
     for n, square in (("4", True), ("5", False)):
         code, out, _ = run(capsys, "lattice", "--m", "10", "--n", n, "--json")
