@@ -176,7 +176,11 @@ class SquareClass:
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         g = math.gcd(self.sqfree, other.sqfree)
-        return SquareClass(self.sign * other.sign, (self.sqfree // g) * (other.sqfree // g))
+        # (a/g)(b/g) is squarefree for squarefree a and b, so skip the factoring check
+        out = object.__new__(SquareClass)
+        object.__setattr__(out, "sign", self.sign * other.sign)
+        object.__setattr__(out, "sqfree", (self.sqfree // g) * (other.sqfree // g))
+        return out
 
     @property
     def is_trivial(self) -> bool:
@@ -250,35 +254,38 @@ class Place:
 INFINITE_PLACE = Place(None)
 
 
-def hilbert(a, b, place: Place) -> int:
-    """Hilbert symbol of (a, b) at a place of Q, as an additive bit.
+def _hasse_bit(values, place: Place) -> int:
+    """Hasse bit sum_{i<j} (a_i, a_j)_v mod 2 of nonzero integers a_i (Serre, IV.2.1).
 
-    At the real place the symbol is nontrivial exactly when both arguments
-    are negative.  At a finite place, p is the prime `Place` proved; each
-    argument a becomes the integer num * den of its square class, split as
-    p^alpha * u with u a p-adic unit.  v_p(num * den) = v_p(a) (mod 2), and
-    the closed forms (Serre, *A Course in Arithmetic*, III.1, Thm. 1) read
-    only alpha mod 2: Euler's criterion on the units for odd p, the mod-8
-    characters eps/omega at p = 2.
+    Serre, *A Course in Arithmetic*, III.1, Thm. 1: at the real place the
+    symbol is 1 iff both entries are negative, so the sum is C(k, 2) for k
+    negative entries.  At a prime p each a_i splits once as p^alpha_i * u_i,
+    and the symbol is bilinear in alpha_i mod 2 and a character chi_i of the
+    unit u_i (Euler's criterion at odd p, omega at p = 2).  With A and X the
+    sums of alpha_i and chi_i, the sum is A X - sum alpha_i chi_i, plus
+    eps(p) C(A, 2) at odd p or C(E, 2), E = sum eps(u_i), at p = 2.
     """
+    if not place.is_finite:
+        k = sum(1 for a in values if a < 0)
+        return k * (k - 1) // 2 % 2
+    p = place.prime
+    A = E = X = cross = 0
+    for a in values:
+        v = _int_val(a, p)
+        u, alpha = a // p**v, v % 2
+        chi = u % 8 in (3, 5) if p == 2 else pow(u, (p - 1) // 2, p) != 1
+        E += (u - 1) // 2 % 2  # eps(u), read at p = 2 only
+        A, X, cross = A + alpha, X + chi, cross + alpha * chi
+    pairs = E * (E - 1) // 2 if p == 2 else (p - 1) // 2 * (A * (A - 1) // 2)
+    return (pairs + A * X - cross) % 2
+
+
+def hilbert(a, b, place: Place) -> int:
+    """Hilbert symbol of (a, b) at a place of Q, as an additive bit: `_hasse_bit` of each num * den."""
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("hilbert symbol needs nonzero arguments")
-    if not place.is_finite:
-        return 1 if (a < 0 and b < 0) else 0
-    p = place.prime
-    A, B = a.numerator * a.denominator, b.numerator * b.denominator
-    alpha, beta = _int_val(A, p), _int_val(B, p)
-    u, w = A // p**alpha, B // p**beta
-    if p == 2:
-        eps_u, eps_w = (u - 1) // 2 % 2, (w - 1) // 2 % 2
-        omega_u = 1 if u % 8 in (3, 5) else 0
-        omega_w = 1 if w % 8 in (3, 5) else 0
-        return (eps_u * eps_w + alpha * omega_w + beta * omega_u) % 2
-    eps_p = (p - 1) // 2 % 2
-    lu = 0 if pow(u, (p - 1) // 2, p) == 1 else 1
-    lw = 0 if pow(w, (p - 1) // 2, p) == 1 else 1
-    return (alpha * beta * eps_p + beta * lu + alpha * lw) % 2
+    return _hasse_bit((a.numerator * a.denominator, b.numerator * b.denominator), place)
 
 
 def support_primes(values) -> set[int]:

@@ -7,8 +7,7 @@ w = sum_{i<j} (a_i, a_j) at every place, stored sparsely: the map keeps
 only the places with nontrivial bit, all others are implicitly 0.  The
 support is finite (contained in {2, inf} and the primes dividing some
 entry), so equality of Hasse invariants "at every place" is decidable.
-By bilinearity w = sum_j (a_1...a_{j-1}, a_j), which is how it is
-evaluated: n - 1 symbols per place, against the running determinant.
+Each place reads w from counts over the entries in one pass (`_hasse_bit`).
 
 `embedding_criterion` packages the three-part embedding test for a space
 against the invariants of a CM field: determinant matching, even
@@ -20,6 +19,7 @@ its verdict is four-valued rather than boolean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,9 +27,9 @@ from .arith import (
     INFINITE_PLACE,
     Place,
     SquareClass,
+    _hasse_bit,
     check_prime,
     format_rational,
-    hilbert,
     square_class,
     support_primes,
 )
@@ -127,15 +127,10 @@ def invariants(space: QuadSpace) -> SpaceInvariants:
     # the symbol depends only on square classes, so only primes dividing
     # some class can carry a nontrivial bit besides 2 and inf
     places = _places(support_primes(c.sqfree for c in classes))
-    bits = dict.fromkeys(places, 0)
-    det = classes[0]
-    for cls in classes[1:]:
-        # det is the class of the prefix product a_1...a_{j-1}
-        for place in places:
-            bits[place] ^= hilbert(det.representative(), cls.representative(), place)
-        det = det * cls
+    reps = [c.representative() for c in classes]
+    hasse = {place: 1 for place in places if _hasse_bit(reps, place)}
+    det = math.prod(classes[1:], start=classes[0])
     pos = sum(1 for e in space.entries if e > 0)
-    hasse = {place: 1 for place, bit in bits.items() if bit}
     return SpaceInvariants(space.dim, det, (pos, space.dim - pos), hasse)
 
 
@@ -170,7 +165,7 @@ def complement_invariants(ambient: SpaceInvariants, sub: SpaceInvariants) -> Spa
         bit = (
             ambient.hasse_at(place)
             ^ sub.hasse_at(place)
-            ^ hilbert(sub.det.representative(), det.representative(), place)
+            ^ _hasse_bit((sub.det.representative(), det.representative()), place)
         )
         if bit:
             hasse[place] = 1

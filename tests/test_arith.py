@@ -170,6 +170,18 @@ def test_square_class_validation():
         SquareClass(1, -2)
 
 
+def test_square_class_product_is_not_factored_again(monkeypatch):
+    # (a/g)(b/g) is squarefree for squarefree a and b; two primes above 2**20
+    # multiply to a number that trial division to 2**20 cannot factor
+    x, y = square_class(-1048583), square_class(-1048601)
+    calls = []
+    real_prime_factors = arith.prime_factors
+    monkeypatch.setattr(arith, "prime_factors", lambda n: calls.append(n) or real_prime_factors(n))
+    z = x * y
+    assert calls == []
+    assert (z.sign, z.sqfree) == (1, 1048583 * 1048601)
+
+
 @given(nonzero_rationals, nonzero_rationals)
 def test_square_class_homomorphism(x, y):
     assert square_class(x * y) == square_class(x) * square_class(y)

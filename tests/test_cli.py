@@ -249,6 +249,24 @@ def test_lattice_accepts_the_square_of_a_large_prime():
     assert report["transcendental_invariants"]["det"] == {"sign": 1, "sqfree": 1}
 
 
+@pytest.mark.parametrize("m", ["7", "8"])
+def test_lattice_multiplies_classes_of_two_large_primes(m):
+    # the class products reach 1048583 * 1048601, which trial division to
+    # 2**20 cannot factor; a product of two classes is not factored again
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3cert.cli", "lattice", "--m", m, "--n", "1048583", "--p1", "1048601", "--json"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)["result"]["report"]
+    assert report["transcendental_invariants"]["det"] == {"sign": 1, "sqfree": 1048583}
+    assert report["embedding"]["verdict"] == "pass"
+
+
 def test_lattice_json_derives_disc_square(capsys):
     for n, square in (("4", True), ("5", False)):
         code, out, _ = run(capsys, "lattice", "--m", "10", "--n", n, "--json")

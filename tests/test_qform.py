@@ -150,7 +150,7 @@ def test_invariants_hasse_against_bruteforce():
 
 
 def test_invariants_hasse_matches_pairwise_oracle():
-    # the running-determinant sum against the defining pairwise sum; entries
+    # the count-based Hasse bit against the defining pairwise sum; entries
     # stay over primes <= 13 so the brute-force symbol search stays small
     rng = random.Random(60)
     primes = (2, 3, 5, 7, 11, 13)
