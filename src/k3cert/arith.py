@@ -176,11 +176,8 @@ class SquareClass:
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         g = math.gcd(self.sqfree, other.sqfree)
-        # (a/g)(b/g) is squarefree for squarefree a and b, so skip the factoring check
-        out = object.__new__(SquareClass)
-        object.__setattr__(out, "sign", self.sign * other.sign)
-        object.__setattr__(out, "sqfree", (self.sqfree // g) * (other.sqfree // g))
-        return out
+        # (a/g)(b/g) is squarefree for squarefree a and b
+        return _known_class(self.sign * other.sign, (self.sqfree // g) * (other.sqfree // g))
 
     @property
     def is_trivial(self) -> bool:
@@ -204,11 +201,17 @@ def square_class(x) -> SquareClass:
         raise ValueError("0 has no square class")
     # num/den and num*den differ by the square den^2.
     v = x.numerator * x.denominator
-    sqf = 1
-    for p, e in prime_factors(v).items():
-        if e % 2:
-            sqf *= p
-    return SquareClass(1 if v > 0 else -1, sqf)
+    # a product of distinct primes is squarefree
+    return _known_class(1 if v > 0 else -1, math.prod(p for p, e in prime_factors(v).items() if e % 2))
+
+
+def _known_class(sign: int, sqfree: int) -> SquareClass:
+    """SquareClass(sign, sqfree) without `__post_init__`'s factoring check,
+    for a sqfree the caller has proved squarefree."""
+    out = object.__new__(SquareClass)
+    object.__setattr__(out, "sign", sign)
+    object.__setattr__(out, "sqfree", sqfree)
+    return out
 
 
 @dataclass(frozen=True)

@@ -39,9 +39,11 @@ from .arith import check_prime
 from .weilpoly import (
     NewtonPolygon,
     RatPoly,
+    _integer_multiple,
     _off_p_indices,
     _slope_shape,
     _squarefree_power,
+    _window_root_count,
     format_poly,
     has_cyclotomic_factor,
     newton_polygon,
@@ -263,6 +265,13 @@ def construct_witness(
     skipping a with gcd(a, h) > 1, and returns the first transformed
     candidate whose report passes with the requested h.  The cap is a
     diagnostic guard; the search is expected to succeed well before it.
+
+    The roots of L = T^m F(T + 1/T) are the two roots of T^2 - xT + 1
+    for each root x of F, and they lie on the unit circle iff x is real
+    in [-2, 2].  So a squarefree F with fewer than m roots in [-2, 2]
+    gives an L that fails `unit_circle`, and that a is skipped before
+    the transform.  A count on the degree-m F can only rule a out; a
+    repeated root in F leaves the decision to `check_candidate`.
     """
     check_prime(p)
     if not 1 <= h <= m <= MAX_M:
@@ -277,6 +286,11 @@ def construct_witness(
         if math.gcd(a, h) != 1:
             continue
         F = seed + RatPoly.monomial(perturbation_degree, Fraction(1, p**a))
+        try:
+            if _window_root_count(_integer_multiple(F)) < m:
+                continue  # so L = T^m F(T + 1/T) has a root off the unit circle
+        except ValueError:
+            pass  # F has a repeated root: the full check decides
         L = reciprocal_transform(F)
         report = check_candidate(L, p)
         if report.passed and report.h == h and report.e == 1:

@@ -29,16 +29,26 @@ content, pseudo-dividing with the multiplier |lc|).  A positive scaling
 moves neither a root nor a sign, so every answer stays exact and equal
 to the one over Q.  `Fraction` appears only in what is handed back: the
 slopes of a polygon and the squarefree part R of a candidate.
+
+Two residue screens run before the Z[T] kernels, and each can only rule
+a fact out.  If Phi_k divides f, then f(w) = 0 mod ell for any root w of
+Phi_k mod a prime ell, so a nonzero residue proves Phi_k does not divide
+f; if f mod ell keeps its degree and is coprime to its derivative, f is
+squarefree.  Only `_prem` reports a cyclotomic factor and only
+`_gcd_ints` a repeated root.  The cyclotomic screen's primes and roots
+are cached per k, never per input.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import _int_val, check_prime, format_rational, parse_rational, prime_factors
+from .arith import _int_val, check_prime, format_rational, is_prime, parse_rational, prime_factors
 
 __all__ = [
     "IrreducibilityCertificate",
@@ -398,13 +408,19 @@ def unit_circle_check(L: RatPoly) -> bool:
     if g is None:
         return False
     try:
-        inside = sturm_count(RatPoly(tuple(g)), -2, 2)
+        return _window_root_count(g) == len(g) - 1
     except ValueError:
         return False  # G has a repeated root
+
+
+def _window_root_count(g: list[int]) -> int:
+    """Distinct real roots in [-2, 2] of the integer polynomial g: one
+    Sturm count on (-2, 2] plus the point -2.  Raises ValueError when g is
+    not squarefree."""
     at_minus_two = 0
     for c in reversed(g):
         at_minus_two = -2 * at_minus_two + c
-    return inside + (1 if at_minus_two == 0 else 0) == len(g) - 1
+    return sturm_count(RatPoly(tuple(g)), -2, 2) + (at_minus_two == 0)
 
 
 def euler_phi(k: int) -> int:
@@ -420,20 +436,59 @@ def euler_phi(k: int) -> int:
 
 @lru_cache(maxsize=None)
 def cyclotomic(k: int) -> RatPoly:
-    """The k-th cyclotomic polynomial, by exact division of T^k - 1."""
+    """The k-th cyclotomic polynomial."""
     if k < 1:
         raise ValueError("cyclotomic index must be positive")
-    poly = RatPoly.monomial(k) - RatPoly.one()
-    for d in range(1, k):
-        if k % d == 0:
-            poly = poly / cyclotomic(d)
-    return poly
+    return RatPoly(_cyclotomic_ints(k))
 
 
 @lru_cache(maxsize=None)
 def _cyclotomic_ints(k: int) -> tuple[int, ...]:
-    """Integer coefficients of the monic cyclotomic(k)."""
-    return tuple(int(c) for c in cyclotomic(k).coeffs)
+    """Integer coefficients of Phi_k, by the Moebius product.
+
+    For k > 1, Phi_k = prod_{d | k} (1 - T^d)^mu(k/d): the signs of
+    (T^d - 1)^mu(k/d) cancel because mu sums to 0 over the divisors.  The
+    factors are units of Z[[T]], so the product runs as power series cut
+    at degree phi(k), which loses nothing since Phi_k has that degree.
+    Each squarefree s | k gives d = k / s and mu(s) = (-1)^(primes of s).
+    """
+    if k == 1:
+        return (-1, 1)
+    primes = list(prime_factors(k))
+    n = euler_phi(k)
+    c = [1] + [0] * n
+    for mask in range(1 << len(primes)):
+        s = math.prod(q for i, q in enumerate(primes) if mask >> i & 1)
+        d = k // s
+        if mask.bit_count() % 2 == 0:  # times 1 - T^d
+            for i in range(n, d - 1, -1):
+                c[i] -= c[i - d]
+        else:  # times 1 / (1 - T^d) = 1 + T^d + T^2d + ...
+            for i in range(d, n + 1):
+                c[i] += c[i - d]
+    return tuple(c)
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_residues(k: int) -> tuple[int, tuple[int, ...]]:
+    """(ell, (w^0, ..., w^(k-1)) mod ell): ell is the least prime above
+    2^31 with ell = 1 (mod k), and w is a root of Phi_k mod ell.
+
+    The k-th powers mod ell form a cyclic group of order k, so some
+    x^((ell-1)/k) is a primitive k-th root of unity; the row keeps the
+    first one at which Phi_k is checked to vanish.
+    """
+    ell = ((1 << 31) // k + 1) * k + 1
+    while not is_prime(ell):
+        ell += k
+    phi = _cyclotomic_ints(k)
+    for x in itertools.count(2):
+        w = pow(x, (ell - 1) // k, ell)
+        at_w = 0
+        for c in reversed(phi):
+            at_w = (at_w * w + c) % ell
+        if at_w == 0:
+            return ell, tuple(pow(w, i, ell) for i in range(k))
 
 
 @lru_cache(maxsize=None)
@@ -453,15 +508,21 @@ def has_cyclotomic_factor(L: RatPoly) -> int | None:
     """Smallest k with cyclotomic(k) dividing L, or None.
 
     Phi_k is monic in Z[T], so it divides L over Q iff it divides the
-    integer polynomial D * L, where D clears the denominators of L; and
-    pseudo-division by a monic divisor multiplies by 1, so `_prem` gives
-    the exact remainder.
+    integer polynomial f = D * L, where D clears the denominators of L;
+    and pseudo-division by a monic divisor multiplies by 1, so `_prem`
+    gives the exact remainder.  A residue screens each k first: if
+    f = Phi_k * q, q is in Z[T], so f(w) = 0 mod ell for the root w of
+    Phi_k mod ell in `_cyclotomic_residues(k)`.  A nonzero f(w) mod ell
+    proves that Phi_k does not divide L; a zero one proves nothing and
+    `_prem` decides.
     """
     if L.is_zero:
         raise ValueError("zero polynomial")
     f = _cleared(L.coeffs)[1]
     for k in cyclotomic_index_list(L.degree):
-        if not _prem(f, _cyclotomic_ints(k)):
+        ell, powers = _cyclotomic_residues(k)
+        folded = f if len(f) <= k else [sum(f[j::k]) for j in range(k)]
+        if sum(map(operator.mul, folded, powers)) % ell == 0 and not _prem(f, _cyclotomic_ints(k)):
             return k
     return None
 
@@ -558,12 +619,16 @@ def _squarefree_power(L: RatPoly) -> tuple[RatPoly, int | None]:
     R(0) = 1, and e with L = R^e, or None when L is no power of R.
 
     Runs in Z[T] on f, the primitive integer multiple of L (f(0) > 0).
-    g = gcd(f, f') is primitive, so r = f / g is integral by Gauss's
-    lemma, as in Yun (SYMSAC 1976); its sign is chosen so that r(0) > 0.
-    Then r^e and f are both primitive with a positive constant term, so
-    L = R^e exactly when r^e == f.
+    A residue screens f first: if `_coprime_to_derivative_mod` holds, f
+    is squarefree over Q, so R = f / f(0) = L and e = 1.  Otherwise,
+    which proves nothing, g = gcd(f, f') is primitive, so r = f / g is
+    integral by Gauss's lemma, as in Yun (SYMSAC 1976); its sign is
+    chosen so that r(0) > 0.  Then r^e and f are both primitive with a
+    positive constant term, so L = R^e exactly when r^e == f.
     """
     f = _integer_multiple(L)
+    if _coprime_to_derivative_mod(f):
+        return L, 1
     r = _divexact(f, _gcd_ints(f, _primitive([i * c for i, c in enumerate(f)][1:])))
     if r[0] < 0:
         r = [-c for c in r]
@@ -575,6 +640,40 @@ def _squarefree_power(L: RatPoly) -> tuple[RatPoly, int | None]:
     for _ in range(e - 1):
         power = _mul_ints(power, r)
     return R, (e if power == f else None)
+
+
+_SQUAREFREE_SCREEN_PRIME = (1 << 31) - 1
+
+
+def _coprime_to_derivative_mod(f: list[int]) -> bool:
+    """True when the prime ell = `_SQUAREFREE_SCREEN_PRIME` does not divide
+    lc(f) and gcd(f, f') = 1 mod ell.
+
+    Then f is squarefree over Q: were f = g^2 h in Z[T] with deg g >= 1,
+    g would keep its degree mod ell, because lc(g) divides lc(f), and it
+    would divide both f and f' mod ell.  False proves nothing.
+    """
+    ell = _SQUAREFREE_SCREEN_PRIME
+    if f[-1] % ell == 0:
+        return False
+    a = [c % ell for c in f]
+    b = [i * c % ell for i, c in enumerate(a)][1:]
+    while b and b[-1] == 0:
+        b.pop()
+    # Euclid mod ell; a constant b means gcd 1, an empty b a gcd of degree >= 1
+    while len(b) > 1:
+        inv = pow(b[-1], -1, ell)
+        db = len(b) - 1
+        while len(a) > db:
+            c = a.pop() * inv % ell
+            if c:
+                shift = len(a) - db
+                for i in range(db):
+                    a[shift + i] = (a[shift + i] - c * b[i]) % ell
+        while a and a[-1] == 0:
+            a.pop()
+        a, b = b, a
+    return len(b) == 1
 
 
 def denominators_are_p_power(P: RatPoly, p: int) -> bool:

@@ -211,7 +211,7 @@ def _q_trim(cs):
 
 def _q_divmod(f, g):
     """(quotient, remainder) of coefficient lists over Q; g is nonzero and trimmed."""
-    f = list(f)
+    f = _q_trim(f)
     quo = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
     while len(f) >= len(g):
         c = f[-1] / g[-1]
@@ -219,7 +219,8 @@ def _q_divmod(f, g):
         quo[shift] = c
         for i, b in enumerate(g):
             f[shift + i] -= c * b
-        f = _q_trim(f)
+        while f and f[-1] == 0:
+            f.pop()
     return quo, f
 
 
@@ -233,12 +234,12 @@ def rational_gcd_monic(f, g):
 
 
 @cache
-def _q_cyclotomic(k):
+def fraction_cyclotomic(k):
     """Phi_k from T^k - 1, dividing out Phi_d for every proper divisor d of k."""
     poly = [Fraction(-1)] + [Fraction(0)] * (k - 1) + [Fraction(1)]
     for d in range(1, k):
         if k % d == 0:
-            poly, rem = _q_divmod(poly, _q_cyclotomic(d))
+            poly, rem = _q_divmod(poly, fraction_cyclotomic(d))
             assert not rem, "division was not exact"
     return tuple(poly)
 
@@ -257,7 +258,7 @@ def cyclotomic_factor_index(coeffs):
     f = _q_trim(coeffs)
     deg = len(f) - 1
     for k in range(1, 2 * deg * deg + 1):
-        if _phi(k) <= deg and not _q_divmod(f, _q_cyclotomic(k))[1]:
+        if _phi(k) <= deg and not _q_divmod(f, fraction_cyclotomic(k))[1]:
             return k
     return None
 

@@ -1,10 +1,13 @@
 """The six-part candidate check, witness construction, and feasibility queries."""
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import k3cert.condition as condition
 from k3cert.condition import (
     MAX_M,
     WitnessSearchError,
@@ -21,6 +24,7 @@ from k3cert.weilpoly import (
     format_poly,
     parse_poly,
     poly_gcd,
+    reciprocal_transform,
     sturm_count,
 )
 
@@ -276,6 +280,53 @@ def test_even_height_route_rejects_odd_h():
         construct_witness_even_h(7, 3)
     with pytest.raises(ValueError):
         construct_witness_even_h(7, 12)
+
+
+ACCEPTANCE_GRID = [(p, m, h) for p in (5, 7) for m in range(1, 11) for h in range(1, m + 1)]
+GOLDEN_CHECKS = Path(__file__).parent / "golden" / "check_reports.jsonl"
+
+
+def _report_line(p: int, L: RatPoly, report) -> str:
+    doc = {"p": p, "coeffs": format_poly(L), "report": report.to_json()}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def test_every_a_the_degree_m_test_skips_fails_unit_circle(monkeypatch):
+    transformed: list[RatPoly] = []
+
+    def recording(F):
+        transformed.append(F)
+        return reciprocal_transform(F)
+
+    monkeypatch.setattr(condition, "reciprocal_transform", recording)
+    skipped = 0
+    for p, m, h in ACCEPTANCE_GRID:
+        if m == 10 and h % 2 == 0:
+            continue  # the square of a (p, 5, h/2) witness, searched elsewhere in the grid
+        transformed.clear()
+        _, report = construct_witness(p, m, h)
+        for a in range(1, report.a + 1):
+            F = seed_polynomial(m) + RatPoly.monomial(m - h, Fraction(1, p**a))
+            if math.gcd(a, h) == 1 and F not in transformed:
+                skipped += 1
+                L = reciprocal_transform(F)
+                assert check_candidate(L, p).checks["unit_circle"].status == "fail", (p, m, h, a)
+    assert skipped > 0
+
+
+def test_witnesses_match_their_passing_golden_lines():
+    passing: dict[tuple, set[str]] = {}
+    for line in GOLDEN_CHECKS.read_text().splitlines():
+        doc = json.loads(line)
+        r = doc["report"]
+        if r["verdict"] == "pass":
+            passing.setdefault((doc["p"], r["m"], r["h"], r["e"]), set()).add(line)
+    for p, m, h in ACCEPTANCE_GRID:
+        if m == 10 and h % 2 == 0:
+            L, report = construct_witness_even_h(p, h)
+        else:
+            L, report = construct_witness(p, m, h)
+        assert passing[(p, m, h, report.e)] == {_report_line(p, L, report)}, (p, m, h)
 
 
 def test_witness_reports_are_internally_consistent():

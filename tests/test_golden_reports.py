@@ -3,8 +3,10 @@
 `golden/check_reports.jsonl` holds one compact sorted-key JSON line
 {"coeffs", "p", "report"} per candidate, covering:
 
-  * every candidate `check_candidate` sees in the acceptance-2 sweep,
-    in call order;
+  * every candidate the acceptance-2 sweep tries, in search order: each
+    a coprime to h up to the witness's, and for even h at m = 10 the
+    square of the degree-10 witness (the search skips the transform of
+    an a whose perturbed seed already has a root off [-2, 2]);
   * the 60 acceptance-8 mutants (cyclotomic multiple, off-p
     denominator, square) of its 20 witnesses;
   * for p = 7 and 2 <= h <= m <= 10, the transform of
@@ -16,16 +18,11 @@ Regenerate (only when the report contract changes on purpose) with
 """
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
-import k3cert.condition as condition
-from k3cert.condition import (
-    check_candidate,
-    construct_witness,
-    construct_witness_even_h,
-    seed_polynomial,
-)
+from k3cert.condition import check_candidate, construct_witness, seed_polynomial
 from k3cert.weilpoly import (
     RatPoly,
     cyclotomic,
@@ -44,25 +41,28 @@ def _line(p: int, L: RatPoly) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _searched(p: int, m: int, h: int) -> list[RatPoly]:
+    """The transform of seed + p^(-a) T^(m-h) for every a coprime to h,
+    from 1 up to the a of the (p, m, h) witness."""
+    _, report = construct_witness(p, m, h)
+    seed = seed_polynomial(m)
+    return [
+        reciprocal_transform(seed + RatPoly.monomial(m - h, Fraction(1, p**a)))
+        for a in range(1, report.a + 1)
+        if math.gcd(a, h) == 1
+    ]
+
+
 def _sweep_candidates() -> list[tuple[int, RatPoly]]:
     seen: list[tuple[int, RatPoly]] = []
-    original = condition.check_candidate
-
-    def recording(L, p):
-        seen.append((p, L))
-        return original(L, p)
-
-    condition.check_candidate = recording
-    try:
-        for p in (5, 7):
-            for m in range(1, 11):
-                for h in range(1, m + 1):
-                    if m == 10 and h % 2 == 0:
-                        construct_witness_even_h(p, h)
-                    else:
-                        construct_witness(p, m, h)
-    finally:
-        condition.check_candidate = original
+    for p in (5, 7):
+        for m in range(1, 11):
+            for h in range(1, m + 1):
+                if m == 10 and h % 2 == 0:
+                    base = _searched(p, 5, h // 2)
+                    seen += [(p, L) for L in base] + [(p, base[-1] * base[-1])]
+                else:
+                    seen += [(p, L) for L in _searched(p, m, h)]
     return seen
 
 

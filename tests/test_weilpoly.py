@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 from k3cert.arith import is_prime
 from k3cert.weilpoly import (
     NewtonPolygon,
+    _SQUAREFREE_SCREEN_PRIME,
     RatPoly,
+    _coprime_to_derivative_mod,
+    _cyclotomic_ints,
+    _cyclotomic_residues,
+    _integer_multiple,
     _squarefree_power,
     cyclotomic,
     cyclotomic_index_list,
@@ -37,6 +42,7 @@ from oracles import (
     count_real_roots_halfopen,
     cyclotomic_factor_index,
     ddf_degree_pattern,
+    fraction_cyclotomic,
     fraction_newton_polygon,
     fraction_squarefree_power,
     naive_phi,
@@ -422,6 +428,34 @@ def test_has_cyclotomic_factor_matches_oracle_on_dressed_witnesses():
         assert has_cyclotomic_factor(dressed) == cyclotomic_factor_index(dressed.coeffs) == k
 
 
+def test_cyclotomic_coefficients_match_fraction_division():
+    for k in range(1, 201):
+        assert _cyclotomic_ints(k) == tuple(int(c) for c in fraction_cyclotomic(k)), k
+
+
+def test_cyclotomic_residue_rows_hold_a_root_of_phi_k():
+    for k in range(1, 201):
+        ell, powers = _cyclotomic_residues(k)
+        assert is_prime(ell) and (ell - 1) % k == 0 and ell > 1 << 31, k
+        w = powers[1 % k]
+        assert powers == tuple(pow(w, i, ell) for i in range(k)), k
+        at_w = sum(c * w**i for i, c in enumerate(fraction_cyclotomic(k)))
+        assert at_w.denominator == 1 and at_w.numerator % ell == 0, k
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 7, 12, 25, 33, 66])
+def test_zero_residue_without_a_cyclotomic_factor(k):
+    # T^phi(k) - (w^phi(k) mod ell) vanishes at w mod ell, so the residue
+    # screen cannot rule Phi_k out; only the division does.  Its roots have
+    # absolute value > 1, so no Phi_j divides it.
+    ell, powers = _cyclotomic_residues(k)
+    n = naive_phi(k)
+    L = RatPoly.monomial(n) - RatPoly.of(powers[n % k])
+    assert sum(c * powers[i % k] for i, c in enumerate(_integer_multiple(L))) % ell == 0
+    assert has_cyclotomic_factor(L) is None
+    assert cyclotomic_factor_index(L.coeffs) is None
+
+
 def test_strip_cyclotomic_worked_example():
     dressed = poly(1, -1) * poly(1, -1) * cyclotomic(3) * WORKED
     bare, removed = strip_cyclotomic(dressed)
@@ -552,6 +586,27 @@ def test_squarefree_power_and_polygon_match_fraction_oracles_on_golden_candidate
         assert newton_polygon(L, p).segments == fraction_newton_polygon(L.coeffs, p)
         powers += e is not None and e > 1
     assert powers > 0
+
+
+ELL = _SQUAREFREE_SCREEN_PRIME
+
+
+@pytest.mark.parametrize(
+    "L, e",
+    [
+        # ell divides the leading coefficient
+        (RatPoly.of(1, 1, ELL), 1),
+        # (1 + ell T)^2 (1 - T/2) is a multiple of 2 - T mod ell, which is squarefree
+        (RatPoly.of(1, 2 * ELL, ELL**2) * RatPoly.of(1, Fraction(-1, 2)), None),
+        # (T - 1)(T - 1 - ell) / (1 + ell): squarefree, with a double root mod ell
+        (RatPoly.of(1, Fraction(-2 - ELL, 1 + ELL), Fraction(1, 1 + ELL)), 1),
+    ],
+)
+def test_squarefree_power_where_the_residue_screen_proves_nothing(L, e):
+    assert not _coprime_to_derivative_mod(_integer_multiple(L))
+    R, got_e = _squarefree_power(L)
+    assert (R.coeffs, got_e) == fraction_squarefree_power(L.coeffs)
+    assert got_e == e
 
 
 @st.composite
