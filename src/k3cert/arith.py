@@ -196,13 +196,19 @@ class SquareClass:
 
 def square_class(x) -> SquareClass:
     """Image of a nonzero rational in Q*/(Q*)^2."""
+    return _class_and_primes(x)[0]
+
+
+def _class_and_primes(x) -> tuple[SquareClass, list[int]]:
+    """(square_class(x), the primes dividing its squarefree part)."""
     x = Fraction(x)
     if x == 0:
         raise ValueError("0 has no square class")
     # num/den and num*den differ by the square den^2.
     v = x.numerator * x.denominator
+    odd = [p for p, e in prime_factors(v).items() if e % 2]
     # a product of distinct primes is squarefree
-    return _known_class(1 if v > 0 else -1, math.prod(p for p, e in prime_factors(v).items() if e % 2))
+    return _known_class(1 if v > 0 else -1, math.prod(odd)), odd
 
 
 def _known_class(sign: int, sqfree: int) -> SquareClass:

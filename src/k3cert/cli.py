@@ -47,12 +47,10 @@ def _build_parser() -> _Parser:
     p_construct.add_argument("--m", type=int, required=True)
     p_construct.add_argument("--h", type=int, required=True)
     p_construct.add_argument("--a-start", type=int, default=1)
-    p_construct.add_argument("--json", action="store_true")
 
     p_check = sub.add_parser("check", help="run the six-part test on given coefficients")
     p_check.add_argument("--p", type=int, required=True)
     p_check.add_argument("--coeffs", type=str, required=True, help="ascending, e.g. 1,1/7,1,1/7,1")
-    p_check.add_argument("--json", action="store_true")
 
     p_lattice = sub.add_parser("lattice", help="build and certify a case lattice")
     p_lattice.add_argument("--m", type=int, required=True)
@@ -65,29 +63,25 @@ def _build_parser() -> _Parser:
         metavar="PRIME=BOOL",
         help="known splitting behaviour, repeatable",
     )
-    p_lattice.add_argument("--json", action="store_true")
 
     p_feasible = sub.add_parser("feasible", help="decide a (rho, height) pair")
     p_feasible.add_argument("--p", type=int, required=True)
     p_feasible.add_argument("--rho", type=int, required=True)
     p_feasible.add_argument("--height", type=int, required=True)
     p_feasible.add_argument("--witness", action="store_true")
-    p_feasible.add_argument("--json", action="store_true")
 
     p_table = sub.add_parser("table", help="full rho x height feasibility grid")
     p_table.add_argument("--p", type=int, required=True)
-    p_table.add_argument("--json", action="store_true")
 
     p_hilbert = sub.add_parser("hilbert", help="Hilbert symbol of two rationals at a place")
     p_hilbert.add_argument("--a", type=str, required=True)
     p_hilbert.add_argument("--b", type=str, required=True)
     p_hilbert.add_argument("--place", type=str, required=True, help='a prime, or "inf"')
-    p_hilbert.add_argument("--json", action="store_true")
 
     p_strip = sub.add_parser("strip", help="divide out all cyclotomic factors")
     p_strip.add_argument("--coeffs", type=str, required=True)
-    p_strip.add_argument("--json", action="store_true")
-
+    for subparser in sub.choices.values():
+        subparser.add_argument("--json", action="store_true")
     return parser
 
 

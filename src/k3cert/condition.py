@@ -33,23 +33,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .arith import check_prime
 from .weilpoly import (
     NewtonPolygon,
     RatPoly,
+    _cyclotomic_index_ints,
+    _descent_analysis,
     _integer_multiple,
     _off_p_indices,
+    _polygon_ints,
     _slope_shape,
-    _squarefree_power,
-    _window_root_count,
+    _sturm_chain_ints,
+    _window_count,
     format_poly,
-    has_cyclotomic_factor,
-    newton_polygon,
     reciprocal_transform,
     sturm_count,
-    unit_circle_check,
 )
 
 __all__ = [
@@ -134,9 +134,20 @@ def _result(ok: bool, detail: dict) -> CheckResult:
 def check_candidate(L: RatPoly, p: int) -> CandidateReport:
     """Run the six-part test on L in characteristic p.  See the module docstring.
 
-    L is analysed once, and the six checks are read from that one
-    analysis.
+    L is cleared of denominators once, and the six checks are read from
+    one analysis.  The roots of a palindrome L = T^m G(T + 1/T) are the
+    root pairs of T^2 - xT + 1 over the roots x of G, and a pair coincides
+    only at x = +-2.  So L is squarefree, with e = 1, iff G is squarefree
+    and G(2) G(-2) != 0, and the one Sturm chain of G that shows it also
+    counts the m roots of G in [-2, 2] that `unit_circle` needs.  Any other
+    L (not a palindrome, a repeated root of G or a root at +-2) takes the
+    circle test on its squarefree part R, T - 1 and T + 1 divided out.
     """
+    return _check_candidate(L, p)
+
+
+def _check_candidate(L: RatPoly, p: int, chain: list[list[int]] | None = None) -> CandidateReport:
+    """`check_candidate`, given the Sturm chain of G for L = T^m G(T + 1/T) if the caller has it."""
     check_prime(p)
     if L.is_zero or L.constant != 1:
         raise ValueError("candidate must have constant term 1")
@@ -146,13 +157,12 @@ def check_candidate(L: RatPoly, p: int) -> CandidateReport:
     if m > MAX_M:
         raise ValueError(f"candidate degree exceeds 2*{MAX_M}")
 
-    polygon = newton_polygon(L, p)
-    # R has the roots of L, each once, so the circle and cyclotomic tests
-    # run on R: the circle test needs a squarefree input, and Phi_k
-    # divides L iff it divides R.  e is None unless L = R^e.
-    R, e = _squarefree_power(L)
-    on_circle = unit_circle_check(R)
-    cyc = has_cyclotomic_factor(R)
+    f = _integer_multiple(L)
+    polygon = _polygon_ints(f, p)
+    # r has the roots of L, each once, and Phi_k divides L iff it divides
+    # r.  e is None unless L = R^e for R = r / r(0).
+    r, e, on_circle = _descent_analysis(f, chain)
+    cyc = _cyclotomic_index_ints(r)
     offending = _off_p_indices(L, p)
 
     h = a = None
@@ -169,7 +179,7 @@ def check_candidate(L: RatPoly, p: int) -> CandidateReport:
                 {"slope": f"{slope.numerator}/{slope.denominator}", "length": length // e},
             )
     checks = {
-        "unit_circle": _result(on_circle, {"squarefree_degree": R.degree}),
+        "unit_circle": _result(on_circle, {"squarefree_degree": len(r) - 1}),
         "no_root_of_unity": _result(cyc is None, {} if cyc is None else {"cyclotomic_index": cyc}),
         "integral_away_from_p": _result(not offending, {"offending_indices": offending} if offending else {}),
         "slope_profile": _result(
@@ -184,11 +194,11 @@ def check_candidate(L: RatPoly, p: int) -> CandidateReport:
         )
     else:
         # Each premise of R's certificate is a check already made: the
-        # circle and cyclotomic tests ran on R; content(L) = content(R)^e
-        # by Gauss's lemma, so R is integral away from p iff L is; and R's
-        # polygon has the pure symmetric shape iff L's has the slope
-        # profile and R's local factor is irreducible.  So R is certified
-        # irreducible iff the other five checks pass.
+        # circle and cyclotomic tests hold for R iff they hold for L;
+        # content(L) = content(R)^e by Gauss's lemma, so R is integral away
+        # from p iff L is; and R's polygon has the pure symmetric shape iff
+        # L's has the slope profile and R's local factor is irreducible.
+        # So R is certified irreducible iff the other five checks pass.
         certified = local.status == "pass" and all(c.status == "pass" for c in checks.values())
         checks["prime_power_shape"] = CheckResult("pass" if certified else "unknown", {"e": e})
         checks["local_factor_irreducible"] = local
@@ -268,10 +278,11 @@ def construct_witness(
 
     The roots of L = T^m F(T + 1/T) are the two roots of T^2 - xT + 1
     for each root x of F, and they lie on the unit circle iff x is real
-    in [-2, 2].  So a squarefree F with fewer than m roots in [-2, 2]
-    gives an L that fails `unit_circle`, and that a is skipped before
-    the transform.  A count on the degree-m F can only rule a out; a
-    repeated root in F leaves the decision to `check_candidate`.
+    in [-2, 2].  F is the descent of L, so its one Sturm chain serves
+    both the search and the check: a squarefree F with fewer than m roots
+    in [-2, 2] gives an L that fails `unit_circle`, and that a is skipped
+    before the transform; any other chain goes on to `check_candidate`,
+    which reads squarefreeness and the circle from it.
     """
     check_prime(p)
     if not 1 <= h <= m <= MAX_M:
@@ -286,13 +297,11 @@ def construct_witness(
         if math.gcd(a, h) != 1:
             continue
         F = seed + RatPoly.monomial(perturbation_degree, Fraction(1, p**a))
-        try:
-            if _window_root_count(_integer_multiple(F)) < m:
-                continue  # so L = T^m F(T + 1/T) has a root off the unit circle
-        except ValueError:
-            pass  # F has a repeated root: the full check decides
+        chain = _sturm_chain_ints(_integer_multiple(F))
+        if len(chain[-1]) == 1 and _window_count(chain) < m:
+            continue  # so L = T^m F(T + 1/T) has a root off the unit circle
         L = reciprocal_transform(F)
-        report = check_candidate(L, p)
+        report = _check_candidate(L, p, chain)
         if report.passed and report.h == h and report.e == 1:
             return L, report
     raise WitnessSearchError(
@@ -369,56 +378,23 @@ def feasibility(p: int, rho: int, h: int, want_witness: bool = False) -> Feasibi
         raise ValueError("rho must be a positive even integer")
     if h < 1:
         raise ValueError("h must be a positive integer")
+    verdict = partial(FeasibilityVerdict, p, rho, h)
     bound = 22 - 2 * h
     if rho > bound:
-        return FeasibilityVerdict(
-            p=p,
-            rho=rho,
-            h=h,
-            feasible=False,
-            reason="artin_violation",
-            description=f"rho = {rho} exceeds the rank bound 22 - 2h = {bound}",
-        )
+        return verdict(False, "artin_violation", f"rho = {rho} exceeds the rank bound 22 - 2h = {bound}")
     m = 11 - rho // 2  # h <= m follows from rho <= 22 - 2h
-    unsupported = p == 5 and m == 10 and h % 2 == 1
-    if unsupported:
-        return FeasibilityVerdict(
-            p=p,
-            rho=rho,
-            h=h,
-            feasible=True,
-            reason="theorem_case",
-            description=(
-                "feasible, but the constructive route implemented here does not "
-                "reach p = 5 with m = 10 and odd h (it would need discriminant "
-                "control beyond slope data); no witness is produced"
-            ),
-            m=m,
-            witness_status="unsupported_case",
+    if p == 5 and m == 10 and h % 2 == 1:
+        description = (
+            "feasible, but the constructive route implemented here does not "
+            "reach p = 5 with m = 10 and odd h (it would need discriminant "
+            "control beyond slope data); no witness is produced"
         )
+        return verdict(True, "theorem_case", description, m, witness_status="unsupported_case")
     if not want_witness:
-        return FeasibilityVerdict(
-            p=p,
-            rho=rho,
-            h=h,
-            feasible=True,
-            reason="theorem_case",
-            description=f"rho = {rho} <= 22 - 2h = {bound}; witness degree m = {m}",
-            m=m,
-        )
+        return verdict(True, "theorem_case", f"rho = {rho} <= 22 - 2h = {bound}; witness degree m = {m}", m)
     if m <= 9 or h % 2 == 1:
         witness, report = construct_witness(p, m, h)
     else:
         witness, report = construct_witness_even_h(p, h)
-    return FeasibilityVerdict(
-        p=p,
-        rho=rho,
-        h=h,
-        feasible=True,
-        reason="witness_provided",
-        description=f"explicit degree-{2 * m} witness with slope height {h} over p^a",
-        m=m,
-        witness=witness,
-        report=report,
-        witness_status="computed",
-    )
+    description = f"explicit degree-{2 * m} witness with slope height {h} over p^a"
+    return verdict(True, "witness_provided", description, m, witness, report, "computed")

@@ -53,9 +53,7 @@ class LatticeSpec:
 
     def __post_init__(self) -> None:
         for b in self.blocks:
-            if b == "U":
-                continue
-            if not isinstance(b, int) or b == 0 or b % 2 != 0:
+            if b != "U" and (not isinstance(b, int) or b == 0 or b % 2 != 0):
                 raise ValueError(f"diagonal block {b!r} must be a nonzero even integer")
         if not self.blocks:
             raise ValueError("lattice needs at least one block")
@@ -66,16 +64,8 @@ class LatticeSpec:
 
     @property
     def signature(self) -> tuple[int, int]:
-        pos = neg = 0
-        for b in self.blocks:
-            if b == "U":
-                pos += 1
-                neg += 1
-            elif b > 0:
-                pos += 1
-            else:
-                neg += 1
-        return (pos, neg)
+        pos = sum(1 for b in self.blocks if b == "U" or b > 0)  # U has signature (1, 1)
+        return (pos, self.rank - pos)
 
     def to_json(self) -> dict:
         return {"blocks": [b if b == "U" else {"diag": b} for b in self.blocks]}

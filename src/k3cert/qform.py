@@ -27,11 +27,11 @@ from .arith import (
     INFINITE_PLACE,
     Place,
     SquareClass,
+    _class_and_primes,
     _hasse_bit,
     check_prime,
     format_rational,
     square_class,
-    support_primes,
 )
 
 __all__ = [
@@ -123,10 +123,14 @@ def _places(primes) -> list[Place]:
 
 def invariants(space: QuadSpace) -> SpaceInvariants:
     """Dimension, determinant class, signature, and sparse Hasse map of a space."""
-    classes = [square_class(e) for e in space.entries]
+    classes, primes = [], set()
+    for e in space.entries:
+        c, odd = _class_and_primes(e)
+        classes.append(c)
+        primes.update(odd)
     # the symbol depends only on square classes, so only primes dividing
     # some class can carry a nontrivial bit besides 2 and inf
-    places = _places(support_primes(c.sqfree for c in classes))
+    places = _places(primes)
     reps = [c.representative() for c in classes]
     hasse = {place: 1 for place in places if _hasse_bit(reps, place)}
     det = math.prod(classes[1:], start=classes[0])
@@ -156,10 +160,9 @@ def complement_invariants(ambient: SpaceInvariants, sub: SpaceInvariants) -> Spa
     if pos < 0 or neg < 0:
         raise ValueError("subspace signature does not fit inside the ambient space")
     det = ambient.det * sub.det
-    places = _places(
-        support_primes([sub.det.sqfree, det.sqfree])
-        | {pl.prime for pl in (*ambient.hasse, *sub.hasse) if pl.is_finite}
-    )
+    # the primes dividing sub.det or det are those dividing sub.det or ambient.det
+    _, odd = _class_and_primes(math.lcm(sub.det.sqfree, ambient.det.sqfree))
+    places = _places({*odd, *(pl.prime for pl in (*ambient.hasse, *sub.hasse) if pl.is_finite)})
     hasse: dict[Place, int] = {}
     for place in places:
         bit = (
@@ -277,15 +280,10 @@ def hyperbolicity_from_invariants(inv: SpaceInvariants, fielddata: CMFieldData) 
     # <1, -1>^m has Hasse bit C(m, 2) mod 2 at 2 and inf, 0 at odd primes
     target = {2} if fielddata.m * (fielddata.m - 1) // 2 % 2 else set()
     discrepancy = tuple(sorted({pl.prime for pl in inv.hasse if pl.is_finite} ^ target))
-    certified, unknown, conflicts = [], [], []
-    for q in discrepancy:
-        status = fielddata.split_status(q)
-        if status is False:
-            certified.append(q)
-        elif status is True:
-            conflicts.append(q)
-        else:
-            unknown.append(q)
+    status = {q: fielddata.split_status(q) for q in discrepancy}
+    certified = tuple(q for q in discrepancy if status[q] is False)
+    conflicts = tuple(q for q in discrepancy if status[q] is True)
+    unknown = tuple(q for q in discrepancy if q not in certified + conflicts)
     if conflicts:
         verdict = "fail"
     elif not discrepancy:
@@ -294,7 +292,7 @@ def hyperbolicity_from_invariants(inv: SpaceInvariants, fielddata: CMFieldData) 
         verdict = "conditional-pass"
     else:
         verdict = "needs-data"
-    return HyperbolicityReport(verdict, discrepancy, tuple(certified), tuple(unknown), tuple(conflicts))
+    return HyperbolicityReport(verdict, discrepancy, certified, unknown, conflicts)
 
 
 def hyperbolicity_check(space: QuadSpace, fielddata: CMFieldData) -> HyperbolicityReport:

@@ -16,19 +16,23 @@ single segment (-1, 1): one root of valuation +1.
 Real root counting is exact, by Sturm chains.  For a squarefree f the
 sign variations V(x) of the chain keep their value just right of a root
 and drop by one just left of it, so V(lo) - V(hi) counts the distinct
-roots in the half-open interval (lo, hi], endpoint roots included.  The
-chain is a remainder sequence of (f, f'), so it ends in gcd(f, f') and
-doubles as the squarefree test.
+roots in (lo, hi], endpoint roots included.  The chain is a remainder
+sequence of (f, f'), so it ends in gcd(f, f') and doubles as the
+squarefree test.  A palindrome L = T^m G(T + 1/T) of degree 2m needs
+only the chain of G: its roots are the root pairs of T^2 - xT + 1 over
+the roots x of G, on the unit circle iff x is real in [-2, 2], and a
+pair coincides only at x = +-2.  So L is squarefree iff G is squarefree
+and G(2) G(-2) != 0, and then all roots of L lie on the circle iff
+V(-2) - V(2) = m.
 
-The whole candidate analysis runs in Z[T], on integer multiples of the
-rational inputs: the squarefree power, the Newton polygon, the descent
-and its circle test, the Sturm chain, `poly_gcd` and the cyclotomic scan
-work on primitive integer lists obtained by positive scalings only
-(clearing denominators by a positive lcm, dividing out a positive
-content, pseudo-dividing with the multiplier |lc|).  A positive scaling
-moves neither a root nor a sign, so every answer stays exact and equal
-to the one over Q.  `Fraction` appears only in what is handed back: the
-slopes of a polygon and the squarefree part R of a candidate.
+The candidate analysis runs in Z[T]: its denominators are cleared once,
+and the public functions wrap private kernels on primitive integer lists
+obtained by positive scalings only (clearing denominators by a positive
+lcm, dividing out a positive content, pseudo-dividing with the
+multiplier |lc|).  A positive scaling moves neither a root nor a sign,
+so every answer stays exact and equal to the one over Q.  `Fraction`
+appears only in what is handed back: the slopes of a polygon and the
+squarefree part R of a candidate.
 
 Two residue screens run before the Z[T] kernels, and each can only rule
 a fact out.  If Phi_k divides f, then f(w) = 0 mod ell for any root w of
@@ -154,22 +158,14 @@ class RatPoly:
     def __divmod__(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.leading
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            shift = len(rem) - 1 - d
-            factor = rem[-1] / lead
-            q[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= factor * c
-            rem.pop()
-        return RatPoly(tuple(q)), RatPoly(tuple(rem))
+        rem, d = list(self.coeffs), other.degree
+        q = [Fraction(0)] * max(len(rem) - d, 0)
+        for shift in range(len(q) - 1, -1, -1):
+            factor = q[shift] = rem[shift + d] / other.leading
+            if factor:
+                for i, c in enumerate(other.coeffs):
+                    rem[shift + i] -= factor * c
+        return RatPoly(tuple(q)), RatPoly(tuple(rem[:d]))
 
     def __truediv__(self, other):
         """Exact division; raises when the divisor does not divide exactly."""
@@ -345,11 +341,12 @@ def _descent_ints(rem: list[int]) -> list[int] | None:
     return None if any(rem) else g
 
 
-def _sturm_chain(f: RatPoly) -> list[list[int]]:
-    """Sturm chain of f in Z[T]: each member is primitive and a positive
-    multiple of the classical member, so it has the same signs.  The last
-    member is a multiple of gcd(f, f'), a constant iff f is squarefree."""
-    a = _integer_multiple(f)
+def _sturm_chain_ints(a: list[int]) -> list[list[int]]:
+    """Sturm chain of the nonzero integer polynomial a in Z[T]: each member
+    is primitive and a positive multiple of the classical member, so it has
+    the same signs.  The last member is a multiple of gcd(a, a'), a
+    constant iff a is squarefree."""
+    a = _primitive(a)
     chain = [a, _primitive([i * c for i, c in enumerate(a)][1:])]
     while len(chain[-1]) > 1:
         chain.append([-c for c in _primitive(_prem(chain[-2], chain[-1]))])
@@ -358,7 +355,14 @@ def _sturm_chain(f: RatPoly) -> list[list[int]]:
     return chain
 
 
-def _variations(chain: list[list[int]], x: Fraction) -> int:
+def _at(cs: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def _variations(chain: list[list[int]], x: Fraction | int) -> int:
     # d^k P(n/d) = sum_i c_i n^i d^(k-i) has the sign of P(x) since d > 0
     n, d = x.numerator, x.denominator
     signs = []
@@ -372,6 +376,12 @@ def _variations(chain: list[list[int]], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _window_count(chain: list[list[int]]) -> int:
+    """Distinct real roots in [-2, 2] of the squarefree chain[0], from its
+    Sturm chain: V(-2) - V(2) counts (-2, 2], and -2 is checked apart."""
+    return _variations(chain, -2) - _variations(chain, 2) + (_at(chain[0], -2) == 0)
+
+
 def sturm_count(f: RatPoly, lo, hi) -> int:
     """Distinct real roots of a squarefree f in the half-open interval (lo, hi].
 
@@ -383,7 +393,7 @@ def sturm_count(f: RatPoly, lo, hi) -> int:
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise ValueError("need lo < hi")
-    chain = _sturm_chain(f)
+    chain = _sturm_chain_ints(_cleared(f.coeffs)[1])
     if len(chain[-1]) > 1:
         raise ValueError("sturm_count requires a squarefree polynomial")
     return _variations(chain, lo) - _variations(chain, hi)
@@ -392,35 +402,48 @@ def sturm_count(f: RatPoly, lo, hi) -> int:
 def unit_circle_check(L: RatPoly) -> bool:
     """Decide exactly whether every complex root of L lies on the unit circle.
 
-    Expects the self-reciprocal shape L(0) = 1, degree 2m.  The test is:
-    L must be palindromic, and the unique G with L = T^m * G(T + 1/T)
-    must be squarefree with all m of its roots real and in [-2, 2]
-    (one Sturm count on (-2, 2], which also rejects a G that is not
-    squarefree, plus a separate check at -2).  The result is exact for
-    such L; anything else — odd degree, a non-palindrome, or a repeated
-    symmetric factor — conservatively returns False.
+    Expects the self-reciprocal shape L(0) = 1, degree 2m.  L must be a
+    palindrome whose descent G (L = T^m * G(T + 1/T)) is squarefree with
+    all m roots in [-2, 2], by one Sturm chain of G.  The result is exact
+    for such L; anything else — odd degree, a non-palindrome, or a
+    repeated symmetric factor — conservatively returns False.
     """
-    if L.is_zero or L.degree <= 0 or L.degree % 2 != 0:
+    if L.is_zero or L.degree <= 0:
         return False
-    if L.coeffs != L.coeffs[::-1]:
-        return False
-    g = _descent_ints(_integer_multiple(L))
-    if g is None:
-        return False
-    try:
-        return _window_root_count(g) == len(g) - 1
-    except ValueError:
-        return False  # G has a repeated root
+    return _unit_circle_ints(_cleared(L.coeffs)[1])
 
 
-def _window_root_count(g: list[int]) -> int:
-    """Distinct real roots in [-2, 2] of the integer polynomial g: one
-    Sturm count on (-2, 2] plus the point -2.  Raises ValueError when g is
-    not squarefree."""
-    at_minus_two = 0
-    for c in reversed(g):
-        at_minus_two = -2 * at_minus_two + c
-    return sturm_count(RatPoly(tuple(g)), -2, 2) + (at_minus_two == 0)
+def _unit_circle_ints(f: list[int]) -> bool:
+    """`unit_circle_check` on an integer multiple f of degree >= 1."""
+    if len(f) % 2 == 0 or f != f[::-1]:
+        return False
+    chain = _sturm_chain_ints(_descent_ints(list(f)))  # a palindrome always descends
+    return len(chain[-1]) == 1 and _window_count(chain) == len(chain[0]) - 1
+
+
+def _descent_analysis(f: list[int], chain: list[list[int]] | None = None) -> tuple[list[int], int | None, bool]:
+    """(r, e, on_circle) for the primitive integer multiple f of some L
+    with L(0) = 1: r and e as in `_squarefree_power_ints`, and whether
+    every root of L lies on the unit circle.
+
+    A palindrome f of even degree descends to g.  When the Sturm chain of
+    g ends in a constant and g(2) g(-2) != 0, f is squarefree (see the
+    module docstring) and the same chain reads the circle; a caller that
+    has that chain passes it.  Otherwise the circle test runs on the
+    squarefree r with T - 1 and T + 1 divided out: the roots z of the
+    rest, none of them +-1, lie on the circle iff they pair up with
+    1/z = conj(z), that is iff the rest passes `_unit_circle_ints`.
+    """
+    if chain is None and len(f) % 2 and f == f[::-1]:
+        chain = _sturm_chain_ints(_descent_ints(list(f)))
+    if chain is not None and len(chain[-1]) == 1 and _at(chain[0], 2) and _at(chain[0], -2):
+        return f, 1, _variations(chain, -2) - _variations(chain, 2) == len(chain[0]) - 1
+    r, e = _squarefree_power_ints(f)
+    rest = r
+    for root in (1, -1):  # each divides the squarefree r at most once
+        if _at(rest, root) == 0:
+            rest = _divexact(rest, [-root, 1])
+    return r, e, len(rest) == 1 or _unit_circle_ints(rest)
 
 
 def euler_phi(k: int) -> int:
@@ -518,8 +541,12 @@ def has_cyclotomic_factor(L: RatPoly) -> int | None:
     """
     if L.is_zero:
         raise ValueError("zero polynomial")
-    f = _cleared(L.coeffs)[1]
-    for k in cyclotomic_index_list(L.degree):
+    return _cyclotomic_index_ints(_cleared(L.coeffs)[1])
+
+
+def _cyclotomic_index_ints(f: list[int]) -> int | None:
+    """`has_cyclotomic_factor` on a nonzero integer multiple f of L."""
+    for k in _cyclotomic_indices(len(f) - 1):
         ell, powers = _cyclotomic_residues(k)
         folded = f if len(f) <= k else [sum(f[j::k]) for j in range(k)]
         if sum(map(operator.mul, folded, powers)) % ell == 0 and not _prem(f, _cyclotomic_ints(k)):
@@ -583,7 +610,12 @@ def newton_polygon(P: RatPoly, p: int) -> NewtonPolygon:
     check_prime(p)
     if P.is_zero or P.constant == 0:
         raise ValueError("newton polygon needs a nonzero constant term")
-    pts = [(i, _int_val(c, p)) for i, c in enumerate(_cleared(P.coeffs)[1]) if c]
+    return _polygon_ints(_cleared(P.coeffs)[1], p)
+
+
+def _polygon_ints(f: list[int], p: int) -> NewtonPolygon:
+    """`newton_polygon` on a positive integer multiple f of P."""
+    pts = [(i, _int_val(c, p)) for i, c in enumerate(f) if c]
     hull: list[tuple[int, int]] = []
     for x, y in pts:
         while len(hull) >= 2:
@@ -610,36 +642,34 @@ def squarefree_decompose(L: RatPoly) -> tuple[RatPoly, int] | None:
         raise ValueError("decomposition needs L(0) = 1")
     if L.degree == 0:
         return L, 1
-    R, e = _squarefree_power(L)
-    return None if e is None else (R, e)
+    r, e = _squarefree_power_ints(_integer_multiple(L))
+    return None if e is None else (RatPoly(tuple(Fraction(c, r[0]) for c in r)), e)
 
 
-def _squarefree_power(L: RatPoly) -> tuple[RatPoly, int | None]:
-    """(R, e) for L(0) = 1 and deg L >= 1: R = L / gcd(L, L') scaled to
-    R(0) = 1, and e with L = R^e, or None when L is no power of R.
+def _squarefree_power_ints(f: list[int]) -> tuple[list[int], int | None]:
+    """(r, e) for a primitive integer f with f(0) > 0 and deg f >= 1: r is
+    the primitive squarefree part of f with r(0) > 0, and e the exponent
+    with f = r^e, or None when f is no power of r.
 
-    Runs in Z[T] on f, the primitive integer multiple of L (f(0) > 0).
     A residue screens f first: if `_coprime_to_derivative_mod` holds, f
-    is squarefree over Q, so R = f / f(0) = L and e = 1.  Otherwise,
-    which proves nothing, g = gcd(f, f') is primitive, so r = f / g is
-    integral by Gauss's lemma, as in Yun (SYMSAC 1976); its sign is
-    chosen so that r(0) > 0.  Then r^e and f are both primitive with a
-    positive constant term, so L = R^e exactly when r^e == f.
+    is squarefree over Q, so r = f and e = 1.  Otherwise, which proves
+    nothing, g = gcd(f, f') is primitive, so r = f / g is integral by
+    Gauss's lemma, as in Yun (SYMSAC 1976); its sign is chosen so that
+    r(0) > 0.  Then r^e and f are both primitive with a positive constant
+    term, so f = r^e exactly when the integer lists agree.
     """
-    f = _integer_multiple(L)
     if _coprime_to_derivative_mod(f):
-        return L, 1
+        return f, 1
     r = _divexact(f, _gcd_ints(f, _primitive([i * c for i, c in enumerate(f)][1:])))
     if r[0] < 0:
         r = [-c for c in r]
-    R = RatPoly(tuple(Fraction(c, r[0]) for c in r))
     e, rem = divmod(len(f) - 1, len(r) - 1)
     if rem:
-        return R, None
+        return r, None
     power = r
     for _ in range(e - 1):
         power = _mul_ints(power, r)
-    return R, (e if power == f else None)
+    return r, (e if power == f else None)
 
 
 _SQUAREFREE_SCREEN_PRIME = (1 << 31) - 1
@@ -736,31 +766,34 @@ def _slope_shape(polygon: NewtonPolygon) -> tuple[Fraction, int, bool] | None:
 def kronecker_certificate(R: RatPoly, p: int) -> IrreducibilityCertificate:
     """Certify that R is irreducible over Q, or report "unknown".
 
-    R must be squarefree with R(0) = 1.  The sufficient premises: the
-    Newton polygon of R at p is the symmetric pure-slope shape with
-    coprime (a, h); R has no cyclotomic factor; all roots of R lie on the
-    unit circle; and every coefficient denominator is a power of p.
-    Together these force irreducibility: any proper factor with unit-root
-    constraints would be cyclotomic by Kronecker's theorem.
+    R must be squarefree with R(0) = 1; `_descent_analysis` proves that
+    and the circle premise, as in `check_candidate`.  The sufficient
+    premises: the Newton polygon of R at p is the symmetric pure-slope
+    shape with coprime (a, h); R has no cyclotomic factor; all roots of R
+    lie on the unit circle; and every coefficient denominator is a power
+    of p.  Together these force irreducibility: any proper factor with
+    unit-root constraints would be cyclotomic by Kronecker's theorem.
     """
     check_prime(p)
     if R.is_zero or R.constant != 1:
         raise ValueError("certificate needs R(0) = 1")
-    if poly_gcd(R, R.derivative()).degree > 0:
+    f = _integer_multiple(R)
+    _, e, on_circle = _descent_analysis(f)
+    if e != 1:
         raise ValueError("certificate needs a squarefree polynomial")
-    polygon = newton_polygon(R, p)
+    polygon = _polygon_ints(f, p)
     detail: dict = {"segments": polygon.to_json()}
     slope, h, symmetric = _slope_shape(polygon) or (None, None, False)
     pure = symmetric and slope.denominator == h
     if symmetric:
         detail.update({"h": h, "a": -slope.numerator if pure else None})
-    cyc = has_cyclotomic_factor(R)
+    cyc = _cyclotomic_index_ints(f)
     if cyc is not None:
         detail["cyclotomic_index"] = cyc
     premises = {
         "pure_negative_slope": pure,
         "no_cyclotomic_factor": cyc is None,
-        "unit_circle": unit_circle_check(R),
+        "unit_circle": on_circle,
         "denominators_p_power": not _off_p_indices(R, p),
     }
     verdict = "certified" if all(premises.values()) else "unknown"

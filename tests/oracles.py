@@ -3,7 +3,9 @@
 Everything in here is deliberately written from first principles with a
 different algorithm than the code under test: Hilbert symbols by brute-force
 solubility search instead of closed formulas, real root counting by
-Descartes/bisection instead of Sturm chains, factor degree patterns by
+Descartes/bisection instead of Sturm chains, the descent of a palindrome
+by the recurrence for T^k + T^-k instead of binomial peeling, factor
+degree patterns by
 distinct-degree factorization over small prime fields instead of slope
 arguments, gcds, cyclotomic factors and squarefree powers by Euclid and long
 division over Fractions instead of integer pseudo-remainders, Newton
@@ -14,6 +16,7 @@ fine; independent is the point.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import cache
 from math import isqrt
@@ -288,6 +291,76 @@ def fraction_squarefree_power(coeffs):
     for _ in range(e):
         power = _q_mul(power, R)
     return tuple(R), (e if r == 0 and power == L else None)
+
+
+# ---------------------------------------------------------------------------
+# the descent of a palindrome and the unit circle, over Q
+
+
+def _q_axpy(a, f, g):
+    """a * f + g for coefficient lists."""
+    n = max(len(f), len(g))
+    return [a * (f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)]
+
+
+def fraction_descent(coeffs):
+    """G with L = T^m G(T + 1/T) for a palindrome L of degree 2m.
+
+    L / T^m = c_m + sum_k c_(m+k) (T^k + T^-k), and T^k + T^-k = V_k(x)
+    at x = T + 1/T, with V_0 = 2, V_1 = x and V_(k+1) = x V_k - V_(k-1).
+    """
+    L = _q_trim(coeffs)
+    m = (len(L) - 1) // 2
+    assert len(L) % 2 == 1 and L == L[::-1], "not a palindrome of even degree"
+    G, prev, cur = [L[m]], [Fraction(2)], [Fraction(0), Fraction(1)]
+    for k in range(1, m + 1):
+        G = _q_axpy(L[m + k], cur, G)
+        prev, cur = cur, _q_axpy(-1, prev, [0] + cur)
+    return _q_trim(G)
+
+
+def _q_squarefree(f):
+    return len(rational_gcd_monic(f, [i * c for i, c in enumerate(f)][1:])) == 1
+
+
+def fraction_unit_circle(coeffs):
+    """Whether every complex root of L, with L(0) = 1 and deg L >= 1, lies
+    on the unit circle.
+
+    The radical R = L / gcd(L, L') has the same roots, and T - 1 and
+    T + 1 divide it at most once each.  The rest S has no root +-1, so its
+    roots are on the circle iff they pair up as z, 1/z = conj(z): then S
+    is a palindrome whose descent has all its roots real in [-2, 2],
+    counted by Descartes bisection.
+    """
+    S = list(fraction_squarefree_power(coeffs)[0])
+    for root in (1, -1):
+        q, rem = _q_divmod(S, [Fraction(-root), Fraction(1)])
+        if not rem:
+            S = q
+    if len(S) == 1:
+        return True
+    if len(S) % 2 == 0 or S != S[::-1]:
+        return False
+    G = fraction_descent(S)
+    return count_real_roots_halfopen(G, -2, 2) + (_horner(G, -2) == 0) == len(G) - 1
+
+
+def descent_squarefree_counterexamples(max_m, box):
+    """The palindromes 1 + c_1 T + ... + c_m T^m + ... + c_1 T^(2m - 1) + T^(2m)
+    with 1 <= m <= max_m and every c_i in [-box, box] for which "L is
+    squarefree iff G is squarefree and G(2) G(-2) != 0" fails; L is
+    squarefree iff `fraction_squarefree_power` gives e = 1."""
+    out = []
+    for m in range(1, max_m + 1):
+        for middle in itertools.product(range(-box, box + 1), repeat=m):
+            half = [1, *middle]
+            L = [Fraction(c) for c in half + half[-2::-1]]
+            G = fraction_descent(L)
+            claim = _q_squarefree(G) and _horner(G, 2) != 0 and _horner(G, -2) != 0
+            if (fraction_squarefree_power(L)[1] == 1) != claim:
+                out.append(tuple(L))
+    return out
 
 
 def _q_val(x, p):

@@ -31,6 +31,12 @@ def test_check_text_output(capsys):
     assert "m=2" in out and "h=1" in out and "q=7" in out
 
 
+def test_check_double_root_at_minus_one_is_on_the_circle(capsys):
+    code, out, err = run(capsys, "check", "--p", "7", "--coeffs", "1,2,1")
+    assert code == 0 and err == ""
+    assert "unit_circle: pass" in out and "no_root_of_unity: fail" in out
+
+
 def test_construct_text_output(capsys):
     code, out, err = run(capsys, "construct", "--p", "7", "--m", "2", "--h", "1")
     assert code == 0

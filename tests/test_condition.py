@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import k3cert.condition as condition
+import k3cert.weilpoly as weilpoly
 from k3cert.condition import (
     MAX_M,
     WitnessSearchError,
@@ -22,11 +23,16 @@ from k3cert.weilpoly import (
     RatPoly,
     cyclotomic,
     format_poly,
+    kronecker_certificate,
     parse_poly,
     poly_gcd,
     reciprocal_transform,
+    squarefree_decompose,
     sturm_count,
+    unit_circle_check,
 )
+
+from oracles import fraction_unit_circle
 
 WORKED = parse_poly("1,1/7,1,1/7,1")
 
@@ -145,6 +151,48 @@ def test_check_candidate_input_guards():
     too_big = RatPoly.monomial(22, 1) + RatPoly.one()
     with pytest.raises(ValueError):
         check_candidate(too_big, 7)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        "1,2,1",  # (1 + T)^2
+        "1,-2,1",  # (1 - T)^2
+        "1,2,2,2,1",  # (1 + T)^2 (1 + T^2)
+        "1,0,-1",  # (1 + T)(1 - T)
+        "1,1,0,-1,-1",  # (1 + T)(1 - T)(1 + T + T^2)
+    ],
+)
+def test_roots_at_plus_minus_one_lie_on_the_circle(coeffs):
+    # the squarefree part R has T + 1 or T - 1 as a factor, so it is not a
+    # palindrome of even degree; those factors are divided out before the
+    # circle test, which then agrees with the oracle and, for a palindrome
+    # L, with unit_circle_check(L)
+    L = parse_poly(coeffs)
+    report = check_candidate(L, 7)
+    assert fraction_unit_circle(L.coeffs)
+    assert report.checks["unit_circle"].status == "pass"
+    assert report.checks["no_root_of_unity"].status == "fail"
+    if L.coeffs == L.coeffs[::-1]:
+        assert unit_circle_check(L)
+    decomposition = squarefree_decompose(L)
+    assert (decomposition is None) == (report.e is None)
+    if decomposition is not None:
+        assert kronecker_certificate(decomposition[0], 7).premises["unit_circle"]
+
+
+def test_check_candidate_clears_denominators_once(monkeypatch):
+    # palindromic witnesses, a square, a cyclotomic multiple and a non-palindrome
+    candidates = [WORKED, WORKED * WORKED, WORKED * cyclotomic(4), parse_poly("1,1/7,1,8/7,1")]
+    for p, m, h in [(7, 10, 3), (5, 6, 2)]:
+        candidates.append(construct_witness(p, m, h)[0])
+    calls = []
+    cleared = weilpoly._cleared
+    monkeypatch.setattr(weilpoly, "_cleared", lambda coeffs: calls.append(coeffs) or cleared(coeffs))
+    for L in candidates:
+        calls.clear()
+        check_candidate(L, 7)
+        assert len(calls) == 1, format_poly(L)
 
 
 def test_flat_candidate_has_height_zero_profile():
@@ -312,6 +360,23 @@ def test_every_a_the_degree_m_test_skips_fails_unit_circle(monkeypatch):
                 L = reciprocal_transform(F)
                 assert check_candidate(L, p).checks["unit_circle"].status == "fail", (p, m, h, a)
     assert skipped > 0
+
+
+def test_witness_search_builds_one_sturm_chain_per_a(monkeypatch):
+    chains = []
+    build = weilpoly._sturm_chain_ints
+
+    def counting(a):
+        chains.append(a)
+        return build(a)
+
+    monkeypatch.setattr(weilpoly, "_sturm_chain_ints", counting)
+    monkeypatch.setattr(condition, "_sturm_chain_ints", counting)
+    for p, m, h in [(7, 4, 2), (5, 10, 3), (7, 9, 4), (13, 8, 5)]:
+        seed_polynomial(m)
+        chains.clear()
+        _, report = construct_witness(p, m, h)
+        assert len(chains) == sum(1 for a in range(1, report.a + 1) if math.gcd(a, h) == 1)
 
 
 def test_witnesses_match_their_passing_golden_lines():

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import k3cert.weilpoly as weilpoly
+
 from k3cert.arith import is_prime
 from k3cert.weilpoly import (
     NewtonPolygon,
@@ -19,8 +21,9 @@ from k3cert.weilpoly import (
     _coprime_to_derivative_mod,
     _cyclotomic_ints,
     _cyclotomic_residues,
+    _descent_analysis,
     _integer_multiple,
-    _squarefree_power,
+    _squarefree_power_ints,
     cyclotomic,
     cyclotomic_index_list,
     denominators_are_p_power,
@@ -42,9 +45,11 @@ from oracles import (
     count_real_roots_halfopen,
     cyclotomic_factor_index,
     ddf_degree_pattern,
+    descent_squarefree_counterexamples,
     fraction_cyclotomic,
     fraction_newton_polygon,
     fraction_squarefree_power,
+    fraction_unit_circle,
     naive_phi,
     proper_factor_degree_candidates,
     rational_gcd_monic,
@@ -57,6 +62,12 @@ small_coeffs = st.lists(
     min_size=1,
     max_size=7,
 )
+
+
+def _squarefree_power(L):
+    """(R, e) of `_squarefree_power_ints` for L, with R = r / r(0)."""
+    r, e = _squarefree_power_ints(_integer_multiple(L))
+    return RatPoly(tuple(Fraction(c, r[0]) for c in r)), e
 
 
 def poly(*cs):
@@ -638,6 +649,68 @@ def test_squarefree_power_and_polygon_match_fraction_oracles(data):
     got_R, got_e = _squarefree_power(L)
     assert (got_R.coeffs, got_e) == fraction_squarefree_power(L.coeffs)
     assert newton_polygon(L, p).segments == fraction_newton_polygon(L.coeffs, p)
+
+
+def test_palindrome_is_squarefree_iff_its_descent_is_and_misses_plus_minus_two():
+    assert descent_squarefree_counterexamples(4, 2) == []
+
+
+def _seeded_candidates(seed: int, count: int) -> list[RatPoly]:
+    """Products of up to four factors, drawn with repeats: (T +- 1)^2,
+    cyclotomic, off-circle, the worked example, random transforms, and
+    the non-palindromes 1 - T and 1 + 2T."""
+    rng = random.Random(seed)
+    pool = [
+        poly(1, 2, 1),
+        poly(1, -2, 1),
+        poly(1, 0, 1),
+        poly(1, 1, 1),
+        poly(1, -1, 1),
+        poly(1, -3, 1),  # G = x - 3
+        poly(1, Fraction(5, 2), 1),  # roots -2 and -1/2
+        WORKED,
+        poly(1, -1),
+        poly(1, 2),
+    ]
+    out = []
+    for _ in range(count):
+        L = RatPoly.one()
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.3:
+                # F is monic, so its transform has constant term 1
+                F = RatPoly.of(*(Fraction(rng.randint(-4, 4), rng.choice((1, 7, 49))) for _ in range(rng.randint(1, 3))), 1)
+                factor = reciprocal_transform(F)
+            else:
+                factor = rng.choice(pool)
+            L = L * factor
+            if rng.random() < 0.2:
+                L = L * factor
+        out.append(L)
+    return out
+
+
+def test_descent_analysis_matches_the_slow_path_and_the_oracles(monkeypatch):
+    """The descent analysis gives the (R, e) of `_squarefree_power` and the
+    circle verdict of the oracle; where R has no root +-1, that is also
+    `unit_circle_check(R)`."""
+    slow: list = []
+    squarefree_power_ints = weilpoly._squarefree_power_ints
+    monkeypatch.setattr(weilpoly, "_squarefree_power_ints", lambda f: slow.append(f) or squarefree_power_ints(f))
+    corpus = Path(__file__).parent / "golden" / "check_reports.jsonl"
+    candidates = [parse_poly(json.loads(line)["coeffs"]) for line in corpus.read_text().splitlines()]
+    candidates += _seeded_candidates(11, 300)
+    fast = 0
+    for L in candidates:
+        f = _integer_multiple(L)
+        before = len(slow)
+        r, e, on_circle = _descent_analysis(f)
+        fast += len(slow) == before
+        R, slow_e = _squarefree_power(L)
+        assert (RatPoly(tuple(Fraction(c, r[0]) for c in r)), e) == (R, slow_e), format_poly(L)
+        assert on_circle == fraction_unit_circle(L.coeffs), format_poly(L)
+        if R.evaluate(1) and R.evaluate(-1):
+            assert on_circle == unit_circle_check(R), format_poly(L)
+    assert fast > 300 and len(candidates) - fast > 200  # both paths run
 
 
 def test_denominators_are_p_power():
