@@ -39,7 +39,6 @@ from .arith import check_prime
 from .weilpoly import (
     NewtonPolygon,
     RatPoly,
-    _cyclotomic_index_ints,
     _descent_analysis,
     _integer_multiple,
     _off_p_indices,
@@ -137,11 +136,12 @@ def check_candidate(L: RatPoly, p: int) -> CandidateReport:
     L is cleared of denominators once, and the six checks are read from
     one analysis.  The roots of a palindrome L = T^m G(T + 1/T) are the
     root pairs of T^2 - xT + 1 over the roots x of G, and a pair coincides
-    only at x = +-2.  So L is squarefree, with e = 1, iff G is squarefree
-    and G(2) G(-2) != 0, and the one Sturm chain of G that shows it also
-    counts the m roots of G in [-2, 2] that `unit_circle` needs.  Any other
-    L (not a palindrome, a repeated root of G or a root at +-2) takes the
-    circle test on its squarefree part R, T - 1 and T + 1 divided out.
+    only at x = +-2.  So when G(2) G(-2) != 0, one Sturm chain of G gives
+    the squarefree part s of G, whose transform is R up to a constant, and
+    e with G = s^e; it counts the roots of G in [-2, 2] that `unit_circle`
+    needs, and the cyclotomic scan runs on s.  Any other L (not a
+    palindrome, or a root of G at +-2) takes the circle test on its
+    squarefree part R, T - 1 and T + 1 divided out.
     """
     return _check_candidate(L, p)
 
@@ -159,10 +159,9 @@ def _check_candidate(L: RatPoly, p: int, chain: list[list[int]] | None = None) -
 
     f = _integer_multiple(L)
     polygon = _polygon_ints(f, p)
-    # r has the roots of L, each once, and Phi_k divides L iff it divides
-    # r.  e is None unless L = R^e for R = r / r(0).
-    r, e, on_circle = _descent_analysis(f, chain)
-    cyc = _cyclotomic_index_ints(r)
+    # r has the roots of L, each once; e is None unless L = R^e for
+    # R = r / r(0).
+    r, e, on_circle, cyc = _descent_analysis(f, chain)
     offending = _off_p_indices(L, p)
 
     h = a = None

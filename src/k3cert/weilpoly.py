@@ -17,13 +17,21 @@ Real root counting is exact, by Sturm chains.  For a squarefree f the
 sign variations V(x) of the chain keep their value just right of a root
 and drop by one just left of it, so V(lo) - V(hi) counts the distinct
 roots in (lo, hi], endpoint roots included.  The chain is a remainder
-sequence of (f, f'), so it ends in gcd(f, f') and doubles as the
-squarefree test.  A palindrome L = T^m G(T + 1/T) of degree 2m needs
-only the chain of G: its roots are the root pairs of T^2 - xT + 1 over
-the roots x of G, on the unit circle iff x is real in [-2, 2], and a
-pair coincides only at x = +-2.  So L is squarefree iff G is squarefree
-and G(2) G(-2) != 0, and then all roots of L lie on the circle iff
-V(-2) - V(2) = m.
+sequence of (f, f'), so it ends in d, a constant multiple of gcd(f, f'),
+and doubles as the squarefree test.  Dividing every member by d gives a
+chain of the squarefree f / d, with the same V(x) wherever d(x) != 0; so
+for any f the count V(lo) - V(hi) is that of the distinct roots when
+d(lo) d(hi) != 0.
+
+A palindrome L = T^m G(T + 1/T) of degree 2m needs only the chain of G:
+its roots are the root pairs of T^2 - xT + 1 over the roots x of G, on
+the unit circle iff x is real in [-2, 2], and a pair coincides only at
+x = +-2.  So when G(2) G(-2) != 0, the squarefree part of L is the
+transform of s = G / d, L is a power of it iff G is the same power of s,
+L is squarefree iff d is a constant, and all roots of L lie on the circle
+iff V(-2) - V(2) = deg s.  Neither T - 1 nor T + 1 divides L then, and
+for k >= 3, Phi_k = T^(phi(k)/2) psi_k(T + 1/T) with psi_k irreducible,
+so Phi_k divides L iff psi_k divides s, at half the degree.
 
 The candidate analysis runs in Z[T]: its denominators are cleared once,
 and the public functions wrap private kernels on primitive integer lists
@@ -37,10 +45,12 @@ squarefree part R of a candidate.
 Two residue screens run before the Z[T] kernels, and each can only rule
 a fact out.  If Phi_k divides f, then f(w) = 0 mod ell for any root w of
 Phi_k mod a prime ell, so a nonzero residue proves Phi_k does not divide
-f; if f mod ell keeps its degree and is coprime to its derivative, f is
-squarefree.  Only `_prem` reports a cyclotomic factor and only
-`_gcd_ints` a repeated root.  The cyclotomic screen's primes and roots
-are cached per k, never per input.
+f; the same holds for psi_k and s at its root x = w + 1/w mod ell.  If f
+mod ell keeps its degree and is coprime to its derivative, f is
+squarefree.  Only `_prem` reports a cyclotomic factor, and only
+`_gcd_ints` or a nonconstant last member of a Sturm chain a repeated
+root.  The cyclotomic screen's primes and roots are cached per k, never
+per input.
 """
 
 from __future__ import annotations
@@ -144,13 +154,11 @@ class RatPoly:
         if isinstance(other, RatPoly):
             if self.is_zero or other.is_zero:
                 return RatPoly(())
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return RatPoly(tuple(out))
+            # (A / D1) (B / D2) = A B / (D1 D2) for the cleared numerators A, B
+            D1, a = _cleared(self.coeffs)
+            D2, b = _cleared(other.coeffs)
+            D = D1 * D2
+            return RatPoly(tuple(Fraction(c, D) for c in _mul_ints(a, b)))
         return RatPoly(tuple(c * Fraction(other) for c in self.coeffs))
 
     __rmul__ = __mul__
@@ -303,15 +311,20 @@ def reciprocal_transform(f: RatPoly) -> RatPoly:
     """Return L(T) = T^m * f(T + 1/T) for m = deg f; L is self-reciprocal of degree 2m."""
     if f.is_zero:
         raise ValueError("cannot transform the zero polynomial")
-    m = f.degree
     D, cs = _cleared(f.coeffs)
-    # T^m (T + 1/T)^k = T^(m-k) (T^2+1)^k = sum_j C(k, j) T^(m-k+2j)
-    out = [0] * (2 * m + 1)
-    for k, c in enumerate(cs):
+    return RatPoly(tuple(Fraction(c, D) for c in _transform_ints(cs)))
+
+
+def _transform_ints(s: list[int]) -> list[int]:
+    """T^n s(T + 1/T) for the nonzero integer s of degree n; `_descent_ints` inverts it."""
+    n = len(s) - 1
+    # T^n (T + 1/T)^k = T^(n-k) (T^2+1)^k = sum_j C(k, j) T^(n-k+2j)
+    out = [0] * (2 * n + 1)
+    for k, c in enumerate(s):
         if c:
             for j, b in enumerate(_binomial_row(k)):
-                out[m - k + 2 * j] += c * b
-    return RatPoly(tuple(Fraction(c, D) for c in out))
+                out[n - k + 2 * j] += c * b
+    return out
 
 
 def symmetric_descent(L: RatPoly) -> RatPoly | None:
@@ -421,29 +434,45 @@ def _unit_circle_ints(f: list[int]) -> bool:
     return len(chain[-1]) == 1 and _window_count(chain) == len(chain[0]) - 1
 
 
-def _descent_analysis(f: list[int], chain: list[list[int]] | None = None) -> tuple[list[int], int | None, bool]:
-    """(r, e, on_circle) for the primitive integer multiple f of some L
-    with L(0) = 1: r and e as in `_squarefree_power_ints`, and whether
-    every root of L lies on the unit circle.
+def _descent_analysis(
+    f: list[int], chain: list[list[int]] | None = None
+) -> tuple[list[int], int | None, bool, int | None]:
+    """(r, e, on_circle, cyc) for the primitive integer multiple f of some
+    L with L(0) = 1: r and e as in `_squarefree_power_ints`, whether every
+    root of L lies on the unit circle, and the smallest k with Phi_k
+    dividing L, or None.
 
-    A palindrome f of even degree descends to g.  When the Sturm chain of
-    g ends in a constant and g(2) g(-2) != 0, f is squarefree (see the
-    module docstring) and the same chain reads the circle; a caller that
-    has that chain passes it.  Otherwise the circle test runs on the
+    A palindrome f of even degree descends to g.  When g(2) g(-2) != 0,
+    one Sturm chain of g answers all four (see the module docstring); a
+    caller that has that chain passes it.  Its last member d is a constant
+    multiple of gcd(g, g'), so s = g / d is the squarefree part of g, r
+    is the transform of s, and e is the exponent with g = s^e, because
+    the transform is multiplicative and one-to-one.  The cyclotomic scan
+    runs on s (`_psi_index_ints`).  Otherwise the circle test runs on the
     squarefree r with T - 1 and T + 1 divided out: the roots z of the
     rest, none of them +-1, lie on the circle iff they pair up with
     1/z = conj(z), that is iff the rest passes `_unit_circle_ints`.
     """
     if chain is None and len(f) % 2 and f == f[::-1]:
         chain = _sturm_chain_ints(_descent_ints(list(f)))
-    if chain is not None and len(chain[-1]) == 1 and _at(chain[0], 2) and _at(chain[0], -2):
-        return f, 1, _variations(chain, -2) - _variations(chain, 2) == len(chain[0]) - 1
+    if chain is not None and _at(chain[0], 2) and _at(chain[0], -2):
+        g, d = chain[0], chain[-1]
+        if len(d) == 1:
+            s, r, e = g, f, 1
+        else:
+            # s is primitive by Gauss's lemma, as g is; lc(g) = lc(f) > 0
+            s = _divexact(g, d)
+            if s[-1] < 0:
+                s = [-c for c in s]
+            r, e = _transform_ints(s), _power_exponent(s, g)
+        on_circle = _variations(chain, -2) - _variations(chain, 2) == len(s) - 1
+        return r, e, on_circle, _psi_index_ints(s)
     r, e = _squarefree_power_ints(f)
     rest = r
     for root in (1, -1):  # each divides the squarefree r at most once
         if _at(rest, root) == 0:
             rest = _divexact(rest, [-root, 1])
-    return r, e, len(rest) == 1 or _unit_circle_ints(rest)
+    return r, e, len(rest) == 1 or _unit_circle_ints(rest), _cyclotomic_index_ints(r)
 
 
 def euler_phi(k: int) -> int:
@@ -554,6 +583,33 @@ def _cyclotomic_index_ints(f: list[int]) -> int | None:
     return None
 
 
+@lru_cache(maxsize=None)
+def _psi_ints(k: int) -> tuple[int, ...]:
+    """psi_k with Phi_k = T^(phi(k)/2) psi_k(T + 1/T), for k >= 3: the
+    minimal polynomial of 2 cos(2 pi / k), monic in Z[x]."""
+    return tuple(_descent_ints(list(_cyclotomic_ints(k))))
+
+
+def _psi_index_ints(s: list[int]) -> int | None:
+    """`_cyclotomic_index_ints` on the transform of the integer s with
+    s(2) s(-2) != 0, computed on s.
+
+    The transform has no root +-1, so neither Phi_1 nor Phi_2 divides it.
+    For k >= 3, Phi_k divides it iff the root 2 cos(2 pi / k) of the
+    irreducible psi_k is a root of s, that is iff psi_k divides s.  The
+    indices run in the same order, so the smallest k is the same.  A
+    residue screens each k, as in `has_cyclotomic_factor`: for the root w
+    of Phi_k mod ell in `_cyclotomic_residues(k)`, w^(phi(k)/2) psi_k(x) =
+    Phi_k(w) = 0 mod ell at x = w + 1/w = w + w^(k-1), and psi_k is monic,
+    so psi_k | s forces s(x) = 0 mod ell.  Only `_prem` reports a factor.
+    """
+    for k in _cyclotomic_indices(2 * len(s) - 2)[2:]:
+        ell, powers = _cyclotomic_residues(k)
+        if _at(s, powers[1] + powers[-1]) % ell == 0 and not _prem(s, _psi_ints(k)):
+            return k
+    return None
+
+
 def strip_cyclotomic(P: RatPoly) -> tuple[RatPoly, list[int]]:
     """Divide out all cyclotomic factors, returning (quotient, removed indices).
 
@@ -655,21 +711,28 @@ def _squarefree_power_ints(f: list[int]) -> tuple[list[int], int | None]:
     is squarefree over Q, so r = f and e = 1.  Otherwise, which proves
     nothing, g = gcd(f, f') is primitive, so r = f / g is integral by
     Gauss's lemma, as in Yun (SYMSAC 1976); its sign is chosen so that
-    r(0) > 0.  Then r^e and f are both primitive with a positive constant
-    term, so f = r^e exactly when the integer lists agree.
+    r(0) > 0, and `_power_exponent` finds e.
     """
     if _coprime_to_derivative_mod(f):
         return f, 1
     r = _divexact(f, _gcd_ints(f, _primitive([i * c for i, c in enumerate(f)][1:])))
     if r[0] < 0:
         r = [-c for c in r]
+    return r, _power_exponent(r, f)
+
+
+def _power_exponent(r: list[int], f: list[int]) -> int | None:
+    """e with f = r^e, or None, for primitive integer r and f with deg r >= 1
+    and r(0), f(0) > 0, or lc(r), lc(f) > 0.  Then r^e and f are primitive
+    with that coefficient positive, so f = r^e over Q exactly when the
+    integer lists agree."""
     e, rem = divmod(len(f) - 1, len(r) - 1)
     if rem:
-        return r, None
+        return None
     power = r
     for _ in range(e - 1):
         power = _mul_ints(power, r)
-    return r, (e if power == f else None)
+    return e if power == f else None
 
 
 _SQUAREFREE_SCREEN_PRIME = (1 << 31) - 1
@@ -767,18 +830,18 @@ def kronecker_certificate(R: RatPoly, p: int) -> IrreducibilityCertificate:
     """Certify that R is irreducible over Q, or report "unknown".
 
     R must be squarefree with R(0) = 1; `_descent_analysis` proves that
-    and the circle premise, as in `check_candidate`.  The sufficient
-    premises: the Newton polygon of R at p is the symmetric pure-slope
-    shape with coprime (a, h); R has no cyclotomic factor; all roots of R
-    lie on the unit circle; and every coefficient denominator is a power
-    of p.  Together these force irreducibility: any proper factor with
+    and gives the circle and cyclotomic premises, as in `check_candidate`.
+    The sufficient premises: the Newton polygon of R at p is the symmetric
+    pure-slope shape with coprime (a, h); R has no cyclotomic factor; all
+    roots of R lie on the unit circle; and every coefficient denominator
+    is a power of p.  Together these force irreducibility: any proper factor with
     unit-root constraints would be cyclotomic by Kronecker's theorem.
     """
     check_prime(p)
     if R.is_zero or R.constant != 1:
         raise ValueError("certificate needs R(0) = 1")
     f = _integer_multiple(R)
-    _, e, on_circle = _descent_analysis(f)
+    _, e, on_circle, cyc = _descent_analysis(f)
     if e != 1:
         raise ValueError("certificate needs a squarefree polynomial")
     polygon = _polygon_ints(f, p)
@@ -787,7 +850,6 @@ def kronecker_certificate(R: RatPoly, p: int) -> IrreducibilityCertificate:
     pure = symmetric and slope.denominator == h
     if symmetric:
         detail.update({"h": h, "a": -slope.numerator if pure else None})
-    cyc = _cyclotomic_index_ints(f)
     if cyc is not None:
         detail["cyclotomic_index"] = cyc
     premises = {

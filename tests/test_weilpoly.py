@@ -23,6 +23,7 @@ from k3cert.weilpoly import (
     _cyclotomic_residues,
     _descent_analysis,
     _integer_multiple,
+    _psi_ints,
     _squarefree_power_ints,
     cyclotomic,
     cyclotomic_index_list,
@@ -47,12 +48,15 @@ from oracles import (
     ddf_degree_pattern,
     descent_squarefree_counterexamples,
     fraction_cyclotomic,
+    fraction_descent,
     fraction_newton_polygon,
     fraction_squarefree_power,
     fraction_unit_circle,
     naive_phi,
     proper_factor_degree_candidates,
     rational_gcd_monic,
+    _q_mul,
+    _q_trim,
 )
 
 WORKED = RatPoly.of(1, Fraction(1, 7), 1, Fraction(1, 7), 1)
@@ -108,6 +112,18 @@ def test_arithmetic_identities():
     assert f * RatPoly.zero() == RatPoly.zero()
     assert (f * g).degree == 3
     assert f * 2 == poly(2, 4, 6)
+
+
+@given(small_coeffs, small_coeffs)
+@example([0], [1, 2])
+@example([Fraction(-3, 4)], [Fraction(1, 6), 0, -5])
+@example([-1, Fraction(2, 9), Fraction(-7, 3)], [0, -4, Fraction(1, 2)])
+def test_mul_matches_fraction_products(fc, gc):
+    f, g = RatPoly.of(*fc), RatPoly.of(*gc)
+    want = tuple(_q_trim(_q_mul(f.coeffs, g.coeffs))) if f.coeffs and g.coeffs else ()
+    assert (f * g).coeffs == want
+    assert (g * f).coeffs == want
+    assert all(type(c) is Fraction for c in (f * g).coeffs)
 
 
 def test_divmod_exact_cases():
@@ -467,6 +483,38 @@ def test_zero_residue_without_a_cyclotomic_factor(k):
     assert cyclotomic_factor_index(L.coeffs) is None
 
 
+def test_psi_is_the_descent_of_phi_k():
+    for k in cyclotomic_index_list(20)[2:]:
+        assert _psi_ints(k) == tuple(int(c) for c in fraction_descent(fraction_cyclotomic(k))), k
+
+
+def _psi_root(k: int) -> tuple[int, int]:
+    """(ell, w + 1/w) for the root w of Phi_k mod ell that screens k."""
+    ell, powers = _cyclotomic_residues(k)
+    return ell, powers[1] + powers[-1]
+
+
+def test_psi_screen_point_is_a_root_of_psi_k():
+    for k in cyclotomic_index_list(20)[2:]:
+        ell, x = _psi_root(k)
+        assert sum(c * x**i for i, c in enumerate(_psi_ints(k))) % ell == 0, k
+
+
+@pytest.mark.parametrize("k", [3, 5, 7, 12, 25, 33])
+def test_zero_residue_without_a_psi_factor(k):
+    # s = psi_k + ell vanishes at x mod ell, so the residue screen cannot
+    # rule psi_k out; only the division does.  s(+-2) = psi_k(+-2) + ell
+    # != 0, so the analysis reads the transform of s from its chain.
+    ell, x = _psi_root(k)
+    s = [_psi_ints(k)[0] + ell, *_psi_ints(k)[1:]]
+    assert sum(c * x**i for i, c in enumerate(s)) % ell == 0
+    L = reciprocal_transform(RatPoly.of(*s))
+    f = _integer_multiple(L)
+    assert _descent_path(L) == "squarefree"
+    assert _descent_analysis(f)[3] is None
+    assert cyclotomic_factor_index(L.coeffs) is None
+
+
 def test_strip_cyclotomic_worked_example():
     dressed = poly(1, -1) * poly(1, -1) * cyclotomic(3) * WORKED
     bare, removed = strip_cyclotomic(dressed)
@@ -657,8 +705,8 @@ def test_palindrome_is_squarefree_iff_its_descent_is_and_misses_plus_minus_two()
 
 def _seeded_candidates(seed: int, count: int) -> list[RatPoly]:
     """Products of up to four factors, drawn with repeats: (T +- 1)^2,
-    cyclotomic, off-circle, the worked example, random transforms, and
-    the non-palindromes 1 - T and 1 + 2T."""
+    alone and times Phi_5 or Phi_12, cyclotomic, off-circle, the worked
+    example, random transforms, and the non-palindromes 1 - T and 1 + 2T."""
     rng = random.Random(seed)
     pool = [
         poly(1, 2, 1),
@@ -671,6 +719,8 @@ def _seeded_candidates(seed: int, count: int) -> list[RatPoly]:
         WORKED,
         poly(1, -1),
         poly(1, 2),
+        poly(1, 2, 1) * cyclotomic(5),  # G = (x + 2)^2 psi_5
+        poly(1, -2, 1) * cyclotomic(12),
     ]
     out = []
     for _ in range(count):
@@ -689,28 +739,47 @@ def _seeded_candidates(seed: int, count: int) -> list[RatPoly]:
     return out
 
 
+def _descent_path(L: RatPoly) -> str:
+    """Which path of `_descent_analysis` L should take, decided over Q: a
+    palindrome of even degree whose descent G has G(2) G(-2) != 0 is read
+    from the chain of G, "squarefree" or "repeated" as G is; any other L
+    takes the "fallback"."""
+    cs = list(L.coeffs)
+    if len(cs) % 2 == 0 or cs != cs[::-1]:
+        return "fallback"
+    G = RatPoly(tuple(fraction_descent(cs)))
+    if not (G.evaluate(2) and G.evaluate(-2)):
+        return "fallback"
+    return "squarefree" if len(rational_gcd_monic(G.coeffs, G.derivative().coeffs)) == 1 else "repeated"
+
+
 def test_descent_analysis_matches_the_slow_path_and_the_oracles(monkeypatch):
-    """The descent analysis gives the (R, e) of `_squarefree_power` and the
-    circle verdict of the oracle; where R has no root +-1, that is also
-    `unit_circle_check(R)`."""
+    """The descent analysis gives the (r, e) of `_squarefree_power_ints`
+    and the circle verdict and cyclotomic index of the oracles; where R has no
+    root +-1, the circle verdict is also `unit_circle_check(R)`.  Only the
+    fallback runs `_squarefree_power_ints`, and each path runs often."""
     slow: list = []
     squarefree_power_ints = weilpoly._squarefree_power_ints
     monkeypatch.setattr(weilpoly, "_squarefree_power_ints", lambda f: slow.append(f) or squarefree_power_ints(f))
     corpus = Path(__file__).parent / "golden" / "check_reports.jsonl"
     candidates = [parse_poly(json.loads(line)["coeffs"]) for line in corpus.read_text().splitlines()]
     candidates += _seeded_candidates(11, 300)
-    fast = 0
+    candidates += [L * L for L in _seeded_candidates(12, 100) if L.degree <= 8]
+    paths = {"squarefree": 0, "repeated": 0, "fallback": 0}
     for L in candidates:
         f = _integer_multiple(L)
         before = len(slow)
-        r, e, on_circle = _descent_analysis(f)
-        fast += len(slow) == before
-        R, slow_e = _squarefree_power(L)
-        assert (RatPoly(tuple(Fraction(c, r[0]) for c in r)), e) == (R, slow_e), format_poly(L)
+        r, e, on_circle, cyc = _descent_analysis(f)
+        path = _descent_path(L)
+        paths[path] += 1
+        assert (len(slow) > before) == (path == "fallback"), format_poly(L)
+        assert (r, e) == squarefree_power_ints(f), format_poly(L)
+        R = RatPoly(tuple(Fraction(c, r[0]) for c in r))
         assert on_circle == fraction_unit_circle(L.coeffs), format_poly(L)
+        assert cyc == cyclotomic_factor_index(L.coeffs), format_poly(L)
         if R.evaluate(1) and R.evaluate(-1):
             assert on_circle == unit_circle_check(R), format_poly(L)
-    assert fast > 300 and len(candidates) - fast > 200  # both paths run
+    assert min(paths.values()) > 80, paths
 
 
 def test_denominators_are_p_power():
