@@ -83,6 +83,10 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:
+        # the witnesses are the primes below 41, and a composite n < 41^2
+        # has a prime factor below sqrt(n)
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:

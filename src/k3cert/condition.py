@@ -24,8 +24,11 @@ the field where the slope profile has the shape -1/h, 0, 1/h.
 Witness construction: `construct_witness(p, m, h)` perturbs a fixed
 totally-real seed polynomial of degree m by p^(-a) * T^(m-h), transforms
 it to a degree-2m self-reciprocal candidate, and returns the first a
-(coprime to h, searched upward) whose candidate passes.  For even h at
-m = 10 the square of a degree-10 witness is used instead, giving e = 2.
+(coprime to h, searched upward) whose candidate passes.  The search runs
+in Z[T] on p^a times the perturbed seed and its transform, and the six
+checks read that integer transform directly; the returned witness is the
+only `RatPoly` the search builds.  For even h at m = 10 the square of a
+degree-10 witness is used instead, giving e = 2.
 """
 
 from __future__ import annotations
@@ -39,15 +42,17 @@ from .arith import check_prime
 from .weilpoly import (
     NewtonPolygon,
     RatPoly,
+    _at,
     _descent_analysis,
+    _flat_length,
     _integer_multiple,
     _off_p_indices,
     _polygon_ints,
     _slope_shape,
     _sturm_chain_ints,
-    _window_count,
+    _transform_ints,
+    _variations,
     format_poly,
-    reciprocal_transform,
     sturm_count,
 )
 
@@ -141,28 +146,31 @@ def check_candidate(L: RatPoly, p: int) -> CandidateReport:
     e with G = s^e; it counts the roots of G in [-2, 2] that `unit_circle`
     needs, and the cyclotomic scan runs on s.  Any other L (not a
     palindrome, or a root of G at +-2) takes the circle test on its
-    squarefree part R, T - 1 and T + 1 divided out.
+    squarefree part R, T - 1 and T + 1 divided out.  The cyclotomic scan
+    stops at the length of the polygon's slope-0 segment.
     """
-    return _check_candidate(L, p)
-
-
-def _check_candidate(L: RatPoly, p: int, chain: list[list[int]] | None = None) -> CandidateReport:
-    """`check_candidate`, given the Sturm chain of G for L = T^m G(T + 1/T) if the caller has it."""
     check_prime(p)
     if L.is_zero or L.constant != 1:
         raise ValueError("candidate must have constant term 1")
     if L.degree % 2 != 0 or L.degree < 2:
         raise ValueError("candidate must have even degree >= 2")
-    m = L.degree // 2
-    if m > MAX_M:
+    if L.degree > 2 * MAX_M:
         raise ValueError(f"candidate degree exceeds 2*{MAX_M}")
+    return _check_candidate(_integer_multiple(L), p)
 
-    f = _integer_multiple(L)
+
+def _check_candidate(
+    f: list[int], p: int, chain: list[list[int]] | None = None, count: int | None = None
+) -> CandidateReport:
+    """`check_candidate` on the primitive integer multiple f of L, with
+    f(0) > 0, so that L = f / f(0).  A caller that has the Sturm chain of
+    G for L = T^m G(T + 1/T) passes it, and V(-2) - V(2) on it as count."""
+    m = (len(f) - 1) // 2
     polygon = _polygon_ints(f, p)
     # r has the roots of L, each once; e is None unless L = R^e for
     # R = r / r(0).
-    r, e, on_circle, cyc = _descent_analysis(f, chain)
-    offending = _off_p_indices(L, p)
+    r, e, on_circle, cyc = _descent_analysis(f, _flat_length(polygon), chain, count)
+    offending = _off_p_indices(f, f[0], p)
 
     h = a = None
     local = CheckResult("fail", {"reason": "negative part is empty or splits by slope"})
@@ -261,6 +269,12 @@ def seed_polynomial(m: int) -> RatPoly:
     return poly
 
 
+@lru_cache(maxsize=MAX_M)
+def _seed_ints(m: int) -> tuple[int, ...]:
+    """The integer coefficients of the monic `seed_polynomial(m)`."""
+    return tuple(_integer_multiple(seed_polynomial(m)))
+
+
 class WitnessSearchError(RuntimeError):
     """The bounded search over the perturbation exponent a found no passing candidate."""
 
@@ -275,13 +289,19 @@ def construct_witness(
     candidate whose report passes with the requested h.  The cap is a
     diagnostic guard; the search is expected to succeed well before it.
 
+    The search runs in Z[T] on p^a F = p^a seed + T^(m-h), primitive as
+    its coefficients include p^a and 1 mod p.  So is its transform f,
+    the transform being unimodular over Z, and L = f / f(0) = f / p^a is
+    the only `RatPoly` the search builds.
+
     The roots of L = T^m F(T + 1/T) are the two roots of T^2 - xT + 1
     for each root x of F, and they lie on the unit circle iff x is real
     in [-2, 2].  F is the descent of L, so its one Sturm chain serves
     both the search and the check: a squarefree F with fewer than m roots
     in [-2, 2] gives an L that fails `unit_circle`, and that a is skipped
     before the transform; any other chain goes on to `check_candidate`,
-    which reads squarefreeness and the circle from it.
+    which reads squarefreeness and the circle from it and from the sign
+    variations V(-2) - V(2) the search has already counted.
     """
     check_prime(p)
     if not 1 <= h <= m <= MAX_M:
@@ -290,19 +310,22 @@ def construct_witness(
         raise ValueError("a_start must be >= 1")
     if a_start > a_cap:
         raise ValueError(f"a_start = {a_start} exceeds a_cap = {a_cap}")
-    seed = seed_polynomial(m)
-    perturbation_degree = m - h
+    seed = _seed_ints(m)
     for a in range(a_start, a_cap + 1):
         if math.gcd(a, h) != 1:
             continue
-        F = seed + RatPoly.monomial(perturbation_degree, Fraction(1, p**a))
-        chain = _sturm_chain_ints(_integer_multiple(F))
-        if len(chain[-1]) == 1 and _window_count(chain) < m:
+        q = p**a
+        F = [q * c for c in seed]
+        F[m - h] += 1
+        chain = _sturm_chain_ints(F)
+        # V(-2) - V(2) counts the distinct roots of F in (-2, 2]
+        count = _variations(chain, -2) - _variations(chain, 2)
+        if len(chain[-1]) == 1 and count + (_at(F, -2) == 0) < m:
             continue  # so L = T^m F(T + 1/T) has a root off the unit circle
-        L = reciprocal_transform(F)
-        report = _check_candidate(L, p, chain)
+        f = _transform_ints(F)
+        report = _check_candidate(f, p, chain, count)
         if report.passed and report.h == h and report.e == 1:
-            return L, report
+            return RatPoly(tuple(Fraction(c, q) for c in f)), report
     raise WitnessSearchError(
         f"no witness for p={p}, m={m}, h={h} with {a_start} <= a <= {a_cap}; "
         "raise a_cap to search further"

@@ -51,6 +51,12 @@ squarefree.  Only `_prem` reports a cyclotomic factor, and only
 `_gcd_ints` or a nonconstant last member of a Sturm chain a repeated
 root.  The cyclotomic screen's primes and roots are cached per k, never
 per input.
+
+Beside the screens, the Newton polygon bounds the cyclotomic scan of the
+candidate analysis: the roots of Phi_k have p-adic valuation 0, so
+Phi_k | L needs phi(k) <= l_0, the length of the polygon's slope-0
+segment (0 when there is none).  `has_cyclotomic_factor` has no p and
+scans every k.
 """
 
 from __future__ import annotations
@@ -389,12 +395,6 @@ def _variations(chain: list[list[int]], x: Fraction | int) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _window_count(chain: list[list[int]]) -> int:
-    """Distinct real roots in [-2, 2] of the squarefree chain[0], from its
-    Sturm chain: V(-2) - V(2) counts (-2, 2], and -2 is checked apart."""
-    return _variations(chain, -2) - _variations(chain, 2) + (_at(chain[0], -2) == 0)
-
-
 def sturm_count(f: RatPoly, lo, hi) -> int:
     """Distinct real roots of a squarefree f in the half-open interval (lo, hi].
 
@@ -431,20 +431,32 @@ def _unit_circle_ints(f: list[int]) -> bool:
     if len(f) % 2 == 0 or f != f[::-1]:
         return False
     chain = _sturm_chain_ints(_descent_ints(list(f)))  # a palindrome always descends
-    return len(chain[-1]) == 1 and _window_count(chain) == len(chain[0]) - 1
+    if len(chain[-1]) > 1:
+        return False
+    # V(-2) - V(2) counts the distinct roots of G in (-2, 2]; -2 is checked apart
+    in_window = _variations(chain, -2) - _variations(chain, 2) + (_at(chain[0], -2) == 0)
+    return in_window == len(chain[0]) - 1
 
 
 def _descent_analysis(
-    f: list[int], chain: list[list[int]] | None = None
+    f: list[int],
+    flat: int | None = None,
+    chain: list[list[int]] | None = None,
+    count: int | None = None,
 ) -> tuple[list[int], int | None, bool, int | None]:
     """(r, e, on_circle, cyc) for the primitive integer multiple f of some
     L with L(0) = 1: r and e as in `_squarefree_power_ints`, whether every
     root of L lies on the unit circle, and the smallest k with Phi_k
     dividing L, or None.
 
+    Only the k with phi(k) <= flat are scanned, for flat the length of
+    the slope-0 segment of L's Newton polygon at some p (see the module
+    docstring), or every k when flat is None.
+
     A palindrome f of even degree descends to g.  When g(2) g(-2) != 0,
     one Sturm chain of g answers all four (see the module docstring); a
-    caller that has that chain passes it.  Its last member d is a constant
+    caller that has that chain passes it, and with it count = V(-2) - V(2)
+    on the chain if it has that too.  Its last member d is a constant
     multiple of gcd(g, g'), so s = g / d is the squarefree part of g, r
     is the transform of s, and e is the exponent with g = s^e, because
     the transform is multiplicative and one-to-one.  The cyclotomic scan
@@ -453,6 +465,8 @@ def _descent_analysis(
     rest, none of them +-1, lie on the circle iff they pair up with
     1/z = conj(z), that is iff the rest passes `_unit_circle_ints`.
     """
+    if flat is None:
+        flat = len(f) - 1
     if chain is None and len(f) % 2 and f == f[::-1]:
         chain = _sturm_chain_ints(_descent_ints(list(f)))
     if chain is not None and _at(chain[0], 2) and _at(chain[0], -2):
@@ -465,14 +479,15 @@ def _descent_analysis(
             if s[-1] < 0:
                 s = [-c for c in s]
             r, e = _transform_ints(s), _power_exponent(s, g)
-        on_circle = _variations(chain, -2) - _variations(chain, 2) == len(s) - 1
-        return r, e, on_circle, _psi_index_ints(s)
+        if count is None:
+            count = _variations(chain, -2) - _variations(chain, 2)
+        return r, e, count == len(s) - 1, _psi_index_ints(s, flat)
     r, e = _squarefree_power_ints(f)
     rest = r
     for root in (1, -1):  # each divides the squarefree r at most once
         if _at(rest, root) == 0:
             rest = _divexact(rest, [-root, 1])
-    return r, e, len(rest) == 1 or _unit_circle_ints(rest), _cyclotomic_index_ints(r)
+    return r, e, len(rest) == 1 or _unit_circle_ints(rest), _cyclotomic_index_ints(r, flat)
 
 
 def euler_phi(k: int) -> int:
@@ -570,12 +585,14 @@ def has_cyclotomic_factor(L: RatPoly) -> int | None:
     """
     if L.is_zero:
         raise ValueError("zero polynomial")
-    return _cyclotomic_index_ints(_cleared(L.coeffs)[1])
+    cs = _cleared(L.coeffs)[1]
+    return _cyclotomic_index_ints(cs, len(cs) - 1)
 
 
-def _cyclotomic_index_ints(f: list[int]) -> int | None:
-    """`has_cyclotomic_factor` on a nonzero integer multiple f of L."""
-    for k in _cyclotomic_indices(len(f) - 1):
+def _cyclotomic_index_ints(f: list[int], flat: int) -> int | None:
+    """`has_cyclotomic_factor` on a nonzero integer multiple f of L, over
+    the k with phi(k) <= flat (see `_descent_analysis`)."""
+    for k in _cyclotomic_indices(min(len(f) - 1, flat)):
         ell, powers = _cyclotomic_residues(k)
         folded = f if len(f) <= k else [sum(f[j::k]) for j in range(k)]
         if sum(map(operator.mul, folded, powers)) % ell == 0 and not _prem(f, _cyclotomic_ints(k)):
@@ -590,9 +607,9 @@ def _psi_ints(k: int) -> tuple[int, ...]:
     return tuple(_descent_ints(list(_cyclotomic_ints(k))))
 
 
-def _psi_index_ints(s: list[int]) -> int | None:
-    """`_cyclotomic_index_ints` on the transform of the integer s with
-    s(2) s(-2) != 0, computed on s.
+def _psi_index_ints(s: list[int], flat: int) -> int | None:
+    """`_cyclotomic_index_ints(transform of s, flat)` for the integer s
+    with s(2) s(-2) != 0, computed on s.
 
     The transform has no root +-1, so neither Phi_1 nor Phi_2 divides it.
     For k >= 3, Phi_k divides it iff the root 2 cos(2 pi / k) of the
@@ -603,7 +620,7 @@ def _psi_index_ints(s: list[int]) -> int | None:
     Phi_k(w) = 0 mod ell at x = w + 1/w = w + w^(k-1), and psi_k is monic,
     so psi_k | s forces s(x) = 0 mod ell.  Only `_prem` reports a factor.
     """
-    for k in _cyclotomic_indices(2 * len(s) - 2)[2:]:
+    for k in _cyclotomic_indices(min(2 * len(s) - 2, flat))[2:]:
         ell, powers = _cyclotomic_residues(k)
         if _at(s, powers[1] + powers[-1]) % ell == 0 and not _prem(s, _psi_ints(k)):
             return k
@@ -686,6 +703,11 @@ def _polygon_ints(f: list[int], p: int) -> NewtonPolygon:
         for (x1, y1), (x2, y2) in zip(hull, hull[1:])
     )
     return NewtonPolygon(segs)
+
+
+def _flat_length(polygon: NewtonPolygon) -> int:
+    """Length of the slope-0 segment of polygon, 0 when it has none."""
+    return next((l for s, l in polygon.segments if s == 0), 0)
 
 
 def squarefree_decompose(L: RatPoly) -> tuple[RatPoly, int] | None:
@@ -772,19 +794,21 @@ def _coprime_to_derivative_mod(f: list[int]) -> bool:
 def denominators_are_p_power(P: RatPoly, p: int) -> bool:
     """True when every coefficient denominator is a power of p (i.e. P is integral away from p)."""
     check_prime(p)
-    return not _off_p_indices(P, p)
+    D, cs = _cleared(P.coeffs)
+    return not _off_p_indices(cs, D, p)
 
 
-def _off_p_indices(P: RatPoly, p: int) -> list[int]:
-    """Indices of the coefficients of P whose denominator is not a power of p."""
-    bad = []
-    for i, c in enumerate(P.coeffs):
-        d = c.denominator
-        while d % p == 0:
-            d //= p
-        if d != 1:
-            bad.append(i)
-    return bad
+def _off_p_indices(cs: list[int], D: int, p: int) -> list[int]:
+    """Indices i at which cs[i] / D, for D > 0, has a denominator that is
+    not a power of p.
+
+    With D = p^k u and u prime to p, that denominator D / gcd(cs[i], D)
+    is a power of p iff u divides cs[i].
+    """
+    u = D
+    while u % p == 0:
+        u //= p
+    return [i for i, c in enumerate(cs) if c % u]
 
 
 @dataclass(frozen=True)
@@ -841,10 +865,10 @@ def kronecker_certificate(R: RatPoly, p: int) -> IrreducibilityCertificate:
     if R.is_zero or R.constant != 1:
         raise ValueError("certificate needs R(0) = 1")
     f = _integer_multiple(R)
-    _, e, on_circle, cyc = _descent_analysis(f)
+    polygon = _polygon_ints(f, p)
+    _, e, on_circle, cyc = _descent_analysis(f, _flat_length(polygon))
     if e != 1:
         raise ValueError("certificate needs a squarefree polynomial")
-    polygon = _polygon_ints(f, p)
     detail: dict = {"segments": polygon.to_json()}
     slope, h, symmetric = _slope_shape(polygon) or (None, None, False)
     pure = symmetric and slope.denominator == h
@@ -856,7 +880,7 @@ def kronecker_certificate(R: RatPoly, p: int) -> IrreducibilityCertificate:
         "pure_negative_slope": pure,
         "no_cyclotomic_factor": cyc is None,
         "unit_circle": on_circle,
-        "denominators_p_power": not _off_p_indices(R, p),
+        "denominators_p_power": not _off_p_indices(f, f[0], p),
     }
     verdict = "certified" if all(premises.values()) else "unknown"
     return IrreducibilityCertificate(verdict, premises, detail)

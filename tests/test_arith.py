@@ -49,6 +49,24 @@ def test_is_prime_carmichael_and_large():
     assert not is_prime(2**61 + 1)
 
 
+def test_is_prime_matches_a_sieve_below_ten_to_the_five():
+    n = 10**5
+    sieve = [False, False] + [True] * (n - 2)
+    for q in range(2, 317):  # 317^2 > 10^5
+        if sieve[q]:
+            sieve[q * q :: q] = [False] * len(range(q * q, n, q))
+    assert [k for k in range(n) if is_prime(k)] == [k for k in range(n) if sieve[k]]
+
+
+def test_is_prime_below_41_squared_needs_no_modular_power(monkeypatch):
+    calls = []
+    monkeypatch.setattr(arith, "pow", lambda *args: calls.append(args) or pow(*args), raising=False)
+    assert [q for q in range(41, 200) if is_prime(q)][:3] == [41, 43, 47]
+    assert is_prime(1669)
+    assert calls == []
+    assert not is_prime(1681) and calls  # 41^2, the first n past the shortcut
+
+
 def test_is_prime_range_guard():
     with pytest.raises(ValueError):
         is_prime(2**64)

@@ -340,13 +340,15 @@ def _report_line(p: int, L: RatPoly, report) -> str:
 
 
 def test_every_a_the_degree_m_test_skips_fails_unit_circle(monkeypatch):
-    transformed: list[RatPoly] = []
+    # the search transforms the integer multiple p^a F of each a it keeps
+    transformed: list[list[int]] = []
+    transform = weilpoly._transform_ints
 
     def recording(F):
-        transformed.append(F)
-        return reciprocal_transform(F)
+        transformed.append(list(F))
+        return transform(F)
 
-    monkeypatch.setattr(condition, "reciprocal_transform", recording)
+    monkeypatch.setattr(condition, "_transform_ints", recording)
     skipped = 0
     for p, m, h in ACCEPTANCE_GRID:
         if m == 10 and h % 2 == 0:
@@ -355,7 +357,7 @@ def test_every_a_the_degree_m_test_skips_fails_unit_circle(monkeypatch):
         _, report = construct_witness(p, m, h)
         for a in range(1, report.a + 1):
             F = seed_polynomial(m) + RatPoly.monomial(m - h, Fraction(1, p**a))
-            if math.gcd(a, h) == 1 and F not in transformed:
+            if math.gcd(a, h) == 1 and [int(c * p**a) for c in F.coeffs] not in transformed:
                 skipped += 1
                 L = reciprocal_transform(F)
                 assert check_candidate(L, p).checks["unit_circle"].status == "fail", (p, m, h, a)
@@ -377,6 +379,51 @@ def test_witness_search_builds_one_sturm_chain_per_a(monkeypatch):
         chains.clear()
         _, report = construct_witness(p, m, h)
         assert len(chains) == sum(1 for a in range(1, report.a + 1) if math.gcd(a, h) == 1)
+
+
+# at p = 2 some a pass the degree-m test and fail the check, so these
+# triples send rejected a through the whole candidate analysis
+REJECTING_TRIPLES = [(2, 3, 1), (2, 4, 3), (2, 7, 3), (7, 4, 2), (5, 10, 3)]
+
+
+def _counting(monkeypatch, name: str, *modules) -> list:
+    calls = []
+    original = getattr(modules[0], name)
+    for module in modules:
+        monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def test_witness_search_counts_the_sign_variations_once_per_chain(monkeypatch):
+    chains = _counting(monkeypatch, "_sturm_chain_ints", weilpoly, condition)
+    variations = _counting(monkeypatch, "_variations", weilpoly, condition)
+    checks = _counting(monkeypatch, "_check_candidate", condition)
+    for p, m, h in REJECTING_TRIPLES:
+        seed_polynomial(m)
+        for calls in (chains, variations, checks):
+            calls.clear()
+        construct_witness(p, m, h)
+        assert len(variations) == 2 * len(chains), (p, m, h)
+        if p == 2:
+            assert len(checks) > 1, (p, m, h)
+
+
+def test_witness_search_builds_no_fractions_for_a_rejected_a(monkeypatch):
+    for p, m, h in REJECTING_TRIPLES:
+        construct_witness(p, m, h)  # fills the per-m seed caches
+    checks = _counting(monkeypatch, "_check_candidate", condition)
+    cleared = _counting(monkeypatch, "_cleared", weilpoly)
+    transforms = _counting(monkeypatch, "reciprocal_transform", weilpoly)
+    for p, m, h in REJECTING_TRIPLES:
+        for calls in (checks, cleared, transforms):
+            calls.clear()
+        L, report = construct_witness(p, m, h)
+        assert (cleared, transforms) == ([], []), (p, m, h)
+        if p == 2:
+            assert len(checks) > 1, (p, m, h)
+        # the witness is the transform of seed + p^(-a) T^(m-h), as a RatPoly
+        F = seed_polynomial(m) + RatPoly.monomial(m - h, Fraction(1, p**report.a))
+        assert L == reciprocal_transform(F), (p, m, h)
 
 
 def test_witnesses_match_their_passing_golden_lines():

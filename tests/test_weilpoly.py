@@ -782,6 +782,80 @@ def test_descent_analysis_matches_the_slow_path_and_the_oracles(monkeypatch):
     assert min(paths.values()) > 80, paths
 
 
+def _candidates_at_primes(seed: int, count: int) -> list[tuple[RatPoly, int]]:
+    """(L, p) for p in 2, 3, 5, 7, 11, 13: products of up to three factors
+    of degree <= 16 in all, drawn with repeats, from palindromes (transforms
+    of monic F), cyclotomic polynomials of degree <= 4 and non-palindromes
+    with constant term 1; coefficients have denominators 1, p, p^2 and one
+    prime to p."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        p = rng.choice((2, 3, 5, 7, 11, 13))
+        dens = (1, p, p * p, 5 if p == 3 else 3)
+
+        def coeffs(n):
+            return [Fraction(rng.randint(-4, 4), rng.choice(dens)) for _ in range(n)]
+
+        L = RatPoly.one()
+        for _ in range(rng.randint(1, 3)):
+            shape = rng.random()
+            if shape < 0.4:
+                factor = reciprocal_transform(RatPoly.of(*coeffs(rng.randint(1, 3)), 1))
+            elif shape < 0.7:
+                factor = cyclotomic(rng.choice(cyclotomic_index_list(4)))
+                factor = factor / factor.constant  # 1 - T for k = 1
+            else:
+                factor = RatPoly.of(1, *coeffs(rng.randint(1, 3)))
+            for _ in range(1 + (rng.random() < 0.25)):
+                if L.degree + factor.degree <= 16:
+                    L = L * factor
+        out.append((L, p))
+    return out
+
+
+def _oracle_flat_length(P: RatPoly, p: int) -> int:
+    return sum(l for s, l in fraction_newton_polygon(P.coeffs, p) if s == 0)
+
+
+def test_flat_segment_bound_keeps_every_cyclotomic_factor(monkeypatch):
+    """Phi_k | L puts phi(k) roots of valuation 0 among those of L, so the
+    scan stops at the length of the slope-0 segment.  On candidates where
+    that length is below the degree, the analysis, `check_candidate` and
+    `kronecker_certificate` still find the oracle's smallest k, and the
+    certificate reads the bound off its own polygon and keeps its premises."""
+    from k3cert.condition import check_candidate
+
+    bounds = []
+    analysis = weilpoly._descent_analysis
+    monkeypatch.setattr(
+        weilpoly, "_descent_analysis", lambda f, flat=None, *rest: bounds.append(flat) or analysis(f, flat, *rest)
+    )
+    bounded = hits = 0
+    for L, p in _candidates_at_primes(13, 400):
+        if L.degree < 1:
+            continue
+        flat = _oracle_flat_length(L, p)
+        bounded += flat < L.degree
+        k = cyclotomic_factor_index(L.coeffs)
+        hits += k is not None and flat < L.degree
+        assert analysis(_integer_multiple(L), flat)[3] == k, (format_poly(L), p)
+        if L.degree % 2 == 0 and L.degree <= 20:
+            detail = check_candidate(L, p).checks["no_root_of_unity"].detail
+            assert detail.get("cyclotomic_index") == k, (format_poly(L), p)
+        r = _squarefree_power_ints(_integer_multiple(L))[0]
+        R = RatPoly(tuple(Fraction(c, r[0]) for c in r))
+        bounds.clear()
+        cert = kronecker_certificate(R, p)
+        assert bounds == [_oracle_flat_length(R, p)], (format_poly(R), p)
+        assert cert.premises["no_cyclotomic_factor"] == (k is None), (format_poly(R), p)
+        assert cert.detail.get("cyclotomic_index") == k, (format_poly(R), p)
+        with monkeypatch.context() as unbounded:
+            unbounded.setattr(weilpoly, "_flat_length", lambda polygon: None)
+            assert kronecker_certificate(R, p).to_json() == cert.to_json(), (format_poly(R), p)
+    assert bounded > 200 and hits > 100, (bounded, hits)
+
+
 def test_denominators_are_p_power():
     assert denominators_are_p_power(WORKED, 7)
     assert not denominators_are_p_power(WORKED, 5)
