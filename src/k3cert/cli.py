@@ -14,13 +14,7 @@ import json
 import sys
 
 from .arith import Place, format_rational, hilbert, parse_rational
-from .condition import (
-    CandidateReport,
-    check_candidate,
-    construct_witness,
-    construct_witness_even_h,
-    feasibility,
-)
+from .condition import CandidateReport, _witness, check_candidate, feasibility
 from .k3lattice import verify_lattice
 from .qform import CMFieldData
 from .weilpoly import format_poly, parse_poly, strip_cyclotomic
@@ -104,10 +98,7 @@ def _report_lines(report: CandidateReport) -> list[str]:
 
 
 def _cmd_construct(args) -> tuple[dict, dict, list[str]]:
-    if args.m == 10 and args.h % 2 == 0:
-        L, report = construct_witness_even_h(args.p, args.h, a_start=args.a_start)
-    else:
-        L, report = construct_witness(args.p, args.m, args.h, a_start=args.a_start)
+    L, report = _witness(args.p, args.m, args.h, args.a_start)
     inputs = {"p": args.p, "m": args.m, "h": args.h, "a_start": args.a_start}
     result = {"coefficients": format_poly(L), "report": report.to_json()}
     text = [f"coefficients: {format_poly(L)}"] + _report_lines(report)

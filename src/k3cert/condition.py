@@ -28,7 +28,8 @@ it to a degree-2m self-reciprocal candidate, and returns the first a
 in Z[T] on p^a times the perturbed seed and its transform, and the six
 checks read that integer transform directly; the returned witness is the
 only `RatPoly` the search builds.  For even h at m = 10 the square of a
-degree-10 witness is used instead, giving e = 2.
+degree-10 witness is used instead, giving e = 2; `_witness` picks the
+route.
 """
 
 from __future__ import annotations
@@ -42,18 +43,14 @@ from .arith import check_prime
 from .weilpoly import (
     NewtonPolygon,
     RatPoly,
+    _analyse,
     _at,
-    _descent_analysis,
-    _flat_length,
     _integer_multiple,
-    _off_p_indices,
-    _polygon_ints,
-    _slope_shape,
+    _mul_ints,
     _sturm_chain_ints,
     _transform_ints,
-    _variations,
+    _window,
     format_poly,
-    sturm_count,
 )
 
 __all__ = [
@@ -139,15 +136,8 @@ def check_candidate(L: RatPoly, p: int) -> CandidateReport:
     """Run the six-part test on L in characteristic p.  See the module docstring.
 
     L is cleared of denominators once, and the six checks are read from
-    one analysis.  The roots of a palindrome L = T^m G(T + 1/T) are the
-    root pairs of T^2 - xT + 1 over the roots x of G, and a pair coincides
-    only at x = +-2.  So when G(2) G(-2) != 0, one Sturm chain of G gives
-    the squarefree part s of G, whose transform is R up to a constant, and
-    e with G = s^e; it counts the roots of G in [-2, 2] that `unit_circle`
-    needs, and the cyclotomic scan runs on s.  Any other L (not a
-    palindrome, or a root of G at +-2) takes the circle test on its
-    squarefree part R, T - 1 and T + 1 divided out.  The cyclotomic scan
-    stops at the length of the polygon's slope-0 segment.
+    one `weilpoly._analyse` of it, which follows the descent argument in
+    the `weilpoly` module docstring.
     """
     check_prime(p)
     if L.is_zero or L.constant != 1:
@@ -164,17 +154,14 @@ def _check_candidate(
 ) -> CandidateReport:
     """`check_candidate` on the primitive integer multiple f of L, with
     f(0) > 0, so that L = f / f(0).  A caller that has the Sturm chain of
-    G for L = T^m G(T + 1/T) passes it, and V(-2) - V(2) on it as count."""
+    G for L = T^m G(T + 1/T) passes it, and its `_window` as count."""
     m = (len(f) - 1) // 2
-    polygon = _polygon_ints(f, p)
     # r has the roots of L, each once; e is None unless L = R^e for
     # R = r / r(0).
-    r, e, on_circle, cyc = _descent_analysis(f, _flat_length(polygon), chain, count)
-    offending = _off_p_indices(f, f[0], p)
+    polygon, shape, r, e, on_circle, cyc, offending = _analyse(f, p, chain, count)
 
     h = a = None
     local = CheckResult("fail", {"reason": "negative part is empty or splits by slope"})
-    shape = _slope_shape(polygon)
     if shape is not None:
         slope, length, symmetric = shape
         if symmetric and (slope * length).denominator == 1:
@@ -227,14 +214,14 @@ def _check_candidate(
 # real roots in (-2, 2).  The degree-1..4 generators below are the
 # minimal polynomials of 1, of +-1, of 2cos(2pi/9), and of 2cos(pi/12)
 # and friends; products are arranged so the root sets stay disjoint.
-_GEN_LINEAR = RatPoly.of(-1, 1)  # T - 1
-_GEN_SQ1 = RatPoly.of(-1, 0, 1)  # T^2 - 1
-_GEN_SQ2 = RatPoly.of(-2, 0, 1)  # T^2 - 2
-_GEN_SQ3 = RatPoly.of(-3, 0, 1)  # T^2 - 3
-_GEN_CUBIC = RatPoly.of(1, -3, 0, 1)  # T^3 - 3T + 1
-_GEN_QUARTIC = RatPoly.of(1, 0, -4, 0, 1)  # T^4 - 4T^2 + 1
+_GEN_LINEAR = (-1, 1)  # T - 1
+_GEN_SQ1 = (-1, 0, 1)  # T^2 - 1
+_GEN_SQ2 = (-2, 0, 1)  # T^2 - 2
+_GEN_SQ3 = (-3, 0, 1)  # T^2 - 3
+_GEN_CUBIC = (1, -3, 0, 1)  # T^3 - 3T + 1
+_GEN_QUARTIC = (1, 0, -4, 0, 1)  # T^4 - 4T^2 + 1
 
-_SEED_FACTORS: dict[int, tuple[RatPoly, ...]] = {
+_SEED_FACTORS: dict[int, tuple[tuple[int, ...], ...]] = {
     1: (_GEN_LINEAR,),
     2: (_GEN_SQ1,),
     3: (_GEN_CUBIC,),
@@ -249,30 +236,31 @@ _SEED_FACTORS: dict[int, tuple[RatPoly, ...]] = {
 
 
 @lru_cache(maxsize=MAX_M)  # one entry per valid m; a raised ValueError is not cached
+def _seed_ints(m: int) -> tuple[int, ...]:
+    """The integer coefficients of the monic `seed_polynomial(m)`, built
+    and verified once per m."""
+    if m not in _SEED_FACTORS:
+        raise ValueError(f"seed polynomials cover 1 <= m <= {MAX_M}")
+    seed = [1]
+    for factor in _SEED_FACTORS[m]:
+        seed = _mul_ints(seed, factor)
+    # construction-time verification, not just bookkeeping: seed(+-2) != 0
+    # makes the `_window` count exact, and m distinct roots in [-2, 2] are
+    # all the roots of a seed of degree m, each simple
+    inside = _at(seed, 2) and _at(seed, -2) and _window(_sturm_chain_ints(seed)) == m
+    if not inside or len(seed) != m + 1 or seed[0] == 0:
+        raise RuntimeError("seed polynomial must have m distinct nonzero real roots in (-2, 2)")
+    return tuple(seed)
+
+
+@lru_cache(maxsize=MAX_M)
 def seed_polynomial(m: int) -> RatPoly:
     """Monic integer polynomial of degree m with m distinct nonzero real roots in (-2, 2).
 
     The polynomial is built and verified once per m; later calls return
     the same (immutable) polynomial.
     """
-    if m not in _SEED_FACTORS:
-        raise ValueError(f"seed polynomials cover 1 <= m <= {MAX_M}")
-    poly = RatPoly.one()
-    for factor in _SEED_FACTORS[m]:
-        poly = poly * factor
-    # construction-time verification, not just bookkeeping
-    if poly.evaluate(0) == 0 or poly.degree != m:
-        raise RuntimeError("seed polynomial malformed")
-    strictly_inside = sturm_count(poly, -2, 2) - (1 if poly.evaluate(2) == 0 else 0)
-    if strictly_inside != m:
-        raise RuntimeError("seed polynomial must have m distinct real roots in (-2, 2)")
-    return poly
-
-
-@lru_cache(maxsize=MAX_M)
-def _seed_ints(m: int) -> tuple[int, ...]:
-    """The integer coefficients of the monic `seed_polynomial(m)`."""
-    return tuple(_integer_multiple(seed_polynomial(m)))
+    return RatPoly(_seed_ints(m))
 
 
 class WitnessSearchError(RuntimeError):
@@ -294,14 +282,12 @@ def construct_witness(
     the transform being unimodular over Z, and L = f / f(0) = f / p^a is
     the only `RatPoly` the search builds.
 
-    The roots of L = T^m F(T + 1/T) are the two roots of T^2 - xT + 1
-    for each root x of F, and they lie on the unit circle iff x is real
-    in [-2, 2].  F is the descent of L, so its one Sturm chain serves
-    both the search and the check: a squarefree F with fewer than m roots
-    in [-2, 2] gives an L that fails `unit_circle`, and that a is skipped
-    before the transform; any other chain goes on to `check_candidate`,
-    which reads squarefreeness and the circle from it and from the sign
-    variations V(-2) - V(2) the search has already counted.
+    F is the descent of L, so its one Sturm chain serves both the search
+    and the check, by the descent argument in the `weilpoly` module
+    docstring: a squarefree F with fewer than m roots in [-2, 2] gives an
+    L that fails `unit_circle`, and that a is skipped before the
+    transform; any other chain goes on to `check_candidate`, with the
+    window count if the search has made it.
     """
     check_prime(p)
     if not 1 <= h <= m <= MAX_M:
@@ -318,9 +304,8 @@ def construct_witness(
         F = [q * c for c in seed]
         F[m - h] += 1
         chain = _sturm_chain_ints(F)
-        # V(-2) - V(2) counts the distinct roots of F in (-2, 2]
-        count = _variations(chain, -2) - _variations(chain, 2)
-        if len(chain[-1]) == 1 and count + (_at(F, -2) == 0) < m:
+        count = _window(chain) if len(chain[-1]) == 1 else None
+        if count is not None and count < m:
             continue  # so L = T^m F(T + 1/T) has a root off the unit circle
         f = _transform_ints(F)
         report = _check_candidate(f, p, chain, count)
@@ -351,6 +336,14 @@ def construct_witness_even_h(
             f"squared witness for p={p}, h={h} failed verification (base a={base_report.a})"
         )
     return L, report
+
+
+def _witness(p: int, m: int, h: int, a_start: int = 1) -> tuple[RatPoly, CandidateReport]:
+    """The witness for (m, h): the square route for m = 10 and even h,
+    `construct_witness` otherwise."""
+    if m == 10 and h % 2 == 0:
+        return construct_witness_even_h(p, h, a_start)
+    return construct_witness(p, m, h, a_start)
 
 
 @dataclass(frozen=True)
@@ -414,9 +407,6 @@ def feasibility(p: int, rho: int, h: int, want_witness: bool = False) -> Feasibi
         return verdict(True, "theorem_case", description, m, witness_status="unsupported_case")
     if not want_witness:
         return verdict(True, "theorem_case", f"rho = {rho} <= 22 - 2h = {bound}; witness degree m = {m}", m)
-    if m <= 9 or h % 2 == 1:
-        witness, report = construct_witness(p, m, h)
-    else:
-        witness, report = construct_witness_even_h(p, h)
+    witness, report = _witness(p, m, h)
     description = f"explicit degree-{2 * m} witness with slope height {h} over p^a"
     return verdict(True, "witness_provided", description, m, witness, report, "computed")

@@ -335,14 +335,12 @@ class EmbeddingReport:
 
 
 def embedding_from_invariants(inv: SpaceInvariants, fielddata: CMFieldData) -> EmbeddingReport:
-    if inv.dim != fielddata.degree:
-        raise ValueError("space dimension must equal the field degree")
+    hyp = hyperbolicity_from_invariants(inv, fielddata)  # raises on a dimension mismatch
     # det(V) must be (-1)^m disc, and disc itself carries the (-1)^m sign,
     # so the required class is just that of n.
     expected = square_class(fielddata.n)
     det_ok = inv.det == expected
     sig_even = inv.signature[0] % 2 == 0 and inv.signature[1] % 2 == 0
-    hyp = hyperbolicity_from_invariants(inv, fielddata)
     if not det_ok or not sig_even or hyp.verdict == "fail":
         verdict = "fail"
     elif hyp.verdict == "needs-data":

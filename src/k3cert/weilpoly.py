@@ -21,17 +21,26 @@ sequence of (f, f'), so it ends in d, a constant multiple of gcd(f, f'),
 and doubles as the squarefree test.  Dividing every member by d gives a
 chain of the squarefree f / d, with the same V(x) wherever d(x) != 0; so
 for any f the count V(lo) - V(hi) is that of the distinct roots when
-d(lo) d(hi) != 0.
+d(lo) d(hi) != 0.  In particular, when d(2) d(-2) != 0, f has
+V(-2) - V(2) distinct roots in (-2, 2], and one more at -2 if f(-2) = 0:
+that is the window count `_window`.
 
-A palindrome L = T^m G(T + 1/T) of degree 2m needs only the chain of G:
-its roots are the root pairs of T^2 - xT + 1 over the roots x of G, on
-the unit circle iff x is real in [-2, 2], and a pair coincides only at
-x = +-2.  So when G(2) G(-2) != 0, the squarefree part of L is the
-transform of s = G / d, L is a power of it iff G is the same power of s,
-L is squarefree iff d is a constant, and all roots of L lie on the circle
-iff V(-2) - V(2) = deg s.  Neither T - 1 nor T + 1 divides L then, and
-for k >= 3, Phi_k = T^(phi(k)/2) psi_k(T + 1/T) with psi_k irreducible,
-so Phi_k divides L iff psi_k divides s, at half the degree.
+The descent argument.  A palindrome L = T^m G(T + 1/T) of degree 2m
+needs only the chain of G: its roots are the root pairs of T^2 - xT + 1
+over the roots x of G, on the unit circle iff x is real in [-2, 2], and
+a pair coincides only at x = +-2.  So a squarefree G whose window count
+is below m gives an L with a root off the circle.  When G(2) G(-2) != 0,
+the squarefree part of L is the transform of s = G / d, L is a power of
+it iff G is the same power of s, L is squarefree iff d is a constant,
+and all roots of L lie on the circle iff the window count of G is
+deg s.  Neither T - 1 nor T + 1 divides L then, and for k >= 3,
+Phi_k = T^(phi(k)/2) psi_k(T + 1/T) with psi_k irreducible, so Phi_k
+divides L iff psi_k divides s, at half the degree.  Any other L (not a
+palindrome, or a root of G at +-2) takes the circle test on its
+squarefree part R with T - 1 and T + 1 divided out: the roots z of the
+rest, none of them +-1, lie on the circle iff they pair up with
+1/z = conj(z), that is iff the rest is a palindrome whose descent is
+squarefree with its whole degree in the window.
 
 The candidate analysis runs in Z[T]: its denominators are cleared once,
 and the public functions wrap private kernels on primitive integer lists
@@ -426,16 +435,18 @@ def unit_circle_check(L: RatPoly) -> bool:
     return _unit_circle_ints(_cleared(L.coeffs)[1])
 
 
+def _window(chain: list[list[int]]) -> int:
+    """The distinct roots of chain[0] in [-2, 2], for a Sturm chain whose
+    last member is nonzero at +-2 (see the module docstring)."""
+    return _variations(chain, -2) - _variations(chain, 2) + (_at(chain[0], -2) == 0)
+
+
 def _unit_circle_ints(f: list[int]) -> bool:
     """`unit_circle_check` on an integer multiple f of degree >= 1."""
     if len(f) % 2 == 0 or f != f[::-1]:
         return False
     chain = _sturm_chain_ints(_descent_ints(list(f)))  # a palindrome always descends
-    if len(chain[-1]) > 1:
-        return False
-    # V(-2) - V(2) counts the distinct roots of G in (-2, 2]; -2 is checked apart
-    in_window = _variations(chain, -2) - _variations(chain, 2) + (_at(chain[0], -2) == 0)
-    return in_window == len(chain[0]) - 1
+    return len(chain[-1]) == 1 and _window(chain) == len(chain[0]) - 1
 
 
 def _descent_analysis(
@@ -453,17 +464,13 @@ def _descent_analysis(
     the slope-0 segment of L's Newton polygon at some p (see the module
     docstring), or every k when flat is None.
 
-    A palindrome f of even degree descends to g.  When g(2) g(-2) != 0,
-    one Sturm chain of g answers all four (see the module docstring); a
-    caller that has that chain passes it, and with it count = V(-2) - V(2)
-    on the chain if it has that too.  Its last member d is a constant
-    multiple of gcd(g, g'), so s = g / d is the squarefree part of g, r
-    is the transform of s, and e is the exponent with g = s^e, because
-    the transform is multiplicative and one-to-one.  The cyclotomic scan
-    runs on s (`_psi_index_ints`).  Otherwise the circle test runs on the
-    squarefree r with T - 1 and T + 1 divided out: the roots z of the
-    rest, none of them +-1, lie on the circle iff they pair up with
-    1/z = conj(z), that is iff the rest passes `_unit_circle_ints`.
+    The paths are those of the descent argument in the module docstring.
+    A palindrome f of even degree descends to g, and a caller that has
+    the Sturm chain of g passes it, with its `_window` as count if it has
+    that too.  On the chain path s = g / d, r is the transform of s, and
+    e is the exponent with g = s^e, because the transform is
+    multiplicative and one-to-one; the cyclotomic scan runs on s
+    (`_psi_index_ints`).
     """
     if flat is None:
         flat = len(f) - 1
@@ -479,9 +486,8 @@ def _descent_analysis(
             if s[-1] < 0:
                 s = [-c for c in s]
             r, e = _transform_ints(s), _power_exponent(s, g)
-        if count is None:
-            count = _variations(chain, -2) - _variations(chain, 2)
-        return r, e, count == len(s) - 1, _psi_index_ints(s, flat)
+        on_circle = (_window(chain) if count is None else count) == len(s) - 1
+        return r, e, on_circle, _psi_index_ints(s, flat)
     r, e = _squarefree_power_ints(f)
     rest = r
     for root in (1, -1):  # each divides the squarefree r at most once
@@ -705,11 +711,6 @@ def _polygon_ints(f: list[int], p: int) -> NewtonPolygon:
     return NewtonPolygon(segs)
 
 
-def _flat_length(polygon: NewtonPolygon) -> int:
-    """Length of the slope-0 segment of polygon, 0 when it has none."""
-    return next((l for s, l in polygon.segments if s == 0), 0)
-
-
 def squarefree_decompose(L: RatPoly) -> tuple[RatPoly, int] | None:
     """Write L = R^e with R squarefree and R(0) = 1, or None if impossible.
 
@@ -850,11 +851,24 @@ def _slope_shape(polygon: NewtonPolygon) -> tuple[Fraction, int, bool] | None:
     return slope, length, rest == ((-slope, length),)
 
 
+def _analyse(f: list[int], p: int, chain: list[list[int]] | None = None, count: int | None = None) -> tuple:
+    """(polygon, shape, r, e, on_circle, cyc, offending) for the primitive
+    integer multiple f of some L with L(0) = 1, at p: the Newton polygon
+    and its `_slope_shape`, then `_descent_analysis` with the cyclotomic
+    scan stopped at the polygon's slope-0 segment and the caller's chain
+    and count, then the indices of the coefficients of L whose
+    denominator is not a power of p."""
+    polygon = _polygon_ints(f, p)
+    flat = next((l for s, l in polygon.segments if s == 0), 0)
+    analysis = _descent_analysis(f, flat, chain, count)
+    return polygon, _slope_shape(polygon), *analysis, _off_p_indices(f, f[0], p)
+
+
 def kronecker_certificate(R: RatPoly, p: int) -> IrreducibilityCertificate:
     """Certify that R is irreducible over Q, or report "unknown".
 
-    R must be squarefree with R(0) = 1; `_descent_analysis` proves that
-    and gives the circle and cyclotomic premises, as in `check_candidate`.
+    R must be squarefree with R(0) = 1; `_analyse` proves that and gives
+    every premise, as in `check_candidate`.
     The sufficient premises: the Newton polygon of R at p is the symmetric
     pure-slope shape with coprime (a, h); R has no cyclotomic factor; all
     roots of R lie on the unit circle; and every coefficient denominator
@@ -864,13 +878,11 @@ def kronecker_certificate(R: RatPoly, p: int) -> IrreducibilityCertificate:
     check_prime(p)
     if R.is_zero or R.constant != 1:
         raise ValueError("certificate needs R(0) = 1")
-    f = _integer_multiple(R)
-    polygon = _polygon_ints(f, p)
-    _, e, on_circle, cyc = _descent_analysis(f, _flat_length(polygon))
+    polygon, shape, _, e, on_circle, cyc, offending = _analyse(_integer_multiple(R), p)
     if e != 1:
         raise ValueError("certificate needs a squarefree polynomial")
     detail: dict = {"segments": polygon.to_json()}
-    slope, h, symmetric = _slope_shape(polygon) or (None, None, False)
+    slope, h, symmetric = shape or (None, None, False)
     pure = symmetric and slope.denominator == h
     if symmetric:
         detail.update({"h": h, "a": -slope.numerator if pure else None})
@@ -880,7 +892,7 @@ def kronecker_certificate(R: RatPoly, p: int) -> IrreducibilityCertificate:
         "pure_negative_slope": pure,
         "no_cyclotomic_factor": cyc is None,
         "unit_circle": on_circle,
-        "denominators_p_power": not _off_p_indices(f, f[0], p),
+        "denominators_p_power": not offending,
     }
     verdict = "certified" if all(premises.values()) else "unknown"
     return IrreducibilityCertificate(verdict, premises, detail)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import k3cert.cli as cli
+import k3cert.condition as condition
 from k3cert.condition import WitnessSearchError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -284,7 +285,7 @@ def test_internal_failures_exit_two(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise WitnessSearchError("search space exhausted")
 
-    monkeypatch.setattr(cli, "construct_witness", boom)
+    monkeypatch.setattr(condition, "construct_witness", boom)
     code, out, err = run(capsys, "construct", "--p", "7", "--m", "2", "--h", "1")
     assert code == 2
     assert "internal error" in err

@@ -1,5 +1,6 @@
 """The six-part candidate check, witness construction, and feasibility queries."""
 
+import ast
 import json
 import math
 from fractions import Fraction
@@ -243,22 +244,66 @@ def test_seed_frozen_factorizations():
 
 
 def test_seed_is_built_and_verified_once_per_m(monkeypatch):
-    import k3cert.condition as condition
-
     calls = []
+    build = weilpoly._sturm_chain_ints
 
     def counting(*args):
         calls.append(args)
-        return sturm_count(*args)
+        return build(*args)
 
-    monkeypatch.setattr(condition, "sturm_count", counting)
+    monkeypatch.setattr(condition, "_sturm_chain_ints", counting)
     seed_polynomial.cache_clear()
+    condition._seed_ints.cache_clear()
     first = seed_polynomial(7)
     assert seed_polynomial(7) is first
     assert len(calls) == 1
     for _ in range(2):  # a bad m raises on every call, not only the first
         with pytest.raises(ValueError):
             seed_polynomial(11)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        ((-2, 1), (-1, 0, 1)),  # a root at 2
+        ((2, 1), (-1, 0, 1)),  # a root at -2
+        ((-1, 1), (-1, 0, 1)),  # 1 is a double root
+        ((-1, 1), (-5, 0, 1)),  # +-sqrt(5) lie outside [-2, 2]
+    ],
+)
+def test_seed_verification_rejects_a_bad_factor_table(monkeypatch, factors):
+    monkeypatch.setitem(condition._SEED_FACTORS, 3, factors)
+    seed_polynomial.cache_clear()
+    condition._seed_ints.cache_clear()
+    with pytest.raises(RuntimeError):
+        seed_polynomial(3)
+
+
+# Private names of `weilpoly` that `condition` may import: the one analysis,
+# the integer kernels of the witness search and its window count.  The
+# descent decisions (the polygon's flat bound, the chain's sign variations,
+# the circle and off-p tests) stay behind `_analyse` and `_window`.
+CONDITION_PRIVATE_IMPORTS = {
+    "_analyse",
+    "_at",
+    "_integer_multiple",
+    "_mul_ints",
+    "_sturm_chain_ints",
+    "_transform_ints",
+    "_window",
+}
+
+
+def test_condition_imports_only_the_allowed_private_weilpoly_names():
+    tree = ast.parse(Path(condition.__file__).read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "weilpoly"
+        for alias in node.names
+    }
+    assert "RatPoly" in imported  # the import was found at all
+    assert {name for name in imported if name.startswith("_")} <= CONDITION_PRIVATE_IMPORTS
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +441,7 @@ def _counting(monkeypatch, name: str, *modules) -> list:
 
 def test_witness_search_counts_the_sign_variations_once_per_chain(monkeypatch):
     chains = _counting(monkeypatch, "_sturm_chain_ints", weilpoly, condition)
-    variations = _counting(monkeypatch, "_variations", weilpoly, condition)
+    variations = _counting(monkeypatch, "_variations", weilpoly)
     checks = _counting(monkeypatch, "_check_candidate", condition)
     for p, m, h in REJECTING_TRIPLES:
         seed_polynomial(m)

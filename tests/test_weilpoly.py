@@ -25,6 +25,8 @@ from k3cert.weilpoly import (
     _integer_multiple,
     _psi_ints,
     _squarefree_power_ints,
+    _sturm_chain_ints,
+    _window,
     cyclotomic,
     cyclotomic_index_list,
     denominators_are_p_power,
@@ -320,6 +322,50 @@ def test_sturm_versus_oracle_on_products_of_linears():
     ]:
         assert sturm_count(f, lo, hi) == want
         assert count_real_roots_halfopen(f.coeffs, lo, hi) == want
+
+
+def _oracle_window(G: RatPoly) -> int:
+    """The distinct roots of G in [-2, 2]: Descartes bisection on the
+    radical G / gcd(G, G') over Q, with -2 added apart."""
+    radical = G / RatPoly(tuple(rational_gcd_monic(G.coeffs, G.derivative().coeffs)))
+    return count_real_roots_halfopen(radical.coeffs, -2, 2) + (radical.evaluate(-2) == 0)
+
+
+def test_window_matches_the_oracle_on_the_radical():
+    # products of simple roots at +-2 and small integer factors, repeated
+    # up to three times, none vanishing at +-2: so the last member d of
+    # the chain, a multiple of gcd(G, G'), is nonzero at +-2
+    rng = random.Random(14)
+    seen = {"root at 2": 0, "root at -2": 0, "repeated": 0}
+    for _ in range(300):
+        G = RatPoly.one()
+        for end in (2, -2):
+            if rng.random() < 0.4:
+                G = G * poly(-end, 1)
+                seen[f"root at {end}"] += 1
+        for _ in range(rng.randint(1, 3)):
+            factor = RatPoly.of(*(rng.randint(-6, 6) for _ in range(rng.randint(1, 2))), rng.randint(1, 3))
+            if factor.evaluate(2) and factor.evaluate(-2):
+                times = rng.choice((1, 1, 2, 3))
+                seen["repeated"] += times > 1
+                for _ in range(times):
+                    G = G * factor
+        if G.degree < 1:
+            continue
+        chain = _sturm_chain_ints(_integer_multiple(G))
+        d = RatPoly.of(*chain[-1])
+        assert d.evaluate(2) and d.evaluate(-2), format_poly(G)
+        assert _window(chain) == _oracle_window(G), format_poly(G)
+    assert min(seen.values()) > 50, seen
+
+
+def test_window_counts_a_root_at_minus_two():
+    # (T + 2)(T - 1)(T - 3): -2 and 1 lie in [-2, 2], 3 does not
+    G = poly(2, 1) * poly(-1, 1) * poly(-3, 1)
+    assert _window(_sturm_chain_ints(_integer_multiple(G))) == 2
+    # a repeated pair +-sqrt(3) away from the ends does not hide -2
+    G = poly(2, 1) * poly(-3, 0, 1) * poly(-3, 0, 1)
+    assert _window(_sturm_chain_ints(_integer_multiple(G))) == 3 == _oracle_window(G)
 
 
 # ---------------------------------------------------------------------------
@@ -851,7 +897,7 @@ def test_flat_segment_bound_keeps_every_cyclotomic_factor(monkeypatch):
         assert cert.premises["no_cyclotomic_factor"] == (k is None), (format_poly(R), p)
         assert cert.detail.get("cyclotomic_index") == k, (format_poly(R), p)
         with monkeypatch.context() as unbounded:
-            unbounded.setattr(weilpoly, "_flat_length", lambda polygon: None)
+            unbounded.setattr(weilpoly, "_descent_analysis", lambda f, flat=None, *rest: analysis(f, None, *rest))
             assert kronecker_certificate(R, p).to_json() == cert.to_json(), (format_poly(R), p)
     assert bounded > 200 and hits > 100, (bounded, hits)
 
