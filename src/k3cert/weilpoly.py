@@ -422,13 +422,16 @@ def sturm_count(f: RatPoly, lo, hi) -> int:
 
 
 def unit_circle_check(L: RatPoly) -> bool:
-    """Decide exactly whether every complex root of L lies on the unit circle.
+    """A one-sided test that every complex root of L lies on the unit
+    circle: True proves it.
 
-    Expects the self-reciprocal shape L(0) = 1, degree 2m.  L must be a
-    palindrome whose descent G (L = T^m * G(T + 1/T)) is squarefree with
-    all m roots in [-2, 2], by one Sturm chain of G.  The result is exact
-    for such L; anything else — odd degree, a non-palindrome, or a
-    repeated symmetric factor — conservatively returns False.
+    True needs L to be a palindrome of even degree 2m whose descent G
+    (L = T^m * G(T + 1/T)) is squarefree with all m roots in [-2, 2], by
+    one Sturm chain of G, so the test is exact for even-degree palindromes
+    with a squarefree descent.  Any other L (odd degree, a non-palindrome
+    such as an anti-palindrome, or a repeated symmetric factor) gives
+    False, whatever its roots.  `check_candidate`'s `unit_circle` check
+    gives the exact verdict for every candidate.
     """
     if L.is_zero or L.degree <= 0:
         return False
@@ -447,53 +450,6 @@ def _unit_circle_ints(f: list[int]) -> bool:
         return False
     chain = _sturm_chain_ints(_descent_ints(list(f)))  # a palindrome always descends
     return len(chain[-1]) == 1 and _window(chain) == len(chain[0]) - 1
-
-
-def _descent_analysis(
-    f: list[int],
-    flat: int | None = None,
-    chain: list[list[int]] | None = None,
-    count: int | None = None,
-) -> tuple[list[int], int | None, bool, int | None]:
-    """(r, e, on_circle, cyc) for the primitive integer multiple f of some
-    L with L(0) = 1: r and e as in `_squarefree_power_ints`, whether every
-    root of L lies on the unit circle, and the smallest k with Phi_k
-    dividing L, or None.
-
-    Only the k with phi(k) <= flat are scanned, for flat the length of
-    the slope-0 segment of L's Newton polygon at some p (see the module
-    docstring), or every k when flat is None.
-
-    The paths are those of the descent argument in the module docstring.
-    A palindrome f of even degree descends to g, and a caller that has
-    the Sturm chain of g passes it, with its `_window` as count if it has
-    that too.  On the chain path s = g / d, r is the transform of s, and
-    e is the exponent with g = s^e, because the transform is
-    multiplicative and one-to-one; the cyclotomic scan runs on s
-    (`_psi_index_ints`).
-    """
-    if flat is None:
-        flat = len(f) - 1
-    if chain is None and len(f) % 2 and f == f[::-1]:
-        chain = _sturm_chain_ints(_descent_ints(list(f)))
-    if chain is not None and _at(chain[0], 2) and _at(chain[0], -2):
-        g, d = chain[0], chain[-1]
-        if len(d) == 1:
-            s, r, e = g, f, 1
-        else:
-            # s is primitive by Gauss's lemma, as g is; lc(g) = lc(f) > 0
-            s = _divexact(g, d)
-            if s[-1] < 0:
-                s = [-c for c in s]
-            r, e = _transform_ints(s), _power_exponent(s, g)
-        on_circle = (_window(chain) if count is None else count) == len(s) - 1
-        return r, e, on_circle, _psi_index_ints(s, flat)
-    r, e = _squarefree_power_ints(f)
-    rest = r
-    for root in (1, -1):  # each divides the squarefree r at most once
-        if _at(rest, root) == 0:
-            rest = _divexact(rest, [-root, 1])
-    return r, e, len(rest) == 1 or _unit_circle_ints(rest), _cyclotomic_index_ints(r, flat)
 
 
 def euler_phi(k: int) -> int:
@@ -557,10 +513,7 @@ def _cyclotomic_residues(k: int) -> tuple[int, tuple[int, ...]]:
     phi = _cyclotomic_ints(k)
     for x in itertools.count(2):
         w = pow(x, (ell - 1) // k, ell)
-        at_w = 0
-        for c in reversed(phi):
-            at_w = (at_w * w + c) % ell
-        if at_w == 0:
+        if _at(phi, w) % ell == 0:
             return ell, tuple(pow(w, i, ell) for i in range(k))
 
 
@@ -597,7 +550,7 @@ def has_cyclotomic_factor(L: RatPoly) -> int | None:
 
 def _cyclotomic_index_ints(f: list[int], flat: int) -> int | None:
     """`has_cyclotomic_factor` on a nonzero integer multiple f of L, over
-    the k with phi(k) <= flat (see `_descent_analysis`)."""
+    the k with phi(k) <= flat (see `_analyse`)."""
     for k in _cyclotomic_indices(min(len(f) - 1, flat)):
         ell, powers = _cyclotomic_residues(k)
         folded = f if len(f) <= k else [sum(f[j::k]) for j in range(k)]
@@ -636,18 +589,19 @@ def _psi_index_ints(s: list[int], flat: int) -> int | None:
 def strip_cyclotomic(P: RatPoly) -> tuple[RatPoly, list[int]]:
     """Divide out all cyclotomic factors, returning (quotient, removed indices).
 
-    The removed indices form a multiset, returned sorted; P must have a
-    nonzero constant term.
+    The removed indices form a multiset, in ascending order; P must have
+    a nonzero constant term.  P is cleared once, and each Phi_k, monic in
+    Z[T], divides the integer multiple exactly; each k found is the least
+    one left, which keeps the order.
     """
     if P.is_zero or P.constant == 0:
         raise ValueError("strip_cyclotomic needs a nonzero constant term")
+    D, f = _cleared(P.coeffs)
     removed: list[int] = []
-    while True:
-        k = has_cyclotomic_factor(P)
-        if k is None:
-            return P, sorted(removed)
-        P = P / cyclotomic(k)
+    while (k := _cyclotomic_index_ints(f, len(f) - 1)) is not None:
+        f = _divexact(f, _cyclotomic_ints(k))
         removed.append(k)
+    return RatPoly(tuple(Fraction(c, D) for c in f)), removed
 
 
 @dataclass(frozen=True)
@@ -727,35 +681,43 @@ def squarefree_decompose(L: RatPoly) -> tuple[RatPoly, int] | None:
 
 def _squarefree_power_ints(f: list[int]) -> tuple[list[int], int | None]:
     """(r, e) for a primitive integer f with f(0) > 0 and deg f >= 1: r is
-    the primitive squarefree part of f with r(0) > 0, and e the exponent
-    with f = r^e, or None when f is no power of r.
+    the primitive squarefree part of f, with the sign of lc(f), and e the
+    exponent with f = r^e, or None when f is no power of r.
 
     A residue screens f first: if `_coprime_to_derivative_mod` holds, f
     is squarefree over Q, so r = f and e = 1.  Otherwise, which proves
-    nothing, g = gcd(f, f') is primitive, so r = f / g is integral by
-    Gauss's lemma, as in Yun (SYMSAC 1976); its sign is chosen so that
-    r(0) > 0, and `_power_exponent` finds e.
+    nothing, `_radical` divides f by the primitive gcd(f, f').
     """
     if _coprime_to_derivative_mod(f):
         return f, 1
-    r = _divexact(f, _gcd_ints(f, _primitive([i * c for i, c in enumerate(f)][1:])))
-    if r[0] < 0:
-        r = [-c for c in r]
-    return r, _power_exponent(r, f)
+    return _radical(f, _gcd_ints(f, _primitive([i * c for i, c in enumerate(f)][1:])))
 
 
-def _power_exponent(r: list[int], f: list[int]) -> int | None:
-    """e with f = r^e, or None, for primitive integer r and f with deg r >= 1
-    and r(0), f(0) > 0, or lc(r), lc(f) > 0.  Then r^e and f are primitive
-    with that coefficient positive, so f = r^e over Q exactly when the
-    integer lists agree."""
-    e, rem = divmod(len(f) - 1, len(r) - 1)
+def _radical(a: list[int], d: list[int]) -> tuple[list[int], int | None]:
+    """(s, e) for a primitive integer a of degree >= 1 with lc(a) > 0 or
+    a(0) > 0, and d a primitive multiple of gcd(a, a'): s = a / d, the
+    squarefree part of a, and e the exponent with a = s^e, or None when a
+    is no power of s.
+
+    s is integral by Gauss's lemma, as in Yun (SYMSAC 1976), and
+    primitive, as a is; its sign is that of lc(a).  So s^e and a are
+    primitive and a = +-s^e over Q, if at all; a = -s^e cannot hold, since
+    it gives lc(a) the sign opposite to lc(s) for odd e, and makes lc(a)
+    and a(0) negative for even e.  Hence a = s^e exactly when the integer
+    lists agree.
+    """
+    if len(d) == 1:
+        return a, 1
+    s = _divexact(a, d)
+    if (s[-1] < 0) != (a[-1] < 0):
+        s = [-c for c in s]
+    e, rem = divmod(len(a) - 1, len(s) - 1)
     if rem:
-        return None
-    power = r
+        return s, None
+    power = s
     for _ in range(e - 1):
-        power = _mul_ints(power, r)
-    return e if power == f else None
+        power = _mul_ints(power, s)
+    return s, (e if power == a else None)
 
 
 _SQUAREFREE_SCREEN_PRIME = (1 << 31) - 1
@@ -768,27 +730,23 @@ def _coprime_to_derivative_mod(f: list[int]) -> bool:
     Then f is squarefree over Q: were f = g^2 h in Z[T] with deg g >= 1,
     g would keep its degree mod ell, because lc(g) divides lc(f), and it
     would divide both f and f' mod ell.  False proves nothing.
+
+    Euclid runs on `_prem` remainders reduced mod ell.  Each is a multiple
+    of the remainder mod ell by a power of lc(b), a unit mod ell, so the
+    gcd is unchanged.  The first b = f' mod ell keeps degree deg f - 1,
+    as ell divides neither lc(f) nor deg f < ell.
     """
     ell = _SQUAREFREE_SCREEN_PRIME
     if f[-1] % ell == 0:
         return False
     a = [c % ell for c in f]
     b = [i * c % ell for i, c in enumerate(a)][1:]
-    while b and b[-1] == 0:
-        b.pop()
-    # Euclid mod ell; a constant b means gcd 1, an empty b a gcd of degree >= 1
+    # a constant b means gcd 1, an empty b a gcd of degree >= 1
     while len(b) > 1:
-        inv = pow(b[-1], -1, ell)
-        db = len(b) - 1
-        while len(a) > db:
-            c = a.pop() * inv % ell
-            if c:
-                shift = len(a) - db
-                for i in range(db):
-                    a[shift + i] = (a[shift + i] - c * b[i]) % ell
-        while a and a[-1] == 0:
-            a.pop()
-        a, b = b, a
+        r = [c % ell for c in _prem(a, b)]
+        while r and r[-1] == 0:
+            r.pop()
+        a, b = b, r
     return len(b) == 1
 
 
@@ -854,14 +812,39 @@ def _slope_shape(polygon: NewtonPolygon) -> tuple[Fraction, int, bool] | None:
 def _analyse(f: list[int], p: int, chain: list[list[int]] | None = None, count: int | None = None) -> tuple:
     """(polygon, shape, r, e, on_circle, cyc, offending) for the primitive
     integer multiple f of some L with L(0) = 1, at p: the Newton polygon
-    and its `_slope_shape`, then `_descent_analysis` with the cyclotomic
-    scan stopped at the polygon's slope-0 segment and the caller's chain
-    and count, then the indices of the coefficients of L whose
-    denominator is not a power of p."""
+    and its `_slope_shape`; r and e as in `_squarefree_power_ints`;
+    whether every root of L lies on the unit circle; the smallest k with
+    Phi_k dividing L, or None; and the indices of the coefficients of L
+    whose denominator is not a power of p.
+
+    The cyclotomic scan covers only the k with phi(k) <= the length of
+    the polygon's slope-0 segment (see the module docstring).  The paths
+    are those of the descent argument there.  A palindrome f of even
+    degree descends to g, and a caller that has the Sturm chain of g
+    passes it, with its `_window` as count if it has that too.  On the
+    chain path `_radical` gives s = g / d and e with g = s^e (lc(g) =
+    f(0) > 0), and r is the transform of s, with L = R^e because the
+    transform is multiplicative and one-to-one; the cyclotomic scan runs
+    on s (`_psi_index_ints`).
+    """
     polygon = _polygon_ints(f, p)
     flat = next((l for s, l in polygon.segments if s == 0), 0)
-    analysis = _descent_analysis(f, flat, chain, count)
-    return polygon, _slope_shape(polygon), *analysis, _off_p_indices(f, f[0], p)
+    if chain is None and len(f) % 2 and f == f[::-1]:
+        chain = _sturm_chain_ints(_descent_ints(list(f)))
+    if chain is not None and _at(chain[0], 2) and _at(chain[0], -2):
+        s, e = _radical(chain[0], chain[-1])
+        r = f if e == 1 else _transform_ints(s)
+        on_circle = (_window(chain) if count is None else count) == len(s) - 1
+        cyc = _psi_index_ints(s, flat)
+    else:
+        r, e = _squarefree_power_ints(f)
+        rest = r
+        for root in (1, -1):  # each divides the squarefree r at most once
+            if _at(rest, root) == 0:
+                rest = _divexact(rest, [-root, 1])
+        on_circle = len(rest) == 1 or _unit_circle_ints(rest)
+        cyc = _cyclotomic_index_ints(r, flat)
+    return polygon, _slope_shape(polygon), r, e, on_circle, cyc, _off_p_indices(f, f[0], p)
 
 
 def kronecker_certificate(R: RatPoly, p: int) -> IrreducibilityCertificate:

@@ -266,6 +266,17 @@ def cyclotomic_factor_index(coeffs):
     return None
 
 
+def fraction_strip_cyclotomic(coeffs):
+    """(quotient, removed indices) over Q: peel the smallest Phi_k that
+    divides the polynomial, by Fraction long division, until none does."""
+    f, removed = _q_trim(coeffs), []
+    while (k := cyclotomic_factor_index(f)) is not None:
+        f, rem = _q_divmod(f, fraction_cyclotomic(k))
+        assert not rem, "division was not exact"
+        removed.append(k)
+    return tuple(f), removed
+
+
 # ---------------------------------------------------------------------------
 # squarefree power and Newton polygon over Q, by Fraction arithmetic
 

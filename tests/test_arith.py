@@ -108,6 +108,8 @@ def test_prime_factors():
     assert prime_factors(360) == {2: 3, 3: 2, 5: 1}
     assert prime_factors(1) == {}
     assert prime_factors(97) == {97: 1}
+    with pytest.raises(ValueError, match="cannot factor 0"):
+        prime_factors(0)
 
 
 def test_prime_factors_refuses_a_cofactor_it_cannot_prove_prime():
@@ -186,6 +188,8 @@ def test_square_class_validation():
         SquareClass(2, 1)
     with pytest.raises(ValueError):
         SquareClass(1, -2)
+    with pytest.raises(ValueError, match="0 has no square class"):
+        square_class(0)
 
 
 def test_square_class_product_is_not_factored_again(monkeypatch):
@@ -380,3 +384,5 @@ def test_rational_text_roundtrip():
     assert parse_rational(" 2/4 ") == Fraction(1, 2)
     with pytest.raises(ValueError):
         parse_rational("1.5")
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1/0")

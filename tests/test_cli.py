@@ -189,6 +189,7 @@ def test_hilbert_json(capsys):
         ("check", "--p", "6", "--coeffs", "1,1,1"),  # composite p
         ("check", "--p", "7", "--coeffs", "1,2"),  # odd degree
         ("check", "--p", "7", "--coeffs", "1,x,1"),  # unparseable
+        ("check", "--p", "7", "--coeffs", "1/0"),  # zero denominator
         ("construct", "--p", "7", "--m", "4", "--h", "5"),  # h > m
         ("construct", "--p", "7", "--m", "12", "--h", "1"),  # m out of range
         ("construct", "--p", "7", "--m", "3", "--h", "1", "--a-start", "60"),  # a_start > a_cap

@@ -232,6 +232,18 @@ def test_fielddata_split_status():
     assert fd.split_status(11) is None
 
 
+def test_fielddata_json():
+    doc = CMFieldData.from_m(2, 15, nonsplit_witness=3, split_table={7: False, 5: True}).to_json()
+    assert doc == {
+        "degree": 4,
+        "n": 15,
+        "disc_is_square": False,
+        "nonsplit_witness": 3,
+        "split_table": {"5": True, "7": False},
+    }
+    assert list(doc["split_table"]) == ["5", "7"]
+
+
 # ---------------------------------------------------------------------------
 # hyperbolicity comparison
 

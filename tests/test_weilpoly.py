@@ -1,6 +1,7 @@
 """Polynomial layer: exact ops, reciprocal transforms, Sturm counting,
 cyclotomic detection, Newton polygons, and the irreducibility certificate."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -18,10 +19,11 @@ from k3cert.weilpoly import (
     NewtonPolygon,
     _SQUAREFREE_SCREEN_PRIME,
     RatPoly,
+    _analyse,
     _coprime_to_derivative_mod,
     _cyclotomic_ints,
     _cyclotomic_residues,
-    _descent_analysis,
+    _divexact,
     _integer_multiple,
     _psi_ints,
     _squarefree_power_ints,
@@ -53,10 +55,12 @@ from oracles import (
     fraction_descent,
     fraction_newton_polygon,
     fraction_squarefree_power,
+    fraction_strip_cyclotomic,
     fraction_unit_circle,
     naive_phi,
     proper_factor_degree_candidates,
     rational_gcd_monic,
+    _fp_gcd,
     _q_mul,
     _q_trim,
 )
@@ -135,6 +139,18 @@ def test_divmod_exact_cases():
     assert q == poly(-1, 1) and r.is_zero
     with pytest.raises(ZeroDivisionError):
         divmod(f, RatPoly.zero())
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([1, 1], [1, 2]),  # lc(b) does not divide lc(a)
+        ([1, 0, 1], [1, 1]),  # a nonzero remainder
+    ],
+)
+def test_divexact_rejects_inexact_division(a, b):
+    with pytest.raises(ValueError, match="inexact polynomial division"):
+        _divexact(a, b)
 
 
 def test_truediv_requires_exactness():
@@ -400,6 +416,11 @@ def test_unit_circle_rejects_non_palindromes():
     assert not unit_circle_check(poly(-1, -1, 0, 1, 1))
 
 
+def test_unit_circle_rejects_constants():
+    # a nonzero constant has no root; the one-sided test still says no
+    assert not unit_circle_check(poly(3))
+
+
 def test_unit_circle_ignores_scaling():
     # scaling does not move roots: 2T^2 + 2 has roots at +-i
     assert unit_circle_check(poly(2, 0, 2))
@@ -557,7 +578,7 @@ def test_zero_residue_without_a_psi_factor(k):
     L = reciprocal_transform(RatPoly.of(*s))
     f = _integer_multiple(L)
     assert _descent_path(L) == "squarefree"
-    assert _descent_analysis(f)[3] is None
+    assert _analyse_unbounded(f)[5] is None
     assert cyclotomic_factor_index(L.coeffs) is None
 
 
@@ -578,6 +599,35 @@ def test_strip_cyclotomic_is_idempotent():
 def test_strip_cyclotomic_rejects_zero():
     with pytest.raises(ValueError):
         strip_cyclotomic(RatPoly.zero())
+
+
+def test_strip_cyclotomic_matches_the_oracle_peel():
+    """Seeded products of a nonzero scalar, Phi_k with phi(k) <= 6 (with
+    repeats) and factors with rational coefficients: the removed indices
+    are those of a repeated `cyclotomic_factor_index` peel, the quotient is
+    the oracle's, and the quotient times the removed Phi_k gives P back."""
+    rng = random.Random(15)
+    ks = [k for k in range(1, 19) if naive_phi(k) <= 6]
+    removed_any = repeated = 0
+    for _ in range(120):
+        P = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))]
+        for _ in range(rng.randint(0, 3)):
+            k = rng.choice(ks)
+            for _ in range(rng.choice((1, 1, 2))):
+                P = _q_mul(P, fraction_cyclotomic(k))
+        for _ in range(rng.randint(0, 2)):
+            factor = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 7))) for _ in range(rng.randint(1, 3))]
+            factor[0] = factor[0] or Fraction(1)
+            P = _q_mul(P, factor + [Fraction(rng.randint(1, 4), rng.choice((1, 5)))])
+        quotient, removed = strip_cyclotomic(RatPoly(tuple(P)))
+        assert (quotient.coeffs, removed) == fraction_strip_cyclotomic(P), P
+        product = list(quotient.coeffs)
+        for k in removed:
+            product = _q_mul(product, fraction_cyclotomic(k))
+        assert tuple(_q_trim(product)) == tuple(_q_trim(P))
+        removed_any += bool(removed)
+        repeated += len(set(removed)) < len(removed)
+    assert removed_any > 60 and repeated > 10, (removed_any, repeated)
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +710,7 @@ def test_newton_polygon_reversal_negates_slopes():
 def test_squarefree_decompose_identity():
     base, e = squarefree_decompose(WORKED)
     assert base == WORKED and e == 1
+    assert squarefree_decompose(RatPoly.of(1)) == (RatPoly.of(1), 1)
 
 
 def test_squarefree_decompose_powers():
@@ -712,6 +763,34 @@ def test_squarefree_power_where_the_residue_screen_proves_nothing(L, e):
     R, got_e = _squarefree_power(L)
     assert (R.coeffs, got_e) == fraction_squarefree_power(L.coeffs)
     assert got_e == e
+
+
+def test_squarefree_screen_matches_the_gcd_mod_ell_oracle():
+    """`_coprime_to_derivative_mod(f)` holds iff ell does not divide lc(f)
+    and gcd(f, f') mod ell is a constant, on seeded products with factors
+    repeated or not, some with lc(f) = 0 mod ell, some with coefficients
+    >= ell and some with a double root mod ell only."""
+    rng = random.Random(16)
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        f = [Fraction(1)]
+        for _ in range(rng.randint(1, 3)):
+            factor = [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 3))]
+            factor.append(Fraction(rng.choice((-2, -1, 1, 3))))
+            for _ in range(rng.choice((1, 1, 2))):
+                f = _q_mul(f, factor)
+        if rng.random() < 0.2:
+            a = rng.randint(-3, 3)
+            f = _q_mul(f, [Fraction(a * (a + ELL)), Fraction(-2 * a - ELL), Fraction(1)])  # (T - a)(T - a - ell)
+        f = [int(c) for c in f]
+        if rng.random() < 0.2:
+            f[-1] *= ELL
+        if rng.random() < 0.3:
+            f = [c + ELL * rng.randint(-2, 2) if i < len(f) - 1 else c for i, c in enumerate(f)]
+        want = f[-1] % ELL != 0 and len(_fp_gcd(f, [i * c for i, c in enumerate(f)][1:], ELL)) == 1
+        assert _coprime_to_derivative_mod(f) == want, f
+        verdicts[want] += 1
+    assert min(verdicts.values()) > 100, verdicts
 
 
 @st.composite
@@ -785,8 +864,18 @@ def _seeded_candidates(seed: int, count: int) -> list[RatPoly]:
     return out
 
 
+def _analyse_unbounded(f: list[int]) -> tuple:
+    """`_analyse` of f at the least prime dividing no nonzero coefficient
+    of f.  The polygon is then one slope-0 segment over the whole degree,
+    so the cyclotomic scan is not bounded."""
+    p = next(q for q in itertools.count(2) if is_prime(q) and all(c % q for c in f if c))
+    analysis = _analyse(f, p)
+    assert analysis[0].segments == ((0, len(f) - 1),)
+    return analysis
+
+
 def _descent_path(L: RatPoly) -> str:
-    """Which path of `_descent_analysis` L should take, decided over Q: a
+    """Which path of `_analyse` L should take, decided over Q: a
     palindrome of even degree whose descent G has G(2) G(-2) != 0 is read
     from the chain of G, "squarefree" or "repeated" as G is; any other L
     takes the "fallback"."""
@@ -815,7 +904,7 @@ def test_descent_analysis_matches_the_slow_path_and_the_oracles(monkeypatch):
     for L in candidates:
         f = _integer_multiple(L)
         before = len(slow)
-        r, e, on_circle, cyc = _descent_analysis(f)
+        _, _, r, e, on_circle, cyc, _ = _analyse_unbounded(f)
         path = _descent_path(L)
         paths[path] += 1
         assert (len(slow) > before) == (path == "fallback"), format_poly(L)
@@ -873,10 +962,9 @@ def test_flat_segment_bound_keeps_every_cyclotomic_factor(monkeypatch):
     from k3cert.condition import check_candidate
 
     bounds = []
-    analysis = weilpoly._descent_analysis
-    monkeypatch.setattr(
-        weilpoly, "_descent_analysis", lambda f, flat=None, *rest: bounds.append(flat) or analysis(f, flat, *rest)
-    )
+    scans = {name: getattr(weilpoly, name) for name in ("_cyclotomic_index_ints", "_psi_index_ints")}
+    for name, scan in scans.items():
+        monkeypatch.setattr(weilpoly, name, lambda f, flat, scan=scan: bounds.append(flat) or scan(f, flat))
     bounded = hits = 0
     for L, p in _candidates_at_primes(13, 400):
         if L.degree < 1:
@@ -885,7 +973,9 @@ def test_flat_segment_bound_keeps_every_cyclotomic_factor(monkeypatch):
         bounded += flat < L.degree
         k = cyclotomic_factor_index(L.coeffs)
         hits += k is not None and flat < L.degree
-        assert analysis(_integer_multiple(L), flat)[3] == k, (format_poly(L), p)
+        bounds.clear()
+        assert _analyse(_integer_multiple(L), p)[5] == k, (format_poly(L), p)
+        assert bounds == [flat], (format_poly(L), p)
         if L.degree % 2 == 0 and L.degree <= 20:
             detail = check_candidate(L, p).checks["no_root_of_unity"].detail
             assert detail.get("cyclotomic_index") == k, (format_poly(L), p)
@@ -897,7 +987,9 @@ def test_flat_segment_bound_keeps_every_cyclotomic_factor(monkeypatch):
         assert cert.premises["no_cyclotomic_factor"] == (k is None), (format_poly(R), p)
         assert cert.detail.get("cyclotomic_index") == k, (format_poly(R), p)
         with monkeypatch.context() as unbounded:
-            unbounded.setattr(weilpoly, "_descent_analysis", lambda f, flat=None, *rest: analysis(f, None, *rest))
+            for name, scan in scans.items():
+                # a bound of 2 len(f) is above the degree of f and of the transform of f
+                unbounded.setattr(weilpoly, name, lambda f, flat, scan=scan: scan(f, 2 * len(f)))
             assert kronecker_certificate(R, p).to_json() == cert.to_json(), (format_poly(R), p)
     assert bounded > 200 and hits > 100, (bounded, hits)
 
