@@ -200,16 +200,15 @@ class SquareClass:
 
 def square_class(x) -> SquareClass:
     """Image of a nonzero rational in Q*/(Q*)^2."""
-    return _class_and_primes(x)[0]
-
-
-def _class_and_primes(x) -> tuple[SquareClass, list[int]]:
-    """(square_class(x), the primes dividing its squarefree part)."""
     x = Fraction(x)
     if x == 0:
         raise ValueError("0 has no square class")
     # num/den and num*den differ by the square den^2.
-    v = x.numerator * x.denominator
+    return _class_and_primes(x.numerator * x.denominator)[0]
+
+
+def _class_and_primes(v: int) -> tuple[SquareClass, list[int]]:
+    """(square_class(v), the primes dividing its squarefree part) of a nonzero integer."""
     odd = [p for p, e in prime_factors(v).items() if e % 2]
     # a product of distinct primes is squarefree
     return _known_class(1 if v > 0 else -1, math.prod(odd)), odd
@@ -277,20 +276,36 @@ def _hasse_bit(values, place: Place) -> int:
     unit u_i (Euler's criterion at odd p, omega at p = 2).  With A and X the
     sums of alpha_i and chi_i, the sum is A X - sum alpha_i chi_i, plus
     eps(p) C(A, 2) at odd p or C(E, 2), E = sum eps(u_i), at p = 2.
+
+    At odd p, A X - sum alpha_i chi_i = sum_i chi_i (A - alpha_i), which mod
+    2 is the sum of chi_i over the i with alpha_i != A (mod 2).  There chi
+    is the character of F_p* with kernel the squares, so that sum is chi of
+    the product of those u_i mod p: one Euler symbol per odd place.
     """
     if not place.is_finite:
         k = sum(1 for a in values if a < 0)
         return k * (k - 1) // 2 % 2
     p = place.prime
-    A = E = X = cross = 0
+    if p == 2:
+        A = E = X = cross = 0
+        for a in values:
+            v = _int_val(a, 2)
+            u, alpha = a // 2**v, v % 2
+            chi = u % 8 in (3, 5)
+            E += (u - 1) // 2 % 2  # eps(u)
+            A, X, cross = A + alpha, X + chi, cross + alpha * chi
+        return (E * (E - 1) // 2 + A * X - cross) % 2
+    A = 0
+    units = [1, 1]  # products mod p of the u_i with alpha_i even, odd
     for a in values:
-        v = _int_val(a, p)
-        u, alpha = a // p**v, v % 2
-        chi = u % 8 in (3, 5) if p == 2 else pow(u, (p - 1) // 2, p) != 1
-        E += (u - 1) // 2 % 2  # eps(u), read at p = 2 only
-        A, X, cross = A + alpha, X + chi, cross + alpha * chi
-    pairs = E * (E - 1) // 2 if p == 2 else (p - 1) // 2 * (A * (A - 1) // 2)
-    return (pairs + A * X - cross) % 2
+        alpha = 0
+        while a % p == 0:
+            a //= p
+            alpha ^= 1
+        A += alpha
+        units[alpha] = units[alpha] * a % p
+    chi = pow(units[1 - A % 2], (p - 1) // 2, p) != 1
+    return ((p - 1) // 2 * (A * (A - 1) // 2) + chi) % 2
 
 
 def hilbert(a, b, place: Place) -> int:

@@ -123,12 +123,13 @@ def rationalize(spec: LatticeSpec) -> QuadSpace:
     U diagonalizes to <1, -1> over Q; a block <d> keeps its square class,
     e.g. <-4n> becomes <-n>.
     """
+    reps = {b: square_class(b).representative() for b in set(spec.blocks) - {"U"}}
     entries: list[int] = []
     for b in spec.blocks:
         if b == "U":
             entries.extend((1, -1))
         else:
-            entries.append(square_class(b).representative())
+            entries.append(reps[b])
     return QuadSpace.of(*entries)
 
 

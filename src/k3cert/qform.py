@@ -7,7 +7,9 @@ w = sum_{i<j} (a_i, a_j) at every place, stored sparsely: the map keeps
 only the places with nontrivial bit, all others are implicitly 0.  The
 support is finite (contained in {2, inf} and the primes dividing some
 entry), so equality of Hasse invariants "at every place" is decidable.
-Each place reads w from counts over the entries in one pass (`_hasse_bit`).
+Each place reads w in one pass over the entries (`_hasse_bit`): the number
+of entries with odd valuation there, and at an odd prime one Euler symbol
+of a product of their units.
 
 `embedding_criterion` packages the three-part embedding test for a space
 against the invariants of a CM field: determinant matching, even
@@ -57,10 +59,10 @@ class QuadSpace:
     entries: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        es = tuple(Fraction(e) for e in self.entries)
+        es = tuple(e if isinstance(e, Fraction) else Fraction(e) for e in self.entries)
         if not es:
             raise ValueError("a quadratic space needs at least one entry")
-        if any(e == 0 for e in es):
+        if not all(es):
             raise ValueError("diagonal entries must be nonzero")
         object.__setattr__(self, "entries", es)
 
@@ -123,18 +125,17 @@ def _places(primes) -> list[Place]:
 
 def invariants(space: QuadSpace) -> SpaceInvariants:
     """Dimension, determinant class, signature, and sparse Hasse map of a space."""
-    classes, primes = [], set()
-    for e in space.entries:
-        c, odd = _class_and_primes(e)
-        classes.append(c)
-        primes.update(odd)
+    # num/den and num*den differ by the square den^2; each distinct value is factored once
+    values = [e.numerator * e.denominator for e in space.entries]
+    found = {v: _class_and_primes(v) for v in set(values)}
+    classes = [found[v][0] for v in values]
     # the symbol depends only on square classes, so only primes dividing
     # some class can carry a nontrivial bit besides 2 and inf
-    places = _places(primes)
+    places = _places({p for _, odd in found.values() for p in odd})
     reps = [c.representative() for c in classes]
     hasse = {place: 1 for place in places if _hasse_bit(reps, place)}
     det = math.prod(classes[1:], start=classes[0])
-    pos = sum(1 for e in space.entries if e > 0)
+    pos = sum(1 for v in values if v > 0)
     return SpaceInvariants(space.dim, det, (pos, space.dim - pos), hasse)
 
 

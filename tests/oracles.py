@@ -118,21 +118,23 @@ def brute_hilbert_bit(a, b, p: int | None) -> int:
     return 1
 
 
+@cache
+def class_hilbert_bit(a: int, b: int, p: int | None) -> int:
+    """`brute_hilbert_bit` of two squarefree integers, each triple searched once per session."""
+    return brute_hilbert_bit(a, b, p)
+
+
 def pairwise_hasse_bit(entries, p: int | None) -> int:
     """Hasse invariant sum_{i<j} (a_i, a_j) of <entries> at a place, by definition.
 
     Every pairwise symbol comes from `brute_hilbert_bit`; each distinct pair
-    of square classes is searched once.
+    of square classes is searched once (`class_hilbert_bit`).
     """
     classes = [squarefree_part(e) for e in entries]
-    seen: dict[tuple[int, int], int] = {}
     bit = 0
     for i in range(len(classes)):
         for j in range(i + 1, len(classes)):
-            key = (classes[i], classes[j])
-            if key not in seen:
-                seen[key] = brute_hilbert_bit(*key, p)
-            bit ^= seen[key]
+            bit ^= class_hilbert_bit(classes[i], classes[j], p)
     return bit
 
 

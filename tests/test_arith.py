@@ -26,7 +26,7 @@ from k3cert.arith import (
     val_p,
 )
 
-from oracles import brute_hilbert_bit, brute_legendre, squarefree_part
+from oracles import brute_hilbert_bit, brute_legendre, class_hilbert_bit, squarefree_part
 
 nonzero_rationals = st.fractions(
     min_value=-60, max_value=60, max_denominator=60
@@ -91,6 +91,10 @@ def test_val_p_zero_is_infinite():
     assert v > 10**100
     assert not v < 0
     assert v == INF
+    assert repr(INF) == "INF"
+    assert INF <= INF and not INF <= 10**100
+    assert INF >= INF and INF >= 10**100
+    assert INF + 3 is INF and 3 + INF is INF and INF + INF is INF
 
 
 def test_val_p_rejects_composite_modulus():
@@ -275,6 +279,20 @@ def test_hilbert_matches_bruteforce_grid():
                 )
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_hilbert_matches_bruteforce_at_powers_of_the_place(p):
+    # hilbert reads num * den, so a and b reach the kernel with p^0 .. p^4
+    # (both parities) in front of units of both characters
+    units = [u for u in (1, -1, 2, -2, 3, -3, 6, -6, 7) if u % p]
+    values = [Fraction(u * p**k) for u in units for k in range(5)]
+    values += [Fraction(u, p**k) for u in units for k in range(1, 5)]
+    place = Place.finite(p)
+    for a in values:
+        for b in values:
+            want = class_hilbert_bit(squarefree_part(a), squarefree_part(b), p)
+            assert hilbert(a, b, place) == want, (a, b, p)
+
+
 def test_hilbert_trusts_the_prime_of_its_place(monkeypatch):
     # the Place proves its prime once; hilbert does not test it again
     with pytest.raises(ValueError, match=r"^4 is not a prime$"):
@@ -329,6 +347,8 @@ def test_hilbert_product_formula(a, b):
 def test_support_primes():
     assert support_primes([Fraction(9, 4), 35]) == {2, 3, 5, 7}
     assert support_primes([1, -1]) == set()
+    with pytest.raises(ValueError, match="support of 0 is undefined"):
+        support_primes([3, Fraction(0)])
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +359,10 @@ def test_next_progression_prime_examples():
     assert next_progression_prime(7, 2) == 23
     assert next_progression_prime(5, 1) == 11
     assert next_progression_prime(3, 1) == 7
+    with pytest.raises(ValueError, match="modulus must be an odd prime"):
+        next_progression_prime(2, 1)
+    with pytest.raises(ValueError, match="residue must be coprime to p"):
+        next_progression_prime(7, 14)
 
 
 @pytest.mark.parametrize("p,x", [(7, 2), (5, 1), (3, 1), (11, 4), (13, 6)])

@@ -11,6 +11,7 @@ from k3cert.qform import (
     CMFieldData,
     EmbeddingReport,
     QuadSpace,
+    SpaceInvariants,
     complement_invariants,
     embedding_criterion,
     hyperbolic,
@@ -33,6 +34,25 @@ def test_quadspace_basics():
     assert sp.to_json() == ["1", "-1", "2/3"]
     with pytest.raises(ValueError):
         QuadSpace.of(1, 0, 2)
+    with pytest.raises(ValueError, match="must be nonzero"):
+        QuadSpace.of(Fraction(2, 3), Fraction(0))
+    with pytest.raises(ValueError, match="at least one entry"):
+        QuadSpace(())
+    # Fraction entries are kept as given, others become Fractions
+    third = Fraction(1, 3)
+    sp = QuadSpace.of(third, -2)
+    assert sp.entries[0] is third
+    assert type(sp.entries[1]) is Fraction and sp.entries[1] == -2
+
+
+def test_space_invariants_guards():
+    det = SquareClass(1, 1)
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        SpaceInvariants(0, det, (0, 0), {})
+    with pytest.raises(ValueError, match="signature must sum to the dimension"):
+        SpaceInvariants(2, det, (1, 0), {})
+    with pytest.raises(ValueError, match="stored Hasse bits must be 1"):
+        SpaceInvariants(2, det, (1, 1), {INFINITE_PLACE: 0})
 
 
 def test_invariants_of_unit_form():
@@ -91,6 +111,8 @@ def test_hyperbolic_hasse_closed_form():
         a = (-1) ** (m * (m - 1) // 2)
         for place in (Place.finite(2), Place.finite(3), Place.finite(7), INFINITE_PLACE):
             assert inv.hasse_at(place) == hilbert(a, -1, place)
+    with pytest.raises(ValueError, match="need m >= 1"):
+        hyperbolic(0)
 
 
 def _random_space(rng, dim=None):
@@ -165,6 +187,28 @@ def test_invariants_hasse_matches_pairwise_oracle():
         support = {q for q in primes if any((e.numerator * e.denominator) % q == 0 for e in entries)}
         for p in sorted(support | {2}) + [None]:
             assert inv.hasse_at(Place(p)) == pairwise_hasse_bit(entries, p), (entries, p)
+
+
+def test_invariants_hasse_matches_pairwise_oracle_at_prime_powers():
+    # each value carries p^0 .. p^4 at one odd p, in the numerator or the
+    # denominator, so the valuations at p reach 2, 3 and 4 and both parities
+    # of alpha_i meet units of both characters in one product
+    rng = random.Random(61)
+    odd = (3, 5, 7, 11, 13)
+    for _ in range(40):
+        p, q = rng.sample(odd, 2)
+        entries = []
+        for _ in range(rng.randint(1, 22)):
+            num, den = rng.choice((-1, 1)) * rng.choice((1, 2)), rng.choice((1, q))
+            power = p ** rng.randint(0, 4)
+            if rng.random() < 0.5:
+                num *= power
+            else:
+                den *= power
+            entries.append(Fraction(num, den))
+        inv = invariants(QuadSpace(tuple(entries)))
+        for place in (2, p, q, None):
+            assert inv.hasse_at(Place(place)) == pairwise_hasse_bit(entries, place), (entries, place)
 
 
 # ---------------------------------------------------------------------------
