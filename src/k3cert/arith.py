@@ -266,8 +266,13 @@ class Place:
 INFINITE_PLACE = Place(None)
 
 
-def _hasse_bit(values, place: Place) -> int:
+def _hasse_bit(values, p: int | None) -> int:
     """Hasse bit sum_{i<j} (a_i, a_j)_v mod 2 of nonzero integers a_i (Serre, IV.2.1).
+
+    The place v is the prime p, or the real place for p = None.  Places
+    are plain integers here, so a caller holding primes it has just found
+    (by factoring) reads a bit without building a `Place` or re-proving
+    that p is prime; `hilbert` passes `place.prime`.
 
     Serre, *A Course in Arithmetic*, III.1, Thm. 1: at the real place the
     symbol is 1 iff both entries are negative, so the sum is C(k, 2) for k
@@ -282,10 +287,9 @@ def _hasse_bit(values, place: Place) -> int:
     is the character of F_p* with kernel the squares, so that sum is chi of
     the product of those u_i mod p: one Euler symbol per odd place.
     """
-    if not place.is_finite:
+    if p is None:
         k = sum(1 for a in values if a < 0)
         return k * (k - 1) // 2 % 2
-    p = place.prime
     if p == 2:
         A = E = X = cross = 0
         for a in values:
@@ -313,7 +317,7 @@ def hilbert(a, b, place: Place) -> int:
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("hilbert symbol needs nonzero arguments")
-    return _hasse_bit((a.numerator * a.denominator, b.numerator * b.denominator), place)
+    return _hasse_bit((a.numerator * a.denominator, b.numerator * b.denominator), place.prime)
 
 
 def support_primes(values) -> set[int]:

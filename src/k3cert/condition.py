@@ -47,6 +47,7 @@ from .weilpoly import (
     _at,
     _integer_multiple,
     _mul_ints,
+    _psi_ints,
     _sturm_chain_ints,
     _transform_ints,
     _window,
@@ -211,27 +212,22 @@ def _check_candidate(
 
 
 # Seed polynomials: monic, integral, degree m, with m distinct nonzero
-# real roots in (-2, 2).  The degree-1..4 generators below are the
-# minimal polynomials of 1, of +-1, of 2cos(2pi/9), and of 2cos(pi/12)
-# and friends; products are arranged so the root sets stay disjoint.
-_GEN_LINEAR = (-1, 1)  # T - 1
-_GEN_SQ1 = (-1, 0, 1)  # T^2 - 1
-_GEN_SQ2 = (-2, 0, 1)  # T^2 - 2
-_GEN_SQ3 = (-3, 0, 1)  # T^2 - 3
-_GEN_CUBIC = (1, -3, 0, 1)  # T^3 - 3T + 1
-_GEN_QUARTIC = (1, 0, -4, 0, 1)  # T^4 - 4T^2 + 1
-
-_SEED_FACTORS: dict[int, tuple[tuple[int, ...], ...]] = {
-    1: (_GEN_LINEAR,),
-    2: (_GEN_SQ1,),
-    3: (_GEN_CUBIC,),
-    4: (_GEN_QUARTIC,),
-    5: (_GEN_SQ1, _GEN_CUBIC),
-    6: (_GEN_SQ1, _GEN_QUARTIC),
-    7: (_GEN_CUBIC, _GEN_QUARTIC),
-    8: (_GEN_SQ1, _GEN_SQ2, _GEN_QUARTIC),
-    9: (_GEN_SQ1, _GEN_CUBIC, _GEN_QUARTIC),
-    10: (_GEN_SQ1, _GEN_SQ2, _GEN_SQ3, _GEN_QUARTIC),
+# real roots in (-2, 2).  Each is a product of distinct psi_k, the minimal
+# polynomial of 2cos(2pi/k) (`weilpoly._psi_ints`), so the root sets are
+# disjoint; k >= 3 keeps +-2 out and k != 4 keeps 0 out.  Those used are
+# psi_3 = T + 1, psi_6 = T - 1, psi_8 = T^2 - 2, psi_12 = T^2 - 3,
+# psi_9 = T^3 - 3T + 1 and psi_24 = T^4 - 4T^2 + 1.
+_SEED_FACTORS: dict[int, tuple[int, ...]] = {
+    1: (6,),
+    2: (3, 6),
+    3: (9,),
+    4: (24,),
+    5: (3, 6, 9),
+    6: (3, 6, 24),
+    7: (9, 24),
+    8: (3, 6, 8, 24),
+    9: (3, 6, 9, 24),
+    10: (3, 6, 8, 12, 24),
 }
 
 
@@ -242,8 +238,8 @@ def _seed_ints(m: int) -> tuple[int, ...]:
     if m not in _SEED_FACTORS:
         raise ValueError(f"seed polynomials cover 1 <= m <= {MAX_M}")
     seed = [1]
-    for factor in _SEED_FACTORS[m]:
-        seed = _mul_ints(seed, factor)
+    for k in _SEED_FACTORS[m]:
+        seed = _mul_ints(seed, _psi_ints(k))
     # construction-time verification, not just bookkeeping: seed(+-2) != 0
     # makes the `_window` count exact, and m distinct roots in [-2, 2] are
     # all the roots of a seed of degree m, each simple

@@ -9,7 +9,12 @@ support is finite (contained in {2, inf} and the primes dividing some
 entry), so equality of Hasse invariants "at every place" is decidable.
 Each place reads w in one pass over the entries (`_hasse_bit`): the number
 of entries with odd valuation there, and at an odd prime one Euler symbol
-of a product of their units.
+of a product of their units.  `invariants` factors each distinct entry
+once and counts the primes of the entries' square classes: those primes,
+with 2 and inf, are the places to read, and the primes of odd count give
+the determinant's squarefree part.  Inside the kernels a place is a plain
+integer (None for inf); a `Place` is built only for a place whose bit is
+1, when the report is assembled.
 
 `embedding_criterion` packages the three-part embedding test for a space
 against the invariants of a CM field: determinant matching, even
@@ -22,15 +27,16 @@ its verdict is four-valued rather than boolean.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import (
-    INFINITE_PLACE,
     Place,
     SquareClass,
     _class_and_primes,
     _hasse_bit,
+    _known_class,
     check_prime,
     format_rational,
     square_class,
@@ -118,9 +124,10 @@ class SpaceInvariants:
         }
 
 
-def _places(primes) -> list[Place]:
-    """{2, inf} and the given primes, as places in sort order."""
-    return sorted({INFINITE_PLACE, Place.finite(2), *map(Place.finite, primes)}, key=Place.sort_key)
+def _places(primes) -> tuple[int | None, ...]:
+    """{2, inf} and the given primes (None, the real place, may be among
+    them), as `_hasse_bit` places in `Place.sort_key` order."""
+    return (*sorted({2, *primes} - {None}), None)
 
 
 def invariants(space: QuadSpace) -> SpaceInvariants:
@@ -128,15 +135,15 @@ def invariants(space: QuadSpace) -> SpaceInvariants:
     # num/den and num*den differ by the square den^2; each distinct value is factored once
     values = [e.numerator * e.denominator for e in space.entries]
     found = {v: _class_and_primes(v) for v in set(values)}
-    classes = [found[v][0] for v in values]
     # the symbol depends only on square classes, so only primes dividing
-    # some class can carry a nontrivial bit besides 2 and inf
-    places = _places({p for _, odd in found.values() for p in odd})
-    reps = [c.representative() for c in classes]
-    hasse = {place: 1 for place in places if _hasse_bit(reps, place)}
-    det = math.prod(classes[1:], start=classes[0])
-    pos = sum(1 for v in values if v > 0)
-    return SpaceInvariants(space.dim, det, (pos, space.dim - pos), hasse)
+    # some class can carry a nontrivial bit besides 2 and inf; the primes
+    # of odd count divide the product of the classes, the others cancel
+    counts = Counter(p for v in values for p in found[v][1])
+    reps = [found[v][0].representative() for v in values]
+    hasse = {Place(p): 1 for p in _places(counts) if _hasse_bit(reps, p)}
+    neg = sum(1 for v in values if v < 0)
+    det = _known_class(-1 if neg % 2 else 1, math.prod(p for p, c in counts.items() if c % 2))
+    return SpaceInvariants(space.dim, det, (space.dim - neg, neg), hasse)
 
 
 def hyperbolic(m: int) -> QuadSpace:
@@ -163,16 +170,10 @@ def complement_invariants(ambient: SpaceInvariants, sub: SpaceInvariants) -> Spa
     det = ambient.det * sub.det
     # the primes dividing sub.det or det are those dividing sub.det or ambient.det
     _, odd = _class_and_primes(math.lcm(sub.det.sqfree, ambient.det.sqfree))
-    places = _places({*odd, *(pl.prime for pl in (*ambient.hasse, *sub.hasse) if pl.is_finite)})
-    hasse: dict[Place, int] = {}
-    for place in places:
-        bit = (
-            ambient.hasse_at(place)
-            ^ sub.hasse_at(place)
-            ^ _hasse_bit((sub.det.representative(), det.representative()), place)
-        )
-        if bit:
-            hasse[place] = 1
+    # the places where exactly one of ambient and sub has bit 1
+    flipped = {pl.prime for pl in ambient.hasse} ^ {pl.prime for pl in sub.hasse}
+    pair = (sub.det.representative(), det.representative())
+    hasse = {Place(v): 1 for v in _places({*odd, *flipped}) if (v in flipped) ^ _hasse_bit(pair, v)}
     return SpaceInvariants(ambient.dim - sub.dim, det, (pos, neg), hasse)
 
 

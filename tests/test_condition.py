@@ -272,7 +272,9 @@ def test_seed_is_built_and_verified_once_per_m(monkeypatch):
     ],
 )
 def test_seed_verification_rejects_a_bad_factor_table(monkeypatch, factors):
-    monkeypatch.setitem(condition._SEED_FACTORS, 3, factors)
+    # the table names factors by index; the bad factors stand in for psi_k
+    monkeypatch.setitem(condition._SEED_FACTORS, 3, tuple(range(len(factors))))
+    monkeypatch.setattr(condition, "_psi_ints", factors.__getitem__)
     seed_polynomial.cache_clear()
     condition._seed_ints.cache_clear()
     with pytest.raises(RuntimeError):
@@ -280,14 +282,16 @@ def test_seed_verification_rejects_a_bad_factor_table(monkeypatch, factors):
 
 
 # Private names of `weilpoly` that `condition` may import: the one analysis,
-# the integer kernels of the witness search and its window count.  The
-# descent decisions (the polygon's flat bound, the chain's sign variations,
-# the circle and off-p tests) stay behind `_analyse` and `_window`.
+# the integer kernels of the witness search and its window count, and the
+# psi_k the seeds are built from.  The descent decisions (the polygon's flat
+# bound, the chain's sign variations, the circle and off-p tests) stay
+# behind `_analyse` and `_window`.
 CONDITION_PRIVATE_IMPORTS = {
     "_analyse",
     "_at",
     "_integer_multiple",
     "_mul_ints",
+    "_psi_ints",
     "_sturm_chain_ints",
     "_transform_ints",
     "_window",

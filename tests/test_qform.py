@@ -1,6 +1,7 @@
 """Rational quadratic space invariants, Witt-style complement arithmetic,
 and the two-layer embedding criterion."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -184,29 +185,44 @@ def test_invariants_hasse_matches_pairwise_oracle():
                 num *= q
             entries.append(Fraction(num, rng.choice((1, 2, 8, 3, 25, 12))))
         inv = invariants(QuadSpace(tuple(entries)))
+        _assert_det_and_signature(inv, entries)
         support = {q for q in primes if any((e.numerator * e.denominator) % q == 0 for e in entries)}
         for p in sorted(support | {2}) + [None]:
             assert inv.hasse_at(Place(p)) == pairwise_hasse_bit(entries, p), (entries, p)
 
 
-def test_invariants_hasse_matches_pairwise_oracle_at_prime_powers():
-    # each value carries p^0 .. p^4 at one odd p, in the numerator or the
+def _assert_det_and_signature(inv, entries):
+    # the determinant read from the parity of prime counts, against the product
+    assert inv.det == square_class(math.prod(entries)), entries
+    assert inv.signature == (sum(e > 0 for e in entries), sum(e < 0 for e in entries)), entries
+
+
+_ODD = (3, 5, 7, 11, 13)
+
+
+def _prime_power_entries(rng, p, q):
+    # each value carries p^0 .. p^4 at the odd p, in the numerator or the
     # denominator, so the valuations at p reach 2, 3 and 4 and both parities
     # of alpha_i meet units of both characters in one product
+    entries = []
+    for _ in range(rng.randint(1, 22)):
+        num, den = rng.choice((-1, 1)) * rng.choice((1, 2)), rng.choice((1, q))
+        power = p ** rng.randint(0, 4)
+        if rng.random() < 0.5:
+            num *= power
+        else:
+            den *= power
+        entries.append(Fraction(num, den))
+    return entries
+
+
+def test_invariants_hasse_matches_pairwise_oracle_at_prime_powers():
     rng = random.Random(61)
-    odd = (3, 5, 7, 11, 13)
     for _ in range(40):
-        p, q = rng.sample(odd, 2)
-        entries = []
-        for _ in range(rng.randint(1, 22)):
-            num, den = rng.choice((-1, 1)) * rng.choice((1, 2)), rng.choice((1, q))
-            power = p ** rng.randint(0, 4)
-            if rng.random() < 0.5:
-                num *= power
-            else:
-                den *= power
-            entries.append(Fraction(num, den))
+        p, q = rng.sample(_ODD, 2)
+        entries = _prime_power_entries(rng, p, q)
         inv = invariants(QuadSpace(tuple(entries)))
+        _assert_det_and_signature(inv, entries)
         for place in (2, p, q, None):
             assert inv.hasse_at(Place(place)) == pairwise_hasse_bit(entries, place), (entries, place)
 
@@ -217,8 +233,12 @@ def test_invariants_hasse_matches_pairwise_oracle_at_prime_powers():
 
 def test_complement_recovers_other_summand():
     rng = random.Random(4242)
-    for _ in range(100):
-        sub, rest = _random_space(rng), _random_space(rng)
+    pairs = [(_random_space(rng), _random_space(rng)) for _ in range(100)]
+    # summands over one odd p with p^0 .. p^4 factors flip Hasse bits at p
+    for _ in range(60):
+        p, q = rng.sample(_ODD, 2)
+        pairs.append(tuple(QuadSpace(tuple(_prime_power_entries(rng, p, q))) for _ in range(2)))
+    for sub, rest in pairs:
         ambient = invariants(sub.direct_sum(rest))
         got = complement_invariants(ambient, invariants(sub))
         assert got == invariants(rest)

@@ -32,6 +32,7 @@ from k3cert.weilpoly import (
     cyclotomic,
     cyclotomic_index_list,
     denominators_are_p_power,
+    euler_phi,
     format_poly,
     has_cyclotomic_factor,
     kronecker_certificate,
@@ -94,6 +95,8 @@ def test_construction_normalizes():
     assert RatPoly.zero().degree == -1
     assert RatPoly.one() == poly(1)
     assert RatPoly.monomial(3, 5) == poly(0, 0, 0, 5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        RatPoly.monomial(-1)
     third = Fraction(1, 3)
     f = poly(1, third)
     assert all(type(c) is Fraction for c in f.coeffs)
@@ -108,6 +111,8 @@ def test_degree_and_coeff_access():
     assert f.coeff(17) == 0
     assert f.leading == Fraction(1, 2)
     assert f.constant == 3
+    with pytest.raises(ValueError, match="no leading coefficient"):
+        RatPoly.zero().leading
 
 
 def test_arithmetic_identities():
@@ -232,6 +237,8 @@ def test_reciprocal_transform_basics():
     # F = T - 2 maps to T^2 - 2T + 1... no: T(T + 1/T - 2) = T^2 - 2T + 1
     assert reciprocal_transform(poly(-2, 1)) == poly(1, -2, 1)
     assert reciprocal_transform(poly(1)) == poly(1)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        reciprocal_transform(RatPoly.zero())
 
 
 @given(small_coeffs, st.fractions(min_value=-4, max_value=4, max_denominator=4))
@@ -448,6 +455,10 @@ def test_cyclotomic_small_table():
     assert cyclotomic(4) == poly(1, 0, 1)
     assert cyclotomic(6) == poly(1, -1, 1)
     assert cyclotomic(12) == poly(1, 0, -1, 0, 1)
+    with pytest.raises(ValueError, match="must be positive"):
+        cyclotomic(0)
+    with pytest.raises(ValueError, match="positive integer"):
+        euler_phi(0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 15, 24, 36, 40])
@@ -468,6 +479,7 @@ def test_cyclotomic_product_identity(k):
 def test_cyclotomic_index_list_small():
     assert cyclotomic_index_list(1) == [1, 2]
     assert cyclotomic_index_list(2) == [1, 2, 3, 4, 6]
+    assert cyclotomic_index_list(0) == []
 
 
 def test_cyclotomic_index_list_versus_totient():
@@ -668,6 +680,8 @@ def test_newton_polygon_validation():
         newton_polygon(WORKED, 6)
     with pytest.raises(ValueError):
         NewtonPolygon(((Fraction(1), 2), (Fraction(0), 1)))  # slopes must increase
+    with pytest.raises(ValueError, match="lengths must be positive"):
+        NewtonPolygon(((Fraction(-1), 1), (Fraction(0), 0)))
 
 
 @given(
@@ -1045,6 +1059,11 @@ def test_kronecker_certificate_unknown_for_tilted_middle():
 def test_kronecker_certificate_rejects_non_squarefree():
     with pytest.raises(ValueError):
         kronecker_certificate(WORKED * WORKED, 7)
+
+
+def test_kronecker_certificate_rejects_a_constant_term_other_than_1():
+    with pytest.raises(ValueError, match=r"R\(0\) = 1"):
+        kronecker_certificate(RatPoly.of(2, 1), 7)
 
 
 def test_kronecker_certified_outputs_survive_factor_sieve():
