@@ -27,9 +27,11 @@ it to a degree-2m self-reciprocal candidate, and returns the first a
 (coprime to h, searched upward) whose candidate passes.  The search runs
 in Z[T] on p^a times the perturbed seed and its transform, and the six
 checks read that integer transform directly; the returned witness is the
-only `RatPoly` the search builds.  For even h at m = 10 the square of a
-degree-10 witness is used instead, giving e = 2; `_witness` picks the
-route.
+only `RatPoly` the search builds.  Its circle facts come from the signs
+of the perturbed seed at the seed's own alternation points, and from a
+Sturm chain only when those signs settle nothing.  For even h at m = 10
+the square of a degree-10 witness is used instead, giving e = 2;
+`_witness` picks the route.
 """
 
 from __future__ import annotations
@@ -43,14 +45,14 @@ from .arith import check_prime
 from .weilpoly import (
     NewtonPolygon,
     RatPoly,
+    _alternation,
     _analyse,
     _at,
+    _descent_facts,
     _integer_multiple,
     _mul_ints,
     _psi_ints,
-    _sturm_chain_ints,
     _transform_ints,
-    _window,
     format_poly,
 )
 
@@ -151,15 +153,15 @@ def check_candidate(L: RatPoly, p: int) -> CandidateReport:
 
 
 def _check_candidate(
-    f: list[int], p: int, chain: list[list[int]] | None = None, count: int | None = None
+    f: list[int], p: int, descent: tuple[list[int], list[int], int | None] | None = None
 ) -> CandidateReport:
     """`check_candidate` on the primitive integer multiple f of L, with
-    f(0) > 0, so that L = f / f(0).  A caller that has the Sturm chain of
-    G for L = T^m G(T + 1/T) passes it, and its `_window` as count."""
+    f(0) > 0, so that L = f / f(0).  A caller that has proved the descent
+    facts of G for L = T^m G(T + 1/T) passes them (see `weilpoly._analyse`)."""
     m = (len(f) - 1) // 2
     # r has the roots of L, each once; e is None unless L = R^e for
     # R = r / r(0).
-    polygon, shape, r, e, on_circle, cyc, offending = _analyse(f, p, chain, count)
+    polygon, shape, r, e, on_circle, cyc, offending = _analyse(f, p, descent)
 
     h = a = None
     local = CheckResult("fail", {"reason": "negative part is empty or splits by slope"})
@@ -230,23 +232,49 @@ _SEED_FACTORS: dict[int, tuple[int, ...]] = {
     10: (3, 6, 8, 12, 24),
 }
 
+# The seeds' own certificate: seed_m takes nonzero values of strictly
+# alternating sign at the points n / _POINT_DENOMINATOR for n in
+# _SEED_POINTS[m], from -2 up to 2, so its m roots are distinct and lie in
+# (-2, 2) (the alternation argument in the `weilpoly` module docstring).
+# Each inner point is the midpoint of the gap between two neighbouring
+# roots, each isolated in an interval (k/64, (k+1)/64].
+_POINT_DENOMINATOR = 128
+_SEED_POINTS: dict[int, tuple[int, ...]] = {
+    1: (-256, 256),
+    2: (-256, -1, 256),
+    3: (-256, -98, 121, 256),
+    4: (-256, -157, 0, 157, 256),
+    5: (-256, -185, -42, 86, 162, 256),
+    6: (-256, -188, -98, 0, 97, 187, 256),
+    7: (-256, -244, -154, -11, 56, 132, 222, 256),
+    8: (-256, -214, -155, -98, 0, 97, 154, 214, 256),
+    9: (-256, -244, -185, -98, -11, 56, 97, 162, 222, 256),
+    10: (-256, -234, -201, -155, -98, 0, 97, 154, 201, 234, 256),
+}
+
 
 @lru_cache(maxsize=MAX_M)  # one entry per valid m; a raised ValueError is not cached
-def _seed_ints(m: int) -> tuple[int, ...]:
-    """The integer coefficients of the monic `seed_polynomial(m)`, built
-    and verified once per m."""
+def _seed_ints(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(seed, values): the integer coefficients of the monic
+    `seed_polynomial(m)`, and the integers D^m seed(n / D) at its points
+    n in `_SEED_POINTS[m]`, D = `_POINT_DENOMINATOR`; built and verified
+    once per m."""
     if m not in _SEED_FACTORS:
         raise ValueError(f"seed polynomials cover 1 <= m <= {MAX_M}")
     seed = [1]
     for k in _SEED_FACTORS[m]:
         seed = _mul_ints(seed, _psi_ints(k))
-    # construction-time verification, not just bookkeeping: seed(+-2) != 0
-    # makes the `_window` count exact, and m distinct roots in [-2, 2] are
-    # all the roots of a seed of degree m, each simple
-    inside = _at(seed, 2) and _at(seed, -2) and _window(_sturm_chain_ints(seed)) == m
-    if not inside or len(seed) != m + 1 or seed[0] == 0:
+    points, D = _SEED_POINTS[m], _POINT_DENOMINATOR
+    scaled = [c * D ** (len(seed) - 1 - i) for i, c in enumerate(seed)]
+    values = [_at(scaled, n) for n in points]
+    # construction-time verification, not just bookkeeping: m + 1 values of
+    # strictly alternating sign at points from -2 up to 2 prove that the
+    # seed of degree m has m simple roots, all in (-2, 2)
+    ordered = all(x < y for x, y in zip(points, points[1:]))
+    window = len(points) == m + 1 and points[0] == -2 * D and points[-1] == 2 * D
+    if len(seed) != m + 1 or seed[0] == 0 or not (ordered and window and _alternation(values)):
         raise RuntimeError("seed polynomial must have m distinct nonzero real roots in (-2, 2)")
-    return tuple(seed)
+    return tuple(seed), tuple(values)
 
 
 @lru_cache(maxsize=MAX_M)
@@ -256,7 +284,7 @@ def seed_polynomial(m: int) -> RatPoly:
     The polynomial is built and verified once per m; later calls return
     the same (immutable) polynomial.
     """
-    return RatPoly(_seed_ints(m))
+    return RatPoly(_seed_ints(m)[0])
 
 
 class WitnessSearchError(RuntimeError):
@@ -278,13 +306,25 @@ def construct_witness(
     the transform being unimodular over Z, and L = f / f(0) = f / p^a is
     the only `RatPoly` the search builds.
 
-    F is the descent of L, so its one Sturm chain serves both the search
-    and the check, by the descent argument in the `weilpoly` module
-    docstring: a squarefree F with fewer than m roots in [-2, 2] gives an
-    L that fails `unit_circle`, and that a is skipped before the
-    transform; any other chain goes on to `check_candidate`, with the
-    window count if the search has made it.
+    F is the descent of L, and the search proves F's descent facts for
+    the check, by the alternation and descent arguments in the
+    `weilpoly` module docstring.  First come the signs of p^a F at the
+    seed's points, which need no chain: when they strictly alternate, F
+    has m simple roots in (-2, 2), and when an end sign is wrong, F has
+    a real root beyond +-2, so L has a root off the unit circle and that
+    a is skipped before the transform.  Otherwise one Sturm chain of F
+    decides: a squarefree F with fewer than m roots in [-2, 2] is
+    skipped the same way, and any other F goes on to the check.
     """
+    _, f, q, report = _search(p, m, h, a_start, a_cap)
+    return RatPoly(tuple(Fraction(c, q) for c in f)), report
+
+
+def _search(
+    p: int, m: int, h: int, a_start: int, a_cap: int
+) -> tuple[list[int], list[int], int, CandidateReport]:
+    """`construct_witness` in Z[T]: (F, f, q, report) for the witness,
+    with q = p^a, F = q seed + T^(m-h) and f the transform of F."""
     check_prime(p)
     if not 1 <= h <= m <= MAX_M:
         raise ValueError("need 1 <= h <= m <= 10")
@@ -292,21 +332,27 @@ def construct_witness(
         raise ValueError("a_start must be >= 1")
     if a_start > a_cap:
         raise ValueError(f"a_start = {a_start} exceeds a_cap = {a_cap}")
-    seed = _seed_ints(m)
+    seed, seed_values = _seed_ints(m)
+    D = _POINT_DENOMINATOR
+    # D^m (n / D)^(m-h) at each point, so that D^m F(n / D) = q * value + term
+    term = [n ** (m - h) * D**h for n in _SEED_POINTS[m]]
     for a in range(a_start, a_cap + 1):
         if math.gcd(a, h) != 1:
             continue
         q = p**a
         F = [q * c for c in seed]
         F[m - h] += 1
-        chain = _sturm_chain_ints(F)
-        count = _window(chain) if len(chain[-1]) == 1 else None
-        if count is not None and count < m:
+        inside = _alternation([q * v + t for v, t in zip(seed_values, term)])
+        if inside is False:
+            continue  # F has a real root beyond +-2, so L has a root off the unit circle
+        descent = (F, [1], m) if inside else _descent_facts(F)
+        _, d, count = descent
+        if len(d) == 1 and count < m:
             continue  # so L = T^m F(T + 1/T) has a root off the unit circle
         f = _transform_ints(F)
-        report = _check_candidate(f, p, chain, count)
+        report = _check_candidate(f, p, descent)
         if report.passed and report.h == h and report.e == 1:
-            return RatPoly(tuple(Fraction(c, q) for c in f)), report
+            return F, f, q, report
     raise WitnessSearchError(
         f"no witness for p={p}, m={m}, h={h} with {a_start} <= a <= {a_cap}; "
         "raise a_cap to search further"
@@ -321,17 +367,23 @@ def construct_witness_even_h(
     A witness with (m, h) = (5, h/2) is constructed and squared; the
     square passes with (m, h, e) = (10, h, 2) and doubled exponent a, so
     the slope profile lives over q = p^(2a), a square.
+
+    The square is built in Z[T].  The base witness passed with e = 1, so
+    its descent F has 5 simple roots in (-2, 2), and F(2) F(-2) != 0 as
+    no root of unity divides it.  So G = F^2 has the descent facts
+    (G, F, 5): F is gcd(G, G'), and G has the 5 distinct roots of F.
     """
     if h % 2 != 0 or not 2 <= h <= 10:
         raise ValueError("this path needs even h with 2 <= h <= 10")
-    base, base_report = construct_witness(p, 5, h // 2, a_start, a_cap)
-    L = base * base
-    report = check_candidate(L, p)
+    F, _, q, base_report = _search(p, 5, h // 2, a_start, a_cap)
+    G = _mul_ints(F, F)
+    f = _transform_ints(G)
+    report = _check_candidate(f, p, (G, F, 5))
     if not (report.passed and report.m == 10 and report.h == h and report.e == 2):
         raise WitnessSearchError(
             f"squared witness for p={p}, h={h} failed verification (base a={base_report.a})"
         )
-    return L, report
+    return RatPoly(tuple(Fraction(c, q * q) for c in f)), report
 
 
 def _witness(p: int, m: int, h: int, a_start: int = 1) -> tuple[RatPoly, CandidateReport]:

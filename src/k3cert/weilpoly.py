@@ -25,6 +25,18 @@ d(lo) d(hi) != 0.  In particular, when d(2) d(-2) != 0, f has
 V(-2) - V(2) distinct roots in (-2, 2], and one more at -2 if f(-2) = 0:
 that is the window count `_window`.
 
+A cheaper proof needs no chain.  If g of degree m takes nonzero values
+of strictly alternating sign at points -2 = x_0 < x_1 < ... < x_m = 2,
+then each (x_j, x_(j+1)) holds a root, so g has m simple roots, all in
+(-2, 2): g is squarefree, g(2) g(-2) != 0, and its window count is m.
+At a rational x = n / d with d > 0 the integer d^m g(n / d) has the
+sign of g(x), so the test runs in Z.  The end values also refute: g has
+a real root in (2, oo) when g(2) != 0 has the sign opposite to lc(g),
+and one in (-oo, -2) when g(-2) != 0 has the sign opposite to
+(-1)^m lc(g), as g takes the sign of its leading term far out.
+`_alternation` reads both from the values; values that settle neither
+prove nothing, and a Sturm chain decides.
+
 The descent argument.  A palindrome L = T^m G(T + 1/T) of degree 2m
 needs only the chain of G: its roots are the root pairs of T^2 - xT + 1
 over the roots x of G, on the unit circle iff x is real in [-2, 2], and
@@ -444,12 +456,40 @@ def _window(chain: list[list[int]]) -> int:
     return _variations(chain, -2) - _variations(chain, 2) + (_at(chain[0], -2) == 0)
 
 
+def _descent_facts(g: list[int]) -> tuple[list[int], list[int], int | None]:
+    """(g, d, count) for the nonzero integer g, by its Sturm chain: g made
+    primitive, d the chain's last member, a primitive multiple of
+    gcd(g, g'), and count the `_window` of g, or None when d(2) d(-2) = 0.
+
+    These are the descent facts `_analyse` reads (see there).  A caller
+    that has proved them otherwise, say by `_alternation`, hands them to
+    `_analyse` without a chain.
+    """
+    chain = _sturm_chain_ints(g)
+    d = chain[-1]
+    return chain[0], d, (_window(chain) if _at(d, 2) and _at(d, -2) else None)
+
+
+def _alternation(values: list[int]) -> bool | None:
+    """What positive multiples of g(x_0), ..., g(x_m) prove, for g of
+    degree m with lc(g) > 0 and points -2 = x_0 < ... < x_m = 2 (see the
+    module docstring): True when they strictly alternate in sign, so g
+    has m simple roots in (-2, 2); False when an end value has the wrong
+    sign, so g has a real root outside [-2, 2]; None when they settle
+    neither."""
+    if all(u * v < 0 for u, v in zip(values, values[1:])):
+        return True
+    if values[-1] < 0 or (-1) ** (len(values) - 1) * values[0] < 0:
+        return False
+    return None
+
+
 def _unit_circle_ints(f: list[int]) -> bool:
     """`unit_circle_check` on an integer multiple f of degree >= 1."""
     if len(f) % 2 == 0 or f != f[::-1]:
         return False
-    chain = _sturm_chain_ints(_descent_ints(list(f)))  # a palindrome always descends
-    return len(chain[-1]) == 1 and _window(chain) == len(chain[0]) - 1
+    g, d, count = _descent_facts(_descent_ints(list(f)))  # a palindrome always descends
+    return len(d) == 1 and count == len(g) - 1
 
 
 def euler_phi(k: int) -> int:
@@ -809,7 +849,9 @@ def _slope_shape(polygon: NewtonPolygon) -> tuple[Fraction, int, bool] | None:
     return slope, length, rest == ((-slope, length),)
 
 
-def _analyse(f: list[int], p: int, chain: list[list[int]] | None = None, count: int | None = None) -> tuple:
+def _analyse(
+    f: list[int], p: int, descent: tuple[list[int], list[int], int | None] | None = None
+) -> tuple:
     """(polygon, shape, r, e, on_circle, cyc, offending) for the primitive
     integer multiple f of some L with L(0) = 1, at p: the Newton polygon
     and its `_slope_shape`; r and e as in `_squarefree_power_ints`;
@@ -820,21 +862,23 @@ def _analyse(f: list[int], p: int, chain: list[list[int]] | None = None, count: 
     The cyclotomic scan covers only the k with phi(k) <= the length of
     the polygon's slope-0 segment (see the module docstring).  The paths
     are those of the descent argument there.  A palindrome f of even
-    degree descends to g, and a caller that has the Sturm chain of g
-    passes it, with its `_window` as count if it has that too.  On the
-    chain path `_radical` gives s = g / d and e with g = s^e (lc(g) =
+    degree descends to the primitive g, and its descent facts (g, d,
+    count) are those of `_descent_facts`; a caller that has proved them
+    passes them, and otherwise one Sturm chain of g gives them.  On the
+    descent path `_radical` gives s = g / d and e with g = s^e (lc(g) =
     f(0) > 0), and r is the transform of s, with L = R^e because the
     transform is multiplicative and one-to-one; the cyclotomic scan runs
     on s (`_psi_index_ints`).
     """
     polygon = _polygon_ints(f, p)
     flat = next((l for s, l in polygon.segments if s == 0), 0)
-    if chain is None and len(f) % 2 and f == f[::-1]:
-        chain = _sturm_chain_ints(_descent_ints(list(f)))
-    if chain is not None and _at(chain[0], 2) and _at(chain[0], -2):
-        s, e = _radical(chain[0], chain[-1])
+    if descent is None and len(f) % 2 and f == f[::-1]:
+        descent = _descent_facts(_descent_ints(list(f)))
+    if descent is not None and _at(descent[0], 2) and _at(descent[0], -2):
+        g, d, count = descent
+        s, e = _radical(g, d)
         r = f if e == 1 else _transform_ints(s)
-        on_circle = (_window(chain) if count is None else count) == len(s) - 1
+        on_circle = count == len(s) - 1
         cyc = _psi_index_ints(s, flat)
     else:
         r, e = _squarefree_power_ints(f)

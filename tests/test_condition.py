@@ -1,6 +1,7 @@
 """The six-part candidate check, witness construction, and feasibility queries."""
 
 import ast
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -33,7 +34,7 @@ from k3cert.weilpoly import (
     unit_circle_check,
 )
 
-from oracles import fraction_unit_circle
+from oracles import count_real_roots_halfopen, fraction_squarefree_power, fraction_unit_circle
 
 WORKED = parse_poly("1,1/7,1,1/7,1")
 
@@ -243,20 +244,24 @@ def test_seed_frozen_factorizations():
         seed_polynomial(0)
 
 
-def test_seed_is_built_and_verified_once_per_m(monkeypatch):
-    calls = []
-    build = weilpoly._sturm_chain_ints
+@pytest.fixture
+def fresh_seeds():
+    """Empty seed caches before and after the test, so that no seed built
+    from a patched table outlives it."""
+    for cached in (seed_polynomial, condition._seed_ints):
+        cached.cache_clear()
+    yield
+    for cached in (seed_polynomial, condition._seed_ints):
+        cached.cache_clear()
 
-    def counting(*args):
-        calls.append(args)
-        return build(*args)
 
-    monkeypatch.setattr(condition, "_sturm_chain_ints", counting)
-    seed_polynomial.cache_clear()
-    condition._seed_ints.cache_clear()
+def test_seed_is_built_and_verified_once_per_m(monkeypatch, fresh_seeds):
+    # one alternation check at the seed's points, and no Sturm chain
+    checks = _counting(monkeypatch, "_alternation", condition)
+    chains = _counting(monkeypatch, "_sturm_chain_ints", weilpoly)
     first = seed_polynomial(7)
     assert seed_polynomial(7) is first
-    assert len(calls) == 1
+    assert len(checks) == 1 and chains == []
     for _ in range(2):  # a bad m raises on every call, not only the first
         with pytest.raises(ValueError):
             seed_polynomial(11)
@@ -281,20 +286,34 @@ def test_seed_verification_rejects_a_bad_factor_table(monkeypatch, factors):
         seed_polynomial(3)
 
 
+def test_seed_points_are_dyadic_gap_points_of_the_seed():
+    # each seed strictly alternates in sign at its points, by Fraction
+    # evaluation, and the oracle finds exactly one root between neighbours
+    for m in range(1, MAX_M + 1):
+        seed = seed_polynomial(m)
+        points = [Fraction(n, 128) for n in condition._SEED_POINTS[m]]
+        assert (points[0], points[-1]) == (-2, 2)
+        values = [seed.evaluate(x) for x in points]
+        assert all(u * v < 0 for u, v in zip(values, values[1:])), m
+        for lo, hi in zip(points, points[1:]):
+            assert count_real_roots_halfopen(seed.coeffs, lo, hi) == 1, (m, lo, hi)
+
+
 # Private names of `weilpoly` that `condition` may import: the one analysis,
-# the integer kernels of the witness search and its window count, and the
-# psi_k the seeds are built from.  The descent decisions (the polygon's flat
-# bound, the chain's sign variations, the circle and off-p tests) stay
-# behind `_analyse` and `_window`.
+# the integer kernels of the witness search, the sign test at the seed's
+# points and the chain's descent facts, and the psi_k the seeds are built
+# from.  The descent decisions (the polygon's flat bound, the chain's sign
+# variations, the circle and off-p tests) stay behind `_analyse`,
+# `_alternation` and `_descent_facts`.
 CONDITION_PRIVATE_IMPORTS = {
+    "_alternation",
     "_analyse",
     "_at",
+    "_descent_facts",
     "_integer_multiple",
     "_mul_ints",
     "_psi_ints",
-    "_sturm_chain_ints",
     "_transform_ints",
-    "_window",
 }
 
 
@@ -413,21 +432,43 @@ def test_every_a_the_degree_m_test_skips_fails_unit_circle(monkeypatch):
     assert skipped > 0
 
 
+def _sign_outcome(p: int, m: int, h: int, a: int) -> str:
+    """How the signs of F = seed + p^(-a) T^(m-h) at the seed's points,
+    evaluated over Q, settle the a: "alternates", "end sign" or "chain"."""
+    F = _perturbed_seed(p, m, h, a)
+    values = [F.evaluate(Fraction(n, 128)) for n in condition._SEED_POINTS[m]]
+    if all(u * v < 0 for u, v in zip(values, values[1:])):
+        return "alternates"
+    if values[-1] < 0 or (-1) ** m * values[0] < 0:
+        return "end sign"
+    return "chain"
+
+
+def _tried(h: int, a: int) -> list[int]:
+    return [b for b in range(1, a + 1) if math.gcd(b, h) == 1]
+
+
 def test_witness_search_builds_one_sturm_chain_per_a(monkeypatch):
-    chains = []
-    build = weilpoly._sturm_chain_ints
-
-    def counting(a):
-        chains.append(a)
-        return build(a)
-
-    monkeypatch.setattr(weilpoly, "_sturm_chain_ints", counting)
-    monkeypatch.setattr(condition, "_sturm_chain_ints", counting)
-    for p, m, h in [(7, 4, 2), (5, 10, 3), (7, 9, 4), (13, 8, 5)]:
+    # one chain for each a whose signs at the seed's points settle nothing,
+    # and none for the others, nor for the square on the even-h route; at
+    # odd p, F(2) F(-2) != 0, so the check never builds a chain of its own
+    chains = _counting(monkeypatch, "_sturm_chain_ints", weilpoly)
+    triples = [(7, 4, 2), (5, 10, 3), (7, 9, 4), (13, 8, 5), *ACCEPTANCE_GRID]
+    fallbacks = 0
+    for p, m, h in triples:
         seed_polynomial(m)
         chains.clear()
-        _, report = construct_witness(p, m, h)
-        assert len(chains) == sum(1 for a in range(1, report.a + 1) if math.gcd(a, h) == 1)
+        if m == 10 and h % 2 == 0:
+            _, report = construct_witness_even_h(p, h)
+            m, h, a = 5, h // 2, report.a // 2
+        else:
+            a = construct_witness(p, m, h)[1].a
+        expected = sum(1 for b in _tried(h, a) if _sign_outcome(p, m, h, b) == "chain")
+        assert len(chains) == expected, (p, m, h)
+        if a == 1 and (p, m, h) in ACCEPTANCE_GRID:
+            assert chains == [], (p, m, h)
+        fallbacks += expected
+    assert fallbacks > 0
 
 
 # at p = 2 some a pass the degree-m test and fail the check, so these
@@ -444,7 +485,7 @@ def _counting(monkeypatch, name: str, *modules) -> list:
 
 
 def test_witness_search_counts_the_sign_variations_once_per_chain(monkeypatch):
-    chains = _counting(monkeypatch, "_sturm_chain_ints", weilpoly, condition)
+    chains = _counting(monkeypatch, "_sturm_chain_ints", weilpoly)
     variations = _counting(monkeypatch, "_variations", weilpoly)
     checks = _counting(monkeypatch, "_check_candidate", condition)
     for p, m, h in REJECTING_TRIPLES:
@@ -473,6 +514,142 @@ def test_witness_search_builds_no_fractions_for_a_rejected_a(monkeypatch):
         # the witness is the transform of seed + p^(-a) T^(m-h), as a RatPoly
         F = seed_polynomial(m) + RatPoly.monomial(m - h, Fraction(1, p**report.a))
         assert L == reciprocal_transform(F), (p, m, h)
+
+
+ORACLE_PRIMES = (2, 3, 5, 7, 11, 13)
+EVERY_TRIPLE = [(p, m, h) for p in ORACLE_PRIMES for m in range(1, MAX_M + 1) for h in range(1, m + 1)]
+
+
+def _perturbed_seed(p: int, m: int, h: int, a: int) -> RatPoly:
+    return seed_polynomial(m) + RatPoly.monomial(m - h, Fraction(1, p**a))
+
+
+def _horner(cs, x) -> Fraction:
+    return sum(c * Fraction(x) ** i for i, c in enumerate(cs))
+
+
+def _oracle_radical(F: RatPoly) -> tuple:
+    """The squarefree part of F and its exponent, by the Fraction oracle
+    (F(0) != 0)."""
+    return fraction_squarefree_power([c / F.constant for c in F.coeffs])
+
+
+def _oracle_root_outside_window(F: RatPoly) -> bool:
+    """Whether the oracle finds a real root of F outside [-2, 2]."""
+    R = _oracle_radical(F)[0]
+    bound = 2 + max(abs(c / R[-1]) for c in R)  # beyond Cauchy's root bound
+    below = count_real_roots_halfopen(R, -bound, -2) - (_horner(R, -2) == 0)
+    return count_real_roots_halfopen(R, 2, bound) + below > 0
+
+
+def test_alternation_and_end_signs_agree_with_the_oracles(monkeypatch):
+    # every a that the signs at the seed's points settle, for every (m, h)
+    # and each prime, up to the returned a
+    outcomes = []
+    alternation = condition._alternation
+
+    def recording(values):
+        outcomes.append(alternation(values))
+        return outcomes[-1]
+
+    monkeypatch.setattr(condition, "_alternation", recording)
+    settled = {True: 0, False: 0}
+    for p, m, h in EVERY_TRIPLE:
+        seed_polynomial(m)
+        outcomes.clear()
+        _, report = construct_witness(p, m, h)
+        tried = _tried(h, report.a)
+        assert len(outcomes) == len(tried), (p, m, h)
+        for a, outcome in zip(tried, outcomes):
+            if outcome is None:
+                continue
+            settled[outcome] += 1
+            F = _perturbed_seed(p, m, h, a)
+            if outcome:  # m distinct roots in (-2, 2), so F is squarefree
+                R, e = _oracle_radical(F)
+                inside = count_real_roots_halfopen(R, -2, 2) - (_horner(R, 2) == 0)
+                assert (e, inside) == (1, m), (p, m, h, a)
+            else:
+                assert _oracle_root_outside_window(F), (p, m, h, a)
+                assert check_candidate(reciprocal_transform(F), p).checks["unit_circle"].status == "fail"
+    assert settled[True] > 0 and settled[False] > 0
+
+
+def test_search_returns_the_witness_of_the_chain_only_search(monkeypatch):
+    # with no sign settling any a, every a takes the Sturm chain, and the
+    # chains alone decide the search
+    found = {t: construct_witness(*t) for t in EVERY_TRIPLE}  # also fills the seed caches
+    monkeypatch.setattr(condition, "_alternation", lambda values: None)
+    for t in [*EVERY_TRIPLE, *REJECTING_TRIPLES]:
+        L, report = construct_witness(*t)
+        expected_L, expected = found[t]
+        assert (L, report.to_json()) == (expected_L, expected.to_json()), t
+
+
+def _point_mutants(points: tuple[int, ...]):
+    """(kind, points) for tables one mistake away from points."""
+    for j in range(1, len(points) - 1):
+        for moved in (points[j] - 1, points[j] + 1, (points[j - 1] + points[j]) // 2, points[j + 1] + 1):
+            yield "moved", points[:j] + (moved,) + points[j + 1:]
+    for j in range(len(points)):
+        yield "dropped", points[:j] + points[j + 1:]
+    yield "end sign", (-points[0],) + points[1:]
+    yield "end sign", points[:-1] + (-points[-1],)
+
+
+def test_seed_point_mutants_raise_or_keep_the_witness(monkeypatch, fresh_seeds):
+    # a table that passes the seed's verification may send more a to the
+    # chain, but never changes a witness
+    primes = (2, 7)
+    fallbacks = _counting(monkeypatch, "_descent_facts", condition)
+
+    def search(m: int) -> tuple[list, int]:
+        fallbacks.clear()
+        found = [construct_witness(p, m, h) for p in primes for h in range(1, m + 1)]
+        return [(L, report.to_json()) for L, report in found], len(fallbacks)
+
+    kept = {"moved": 0, "dropped": 0, "end sign": 0}
+    more_chains = 0
+    for m in range(1, MAX_M + 1):
+        expected, chains = search(m)
+        for kind, points in _point_mutants(condition._SEED_POINTS[m]):
+            monkeypatch.setitem(condition._SEED_POINTS, m, points)
+            condition._seed_ints.cache_clear()
+            try:
+                condition._seed_ints(m)
+            except RuntimeError:
+                continue
+            kept[kind] += 1
+            found, mutant_chains = search(m)
+            assert found == expected, (m, points)
+            more_chains += mutant_chains > chains
+    # dropped points and flipped ends never pass; some moved points do, and
+    # some of those fall back to the chain more often
+    assert kept["dropped"] == kept["end sign"] == 0
+    assert kept["moved"] > 0 and more_chains > 0
+
+
+def test_squared_witnesses_match_a_fresh_check():
+    # the square route hands the check descent facts derived from its base
+    # witness; a fresh check of the square builds its own Sturm chain
+    for p in (5, 7, 11, 13):
+        for h in range(2, 11, 2):
+            L, report = construct_witness_even_h(p, h)
+            assert check_candidate(L, p).to_json() == report.to_json(), (p, h)
+            base = construct_witness(p, 5, h // 2)[0]
+            assert L == base * base, (p, h)
+
+
+def test_even_height_route_raises_when_the_square_fails_its_check(monkeypatch):
+    check = condition._check_candidate
+
+    def failing_square(f, p, descent=None):
+        report = check(f, p, descent)
+        return dataclasses.replace(report, verdict="fail") if report.m == 10 else report
+
+    monkeypatch.setattr(condition, "_check_candidate", failing_square)
+    with pytest.raises(WitnessSearchError, match="squared witness"):
+        construct_witness_even_h(7, 2)
 
 
 def test_witnesses_match_their_passing_golden_lines():

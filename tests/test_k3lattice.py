@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import k3cert.k3lattice as k3lattice
 from k3cert.arith import SquareClass, companion_prime, legendre, square_class
 from k3cert.k3lattice import (
     K3_RANK,
@@ -136,6 +137,15 @@ def test_case_table_guards():
         build_picard_lattice(7, fielddata(7, 1))  # no witness prime
     with pytest.raises(ValueError):
         build_picard_lattice(8, fielddata(7, 1, p1=7))  # degree mismatch
+
+
+def test_case_table_guard_rejects_a_wrong_rank(monkeypatch):
+    # every row of the table complements 2m in the rank-22 lattice, so the
+    # rank and signature guard fires only against a different ambient rank
+    monkeypatch.setattr(k3lattice, "K3_RANK", K3_RANK + 2)
+    for m, fd in [(6, fielddata(6, 1)), (8, fielddata(8, 3, p1=5)), (10, fielddata(10, 9))]:
+        with pytest.raises(RuntimeError):
+            build_picard_lattice(m, fd)
 
 
 def test_rationalize_reduces_to_square_classes():
