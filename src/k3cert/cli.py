@@ -5,19 +5,19 @@ Every verdict-producing run exits 0, even when the verdict itself is
 negative (a failed check, an infeasible pair); exit 1 means the request
 was malformed, exit 2 an internal guard tripped.  With --json the output
 is a single stable document {"command": ..., "inputs": ..., "result": ...}.
+A run whose stdout reader has already gone (a closed pipe) exits 1 with
+nothing on stderr.
+
+Each handler imports the layers it uses, so a call loads only what its
+subcommand needs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-
-from .arith import Place, format_rational, hilbert, parse_rational
-from .condition import CandidateReport, _witness, check_candidate, feasibility
-from .k3lattice import verify_lattice
-from .qform import CMFieldData
-from .weilpoly import format_poly, parse_poly, strip_cyclotomic
 
 __all__ = ["main"]
 
@@ -98,6 +98,9 @@ def _report_lines(report: CandidateReport) -> list[str]:
 
 
 def _cmd_construct(args) -> tuple[dict, dict, list[str]]:
+    from .condition import _witness
+    from .weilpoly import format_poly
+
     L, report = _witness(args.p, args.m, args.h, args.a_start)
     inputs = {"p": args.p, "m": args.m, "h": args.h, "a_start": args.a_start}
     result = {"coefficients": format_poly(L), "report": report.to_json()}
@@ -106,6 +109,9 @@ def _cmd_construct(args) -> tuple[dict, dict, list[str]]:
 
 
 def _cmd_check(args) -> tuple[dict, dict, list[str]]:
+    from .condition import check_candidate
+    from .weilpoly import format_poly, parse_poly
+
     L = parse_poly(args.coeffs)
     report = check_candidate(L, args.p)
     inputs = {"p": args.p, "coeffs": format_poly(L)}
@@ -127,6 +133,9 @@ def _parse_split_table(pairs: list[str]) -> dict[int, bool]:
 
 
 def _cmd_lattice(args) -> tuple[dict, dict, list[str]]:
+    from .k3lattice import verify_lattice
+    from .qform import CMFieldData
+
     split = _parse_split_table(args.split)
     fielddata = CMFieldData.from_m(args.m, args.n, args.p1, split)
     report = verify_lattice(args.m, fielddata)
@@ -159,6 +168,9 @@ def _cmd_lattice(args) -> tuple[dict, dict, list[str]]:
 
 
 def _cmd_feasible(args) -> tuple[dict, dict, list[str]]:
+    from .condition import feasibility
+    from .weilpoly import format_poly
+
     verdict = feasibility(args.p, args.rho, args.height, want_witness=args.witness)
     inputs = {"p": args.p, "rho": args.rho, "h": args.height, "witness": args.witness}
     text = [
@@ -174,6 +186,8 @@ def _cmd_feasible(args) -> tuple[dict, dict, list[str]]:
 
 
 def _cmd_table(args) -> tuple[dict, dict, list[str]]:
+    from .condition import feasibility
+
     cells = []
     rows = []
     heights = list(range(1, 11))
@@ -202,6 +216,8 @@ def _cmd_table(args) -> tuple[dict, dict, list[str]]:
 
 
 def _cmd_hilbert(args) -> tuple[dict, dict, list[str]]:
+    from .arith import Place, format_rational, hilbert, parse_rational
+
     a = parse_rational(args.a)
     b = parse_rational(args.b)
     place = Place.parse(args.place)
@@ -211,6 +227,8 @@ def _cmd_hilbert(args) -> tuple[dict, dict, list[str]]:
 
 
 def _cmd_strip(args) -> tuple[dict, dict, list[str]]:
+    from .weilpoly import format_poly, parse_poly, strip_cyclotomic
+
     P = parse_poly(args.coeffs)
     quotient, removed = strip_cyclotomic(P)
     inputs = {"coeffs": format_poly(P)}
@@ -246,11 +264,18 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # internal guard: bounded searches, impossible states
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "json", False):
-        document = {"command": args.command, "inputs": inputs, "result": result}
-        print(json.dumps(document, sort_keys=True, indent=2))
-    else:
-        print("\n".join(text))
+    try:
+        if getattr(args, "json", False):
+            document = {"command": args.command, "inputs": inputs, "result": result}
+            print(json.dumps(document, sort_keys=True, indent=2))
+        else:
+            print("\n".join(text))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; the interpreter flushes stdout again at exit,
+        # so point it at the null device to keep that flush from failing too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cache
-from math import isqrt
+from math import isqrt, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,7 @@ def _taylor_shift(cs, t):
         if len(cs) == 1:
             out.append(cs[0])
             break
-        q = [Fraction(0)] * (len(cs) - 1)
+        q = [0] * (len(cs) - 1)
         carry = cs[-1]
         for i in range(len(cs) - 2, -1, -1):
             q[i] = carry
@@ -166,10 +166,11 @@ def _taylor_shift(cs, t):
         cs = q
     return out
 
+
 def _descartes_bound_01(cs):
     """Descartes bound for roots in the open interval (0, 1)."""
     rev = list(reversed(cs))          # x^n f(1/x)
-    shifted = _taylor_shift(rev, Fraction(1))
+    shifted = _taylor_shift(rev, 1)
     signs = [1 if c > 0 else -1 for c in shifted if c != 0]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
@@ -180,6 +181,11 @@ def count_real_roots_halfopen(coeffs, lo, hi) -> int:
     The Descartes bound D for an open interval satisfies D >= #roots and
     D == #roots mod 2, so D in {0, 1} is an exact answer; otherwise bisect.
     Termination for squarefree input is the classical VCA argument.
+
+    The bound is read in Z: F is a positive integer multiple of f, and with
+    a = A/d and b - a = W/d, d^n F(a + (b - a) x) = H(A + W x) for the
+    integer H(y) = sum F_i d^(n-i) y^i, so the Taylor shift runs on
+    integers.  Positive scalings leave the sign variations unchanged.
     """
     cs = [Fraction(c) for c in coeffs]
     lo = Fraction(lo)
@@ -188,19 +194,23 @@ def count_real_roots_halfopen(coeffs, lo, hi) -> int:
         raise ValueError("zero polynomial")
     if lo >= hi:
         raise ValueError("empty interval")
+    den = lcm(*(c.denominator for c in cs))
+    F = [c.numerator * (den // c.denominator) for c in cs]
+    n = len(F) - 1
 
     def open_count(a, b):
-        unit = _taylor_shift(cs, a)
-        w = b - a
-        unit = [c * w**i for i, c in enumerate(unit)]
-        d = _descartes_bound_01(unit)
-        if d <= 1:
-            return d
+        d = lcm(a.denominator, b.denominator)
+        H = [c * d ** (n - i) for i, c in enumerate(F)]
+        W = int((b - a) * d)
+        unit = [c * W**i for i, c in enumerate(_taylor_shift(H, int(a * d)))]
+        bound = _descartes_bound_01(unit)
+        if bound <= 1:
+            return bound
         mid = (a + b) / 2
-        here = 1 if _horner(cs, mid) == 0 else 0
+        here = 1 if _horner(F, mid) == 0 else 0
         return open_count(a, mid) + here + open_count(mid, b)
 
-    return open_count(lo, hi) + (1 if _horner(cs, hi) == 0 else 0)
+    return open_count(lo, hi) + (1 if _horner(F, hi) == 0 else 0)
 
 
 # ---------------------------------------------------------------------------

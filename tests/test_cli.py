@@ -292,6 +292,32 @@ def test_internal_failures_exit_two(capsys, monkeypatch):
     assert "internal error" in err
 
 
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_exits_one_quietly(unbuffered):
+    # stdout is a pipe whose read end is already closed; unbuffered, the
+    # print itself fails, buffered, only a flush does
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "k3cert.cli", "table", "--p", "7"],
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
 def test_version_independent_of_locale(capsys, monkeypatch):
     # coefficient parsing must not be locale-sensitive
     monkeypatch.setenv("LC_ALL", "de_DE.UTF-8")

@@ -1,7 +1,10 @@
-"""Every exported name resolves: each module's `__all__` and the package's imports."""
+"""Every exported name resolves, and each entry point loads only the modules it needs."""
 
-import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,21 @@ import pytest
 import k3cert
 
 MODULES = ("arith", "weilpoly", "qform", "k3lattice", "condition", "cli")
+LAYERS = ("arith", "weilpoly", "qform", "k3lattice", "condition")
+
+PACKAGE_EXPORTS = {
+    "INFINITE_PLACE", "Place", "SquareClass", "companion_prime", "hilbert", "is_prime", "legendre",
+    "next_progression_prime", "square_class", "val_p",
+    "CandidateReport", "FeasibilityVerdict", "check_candidate", "construct_witness",
+    "construct_witness_even_h", "feasibility", "seed_polynomial",
+    "LatticeReport", "LatticeSpec", "build_picard_lattice", "k3_ambient_invariants",
+    "no_minus_two_vector", "rationalize", "verify_lattice",
+    "CMFieldData", "EmbeddingReport", "HyperbolicityReport", "QuadSpace", "SpaceInvariants",
+    "complement_invariants", "embedding_criterion", "hyperbolic", "hyperbolicity_check", "invariants",
+    "IrreducibilityCertificate", "NewtonPolygon", "RatPoly", "cyclotomic", "cyclotomic_index_list",
+    "has_cyclotomic_factor", "kronecker_certificate", "newton_polygon", "parse_poly",
+    "reciprocal_transform", "squarefree_decompose", "strip_cyclotomic", "sturm_count", "unit_circle_check",
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -22,14 +40,70 @@ def test_module_all_names_resolve(name):
 
 
 def test_package_imports_resolve():
-    tree = ast.parse(Path(k3cert.__file__).read_text())
-    imported = [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
-    assert imported
-    for module, name in imported:
-        assert hasattr(k3cert, name), f"k3cert.{name} (from .{module}) does not resolve"
-        assert getattr(k3cert, name) is getattr(importlib.import_module(f"k3cert.{module}"), name)
+    assert len(PACKAGE_EXPORTS) == 48
+    assert list(k3cert.__all__) == list(k3cert._HOME)
+    assert set(k3cert.__all__) == PACKAGE_EXPORTS
+    assert set(k3cert._EXPORTS) == set(LAYERS)
+    for name, home in k3cert._HOME.items():
+        module = importlib.import_module(f"k3cert.{home}")
+        assert name in module.__all__, f"k3cert.{name} is not in k3cert.{home}.__all__"
+        assert hasattr(k3cert, name), f"k3cert.{name} (from .{home}) does not resolve"
+        assert getattr(k3cert, name) is getattr(module, name)
+    assert PACKAGE_EXPORTS <= set(dir(k3cert))
+    for layer in LAYERS:
+        assert getattr(k3cert, layer) is importlib.import_module(f"k3cert.{layer}")
+    with pytest.raises(AttributeError):
+        k3cert.no_such_name
+    namespace: dict = {}
+    exec("from k3cert import *", namespace)
+    assert PACKAGE_EXPORTS <= set(namespace)
+    assert all(namespace[name] is getattr(k3cert, name) for name in PACKAGE_EXPORTS)
+
+
+# The k3cert modules a fresh interpreter has loaded after a statement, or
+# after the console entry point has run on an argv (its output discarded).
+_FOOTPRINT_SCRIPT = """
+import contextlib, io, json, sys
+target = json.loads(sys.argv[1])
+if isinstance(target, str):
+    exec(target)
+else:
+    import k3cert.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = k3cert.cli.main(target)
+    if code:
+        sys.exit(f"exit {code}")
+print(json.dumps(sorted(m for m in sys.modules if m == "k3cert" or m.startswith("k3cert."))))
+"""
+
+POLYNOMIAL = {"k3cert.cli", "k3cert.arith", "k3cert.weilpoly", "k3cert.condition"}
+
+
+@pytest.mark.parametrize(
+    "target, loaded",
+    [
+        ("import k3cert", set()),
+        ("import k3cert.cli", {"k3cert.cli"}),
+        (["hilbert", "--a", "3", "--b", "5", "--place", "7"], {"k3cert.cli", "k3cert.arith"}),
+        (["lattice", "--m", "9", "--n", "3"], {"k3cert.cli", "k3cert.arith", "k3cert.qform", "k3cert.k3lattice"}),
+        (["strip", "--coeffs", "1,2,1"], {"k3cert.cli", "k3cert.arith", "k3cert.weilpoly"}),
+        (["check", "--p", "7", "--coeffs", "1,1/7,1,1/7,1"], POLYNOMIAL),
+        (["construct", "--p", "7", "--m", "2", "--h", "1"], POLYNOMIAL),
+        (["feasible", "--p", "7", "--rho", "2", "--height", "1"], POLYNOMIAL),
+        (["table", "--p", "7"], POLYNOMIAL),
+    ],
+    ids=["package", "cli", "hilbert", "lattice", "strip", "check", "construct", "feasible", "table"],
+)
+def test_import_footprint(target, loaded):
+    # a fresh interpreter per case: modules an earlier case loaded would hide
+    # an eager import
+    src = str(Path(k3cert.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_SCRIPT, json.dumps(target)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) == {"k3cert"} | loaded

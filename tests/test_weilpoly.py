@@ -347,6 +347,21 @@ def test_sturm_versus_oracle_on_products_of_linears():
         assert count_real_roots_halfopen(f.coeffs, lo, hi) == want
 
 
+def test_root_count_oracle_counts_the_roots_it_was_built_from():
+    # the oracle alone, on c * prod (x - r) over distinct rational r, with
+    # roots on either end of some intervals and a non-integral c
+    pool = [-2, Fraction(-1, 3), 0, Fraction(2, 7), 1, 2]
+    ends = [Fraction(-5, 2), -2, Fraction(-1, 3), Fraction(1, 2), 2]
+    for k in range(1, 5):
+        for roots in itertools.combinations(pool, k):
+            cs = [Fraction(-3, 4)]
+            for r in roots:  # times (x - r)
+                cs = [lower - r * c for lower, c in zip([0, *cs], [*cs, 0])]
+            for lo, hi in itertools.combinations(ends, 2):
+                want = sum(1 for r in roots if lo < r <= hi)
+                assert count_real_roots_halfopen(cs, lo, hi) == want, (roots, lo, hi)
+
+
 def _oracle_window(G: RatPoly) -> int:
     """The distinct roots of G in [-2, 2]: Descartes bisection on the
     radical G / gcd(G, G') over Q, with -2 added apart."""
