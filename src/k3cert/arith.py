@@ -373,7 +373,10 @@ def companion_prime(p1: int) -> int:
 
 
 def format_rational(x) -> str:
-    x = Fraction(x)
+    if type(x) is int:
+        return str(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -153,27 +153,37 @@ def check_candidate(L: RatPoly, p: int) -> CandidateReport:
 
 
 def _check_candidate(
-    f: list[int], p: int, descent: tuple[list[int], list[int], int | None] | None = None
+    f: list[int],
+    p: int,
+    descent: tuple[list[int], list[int], int | None] | None = None,
+    ends_nonzero: bool = False,
 ) -> CandidateReport:
     """`check_candidate` on the primitive integer multiple f of L, with
     f(0) > 0, so that L = f / f(0).  A caller that has proved the descent
-    facts of G for L = T^m G(T + 1/T) passes them (see `weilpoly._analyse`)."""
+    facts of G for L = T^m G(T + 1/T) passes them, and says with
+    ends_nonzero whether it has proved G(2) G(-2) != 0 too (see
+    `weilpoly._analyse`).
+
+    The slope profile is read in Z from the negative segment (rise, run)
+    of the integer hull: h = run and a = -rise when the hull is
+    symmetric, and the slope rise / run has denominator run // g in
+    lowest terms, for g = gcd(rise, run)."""
     m = (len(f) - 1) // 2
     # r has the roots of L, each once; e is None unless L = R^e for
     # R = r / r(0).
-    polygon, shape, r, e, on_circle, cyc, offending = _analyse(f, p, descent)
+    polygon, shape, r, e, on_circle, cyc, offending = _analyse(f, p, descent, ends_nonzero)
 
     h = a = None
     local = CheckResult("fail", {"reason": "negative part is empty or splits by slope"})
     if shape is not None:
-        slope, length, symmetric = shape
-        if symmetric and (slope * length).denominator == 1:
-            h, a = length, int(-slope * length)
+        rise, run, symmetric = shape
+        if symmetric:
+            h, a = run, -rise
         if e is not None:
-            # L = R^e, so R's polygon is L's with every length divided by e
+            # L = R^e, so R's polygon is L's with every run divided by e
+            g = math.gcd(rise, run)
             local = _result(
-                slope.denominator == length // e,
-                {"slope": f"{slope.numerator}/{slope.denominator}", "length": length // e},
+                run // g == run // e, {"slope": f"{rise // g}/{run // g}", "length": run // e}
             )
     checks = {
         "unit_circle": _result(on_circle, {"squarefree_degree": len(r) - 1}),
@@ -304,20 +314,29 @@ def construct_witness(
     The search runs in Z[T] on p^a F = p^a seed + T^(m-h), primitive as
     its coefficients include p^a and 1 mod p.  So is its transform f,
     the transform being unimodular over Z, and L = f / f(0) = f / p^a is
-    the only `RatPoly` the search builds.
+    the only `RatPoly` the search builds, from the first half of the
+    palindrome f (`_mirrored`).
 
     F is the descent of L, and the search proves F's descent facts for
     the check, by the alternation and descent arguments in the
     `weilpoly` module docstring.  First come the signs of p^a F at the
     seed's points, which need no chain: when they strictly alternate, F
-    has m simple roots in (-2, 2), and when an end sign is wrong, F has
+    has m simple roots in (-2, 2), and F(2) F(-2) != 0, so the check
+    evaluates nothing at +-2; when an end sign is wrong, F has
     a real root beyond +-2, so L has a root off the unit circle and that
     a is skipped before the transform.  Otherwise one Sturm chain of F
     decides: a squarefree F with fewer than m roots in [-2, 2] is
     skipped the same way, and any other F goes on to the check.
     """
     _, f, q, report = _search(p, m, h, a_start, a_cap)
-    return RatPoly(tuple(Fraction(c, q) for c in f)), report
+    return _mirrored(f, q), report
+
+
+def _mirrored(f: list[int], q: int) -> RatPoly:
+    """f / q for the palindrome f: one `Fraction` per coefficient of its
+    first half, mirrored into the second."""
+    half = [Fraction(c, q) for c in f[: len(f) // 2 + 1]]
+    return RatPoly(tuple(half + half[-2::-1]))
 
 
 def _search(
@@ -350,7 +369,7 @@ def _search(
         if len(d) == 1 and count < m:
             continue  # so L = T^m F(T + 1/T) has a root off the unit circle
         f = _transform_ints(F)
-        report = _check_candidate(f, p, descent)
+        report = _check_candidate(f, p, descent, inside is True)
         if report.passed and report.h == h and report.e == 1:
             return F, f, q, report
     raise WitnessSearchError(
@@ -371,19 +390,20 @@ def construct_witness_even_h(
     The square is built in Z[T].  The base witness passed with e = 1, so
     its descent F has 5 simple roots in (-2, 2), and F(2) F(-2) != 0 as
     no root of unity divides it.  So G = F^2 has the descent facts
-    (G, F, 5): F is gcd(G, G'), and G has the 5 distinct roots of F.
+    (G, F, 5): F is gcd(G, G'), and G has the 5 distinct roots of F;
+    and G(2) G(-2) = (F(2) F(-2))^2 != 0.
     """
     if h % 2 != 0 or not 2 <= h <= 10:
         raise ValueError("this path needs even h with 2 <= h <= 10")
     F, _, q, base_report = _search(p, 5, h // 2, a_start, a_cap)
     G = _mul_ints(F, F)
     f = _transform_ints(G)
-    report = _check_candidate(f, p, (G, F, 5))
+    report = _check_candidate(f, p, (G, F, 5), True)
     if not (report.passed and report.m == 10 and report.h == h and report.e == 2):
         raise WitnessSearchError(
             f"squared witness for p={p}, h={h} failed verification (base a={base_report.a})"
         )
-    return RatPoly(tuple(Fraction(c, q * q) for c in f)), report
+    return _mirrored(f, q * q), report
 
 
 def _witness(p: int, m: int, h: int, a_start: int = 1) -> tuple[RatPoly, CandidateReport]:

@@ -59,9 +59,13 @@ and the public functions wrap private kernels on primitive integer lists
 obtained by positive scalings only (clearing denominators by a positive
 lcm, dividing out a positive content, pseudo-dividing with the
 multiplier |lc|).  A positive scaling moves neither a root nor a sign,
-so every answer stays exact and equal to the one over Q.  `Fraction`
-appears only in what is handed back: the slopes of a polygon and the
-squarefree part R of a candidate.
+so every answer stays exact and equal to the one over Q.  The Newton
+polygon is read in Z too: its hull has integer vertices, so each
+segment is a pair (rise, run) of integers, and the slope profile, h, a
+and the local irreducibility are read from those pairs.  `Fraction`
+appears only in what is handed back: the slopes of the one
+`NewtonPolygon` a report carries, and the squarefree part R of a
+candidate.
 
 Two residue screens run before the Z[T] kernels, and each can only rule
 a fact out.  If Phi_k divides f, then f(w) = 0 mod ell for any root w of
@@ -683,11 +687,13 @@ def newton_polygon(P: RatPoly, p: int) -> NewtonPolygon:
     check_prime(p)
     if P.is_zero or P.constant == 0:
         raise ValueError("newton polygon needs a nonzero constant term")
-    return _polygon_ints(_cleared(P.coeffs)[1], p)
+    return _polygon(_polygon_ints(_cleared(P.coeffs)[1], p))
 
 
-def _polygon_ints(f: list[int], p: int) -> NewtonPolygon:
-    """`newton_polygon` on a positive integer multiple f of P."""
+def _polygon_ints(f: list[int], p: int) -> list[tuple[int, int]]:
+    """The segments of `newton_polygon` on a positive integer multiple f
+    of P, as (rise, run): the hull's vertices are integer points, so a
+    segment of slope s and length l has rise s * l in Z and run l > 0."""
     pts = [(i, _int_val(c, p)) for i, c in enumerate(f) if c]
     hull: list[tuple[int, int]] = []
     for x, y in pts:
@@ -698,11 +704,12 @@ def _polygon_ints(f: list[int], p: int) -> NewtonPolygon:
             else:
                 break
         hull.append((x, y))
-    segs = tuple(
-        (Fraction(y2 - y1, x2 - x1), x2 - x1)
-        for (x1, y1), (x2, y2) in zip(hull, hull[1:])
-    )
-    return NewtonPolygon(segs)
+    return [(y2 - y1, x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
+
+
+def _polygon(segs: list[tuple[int, int]]) -> NewtonPolygon:
+    """The `NewtonPolygon` of the integer segments (rise, run)."""
+    return NewtonPolygon(tuple((Fraction(rise, run), run) for rise, run in segs))
 
 
 def squarefree_decompose(L: RatPoly) -> tuple[RatPoly, int] | None:
@@ -830,51 +837,61 @@ class IrreducibilityCertificate:
         return {"verdict": self.verdict, "premises": dict(self.premises), "detail": dict(self.detail)}
 
 
-def _slope_shape(polygon: NewtonPolygon) -> tuple[Fraction, int, bool] | None:
-    """The lone negative segment (s, l) of polygon, and whether the polygon
-    is the symmetric shape (s, l), [(0, *)], (-s, l); None when the
-    negative part is empty or splits by slope.
+def _slope_shape(segs: list[tuple[int, int]]) -> tuple[int, int, bool] | None:
+    """The lone negative segment (rise, run) of the integer hull segments
+    segs, and whether the hull is the symmetric shape (rise, run),
+    [(0, *)], (-rise, run); None when the negative part is empty or
+    splits by slope.
 
-    A local factor whose length l equals the denominator of its slope s
-    is irreducible over Q_p: the slope is then in lowest terms over
-    exactly l roots.
+    That segment has h = run roots of valuation a / h, for a = -rise.  A
+    local factor whose length equals the denominator of its slope,
+    run // gcd(rise, run), is irreducible over Q_p: the slope is then in
+    lowest terms over exactly that many roots.
     """
-    negs = polygon.negative_segments()
-    if len(negs) != 1:
+    # the slopes increase, so the negative segments come first
+    if not segs or segs[0][0] >= 0 or (len(segs) > 1 and segs[1][0] < 0):
         return None
-    slope, length = negs[0]
-    rest = polygon.segments[1:]
+    rise, run = segs[0]
+    rest = segs[1:]
     if rest and rest[0][0] == 0:
         rest = rest[1:]
-    return slope, length, rest == ((-slope, length),)
+    return rise, run, rest == [(-rise, run)]
 
 
 def _analyse(
-    f: list[int], p: int, descent: tuple[list[int], list[int], int | None] | None = None
+    f: list[int],
+    p: int,
+    descent: tuple[list[int], list[int], int | None] | None = None,
+    ends_nonzero: bool = False,
 ) -> tuple:
     """(polygon, shape, r, e, on_circle, cyc, offending) for the primitive
     integer multiple f of some L with L(0) = 1, at p: the Newton polygon
-    and its `_slope_shape`; r and e as in `_squarefree_power_ints`;
-    whether every root of L lies on the unit circle; the smallest k with
-    Phi_k dividing L, or None; and the indices of the coefficients of L
-    whose denominator is not a power of p.
+    and the `_slope_shape` of its integer segments; r and e as in
+    `_squarefree_power_ints`; whether every root of L lies on the unit
+    circle; the smallest k with Phi_k dividing L, or None; and the
+    indices of the coefficients of L whose denominator is not a power of
+    p.
 
-    The cyclotomic scan covers only the k with phi(k) <= the length of
-    the polygon's slope-0 segment (see the module docstring).  The paths
-    are those of the descent argument there.  A palindrome f of even
-    degree descends to the primitive g, and its descent facts (g, d,
-    count) are those of `_descent_facts`; a caller that has proved them
-    passes them, and otherwise one Sturm chain of g gives them.  On the
-    descent path `_radical` gives s = g / d and e with g = s^e (lc(g) =
-    f(0) > 0), and r is the transform of s, with L = R^e because the
-    transform is multiplicative and one-to-one; the cyclotomic scan runs
-    on s (`_psi_index_ints`).
+    The polygon is read in Z: its slope-0 segment is the one of rise 0,
+    and the `NewtonPolygon` is built once, for the report.  The
+    cyclotomic scan covers only the k with phi(k) <= the length of that
+    segment (see the module docstring).  The paths are those of the
+    descent argument there.  A palindrome f of even degree descends to
+    the primitive g, and its descent facts (g, d, count) are those of
+    `_descent_facts`; a caller that has proved them passes them, and
+    otherwise one Sturm chain of g gives them.  The descent path needs
+    g(2) g(-2) != 0: a caller that has proved that too says so with
+    ends_nonzero, and otherwise g is evaluated at +-2.  On the descent
+    path `_radical` gives s = g / d and e with g = s^e (lc(g) = f(0) >
+    0), and r is the transform of s, with L = R^e because the transform
+    is multiplicative and one-to-one; the cyclotomic scan runs on s
+    (`_psi_index_ints`).
     """
-    polygon = _polygon_ints(f, p)
-    flat = next((l for s, l in polygon.segments if s == 0), 0)
+    segs = _polygon_ints(f, p)
+    flat = next((run for rise, run in segs if rise == 0), 0)
     if descent is None and len(f) % 2 and f == f[::-1]:
         descent = _descent_facts(_descent_ints(list(f)))
-    if descent is not None and _at(descent[0], 2) and _at(descent[0], -2):
+    if descent is not None and (ends_nonzero or (_at(descent[0], 2) and _at(descent[0], -2))):
         g, d, count = descent
         s, e = _radical(g, d)
         r = f if e == 1 else _transform_ints(s)
@@ -888,7 +905,7 @@ def _analyse(
                 rest = _divexact(rest, [-root, 1])
         on_circle = len(rest) == 1 or _unit_circle_ints(rest)
         cyc = _cyclotomic_index_ints(r, flat)
-    return polygon, _slope_shape(polygon), r, e, on_circle, cyc, _off_p_indices(f, f[0], p)
+    return _polygon(segs), _slope_shape(segs), r, e, on_circle, cyc, _off_p_indices(f, f[0], p)
 
 
 def kronecker_certificate(R: RatPoly, p: int) -> IrreducibilityCertificate:
@@ -901,6 +918,9 @@ def kronecker_certificate(R: RatPoly, p: int) -> IrreducibilityCertificate:
     roots of R lie on the unit circle; and every coefficient denominator
     is a power of p.  Together these force irreducibility: any proper factor with
     unit-root constraints would be cyclotomic by Kronecker's theorem.
+    The slope premise is read in Z from the negative segment (rise, run)
+    of the integer hull: h = run, a = -rise, and the slope is pure when
+    gcd(rise, run) = 1.
     """
     check_prime(p)
     if R.is_zero or R.constant != 1:
@@ -909,10 +929,10 @@ def kronecker_certificate(R: RatPoly, p: int) -> IrreducibilityCertificate:
     if e != 1:
         raise ValueError("certificate needs a squarefree polynomial")
     detail: dict = {"segments": polygon.to_json()}
-    slope, h, symmetric = shape or (None, None, False)
-    pure = symmetric and slope.denominator == h
+    rise, h, symmetric = shape or (None, None, False)
+    pure = symmetric and math.gcd(rise, h) == 1
     if symmetric:
-        detail.update({"h": h, "a": -slope.numerator if pure else None})
+        detail.update({"h": h, "a": -rise if pure else None})
     if cyc is not None:
         detail["cyclotomic_index"] = cyc
     premises = {

@@ -9,7 +9,9 @@ degree patterns by
 distinct-degree factorization over small prime fields instead of slope
 arguments, gcds, cyclotomic factors and squarefree powers by Euclid and long
 division over Fractions instead of integer pseudo-remainders, Newton
-polygons from Fraction valuations instead of integer ones, and values of a
+polygons from Fraction valuations instead of integer ones (and the slope
+profile read from their Fraction slopes, not from integer rises and
+runs), and values of a
 binary form by a box search instead of a congruence argument.  Slow is
 fine; independent is the point.
 """
@@ -410,6 +412,33 @@ def fraction_newton_polygon(coeffs, p):
                 break
         hull.append((x, y))
     return tuple(((y2 - y1) / (x2 - x1), x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
+
+
+def fraction_slope_shape(coeffs, p, e=1):
+    """(flat, h, a, symmetric, pure, local) read from the Fraction segments
+    (s, l) of `fraction_newton_polygon`, by Fraction comparisons and
+    products.
+
+    flat is the length of the slope-0 segment (0 when there is none).
+    The rest needs exactly one segment (s, l) of negative slope, and is
+    (None, None, False, False, None) otherwise: symmetric says whether
+    the segments of positive slope are exactly [(-s, l)]; h = l and
+    a = -s * l when symmetric, else None; pure says whether it is
+    symmetric with l the denominator of s; and local, for the e-th root
+    of the polynomial (its polygon has every length divided by e), is
+    (s as "n/d" in lowest terms, l // e, whether d == l // e).
+    """
+    segments = fraction_newton_polygon(coeffs, p)
+    flat = sum(l for s, l in segments if s == 0)
+    negative = [(s, l) for s, l in segments if s < 0]
+    if len(negative) != 1:
+        return flat, None, None, False, False, None
+    s, l = negative[0]
+    symmetric = [(t, k) for t, k in segments if t > 0] == [(-s, l)]
+    h, a = (l, -s * l) if symmetric else (None, None)
+    pure = symmetric and s.denominator == l
+    local = (f"{s.numerator}/{s.denominator}", l // e, s.denominator == l // e)
+    return flat, h, a, symmetric, pure, local
 
 
 # ---------------------------------------------------------------------------

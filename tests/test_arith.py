@@ -410,3 +410,17 @@ def test_rational_text_roundtrip():
         parse_rational("1.5")
     with pytest.raises(ValueError, match="zero denominator"):
         parse_rational("1/0")
+
+
+def test_format_rational_reads_ints_fractions_and_other_rationals_alike():
+    cases = [
+        (7, "7"),
+        (-12, "-12"),
+        (Fraction(-22, 7), "-22/7"),
+        (Fraction(6, 3), "2"),
+        (True, "1"),
+        ("4/6", "2/3"),
+        (0.5, "1/2"),
+    ]
+    for x, text in cases:
+        assert format_rational(x) == text, x

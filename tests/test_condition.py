@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import k3cert.condition as condition
 import k3cert.weilpoly as weilpoly
@@ -34,7 +36,12 @@ from k3cert.weilpoly import (
     unit_circle_check,
 )
 
-from oracles import count_real_roots_halfopen, fraction_squarefree_power, fraction_unit_circle
+from oracles import (
+    count_real_roots_halfopen,
+    fraction_slope_shape,
+    fraction_squarefree_power,
+    fraction_unit_circle,
+)
 
 WORKED = parse_poly("1,1/7,1,1/7,1")
 
@@ -643,8 +650,8 @@ def test_squared_witnesses_match_a_fresh_check():
 def test_even_height_route_raises_when_the_square_fails_its_check(monkeypatch):
     check = condition._check_candidate
 
-    def failing_square(f, p, descent=None):
-        report = check(f, p, descent)
+    def failing_square(*args):
+        report = check(*args)
         return dataclasses.replace(report, verdict="fail") if report.m == 10 else report
 
     monkeypatch.setattr(condition, "_check_candidate", failing_square)
@@ -754,3 +761,158 @@ def test_feasibility_json_carries_witness_text():
     doc = feasibility(7, 20, 10).to_json()
     assert doc["feasible"] is False
     assert doc["witness"] is None
+
+
+# ---------------------------------------------------------------------------
+# the returned witness, and the end values the search has proved
+
+CONSTRUCT_GRID = [(p, m, h) for p in (5, 7, 11, 13) for m in range(1, MAX_M + 1) for h in range(1, m + 1)]
+
+
+def test_witnesses_are_the_integer_palindrome_over_q():
+    squared = 0
+    for p, m, h in CONSTRUCT_GRID:
+        L, report = condition._witness(p, m, h)
+        if m == 10 and h % 2 == 0:
+            F, _, q, _ = condition._search(p, 5, h // 2, 1, 50)
+            f, q = weilpoly._transform_ints(weilpoly._mul_ints(F, F)), q * q
+            squared += 1
+        else:
+            _, f, q, _ = condition._search(p, m, h, 1, 50)
+        assert q == report.q, (p, m, h)
+        assert L.coeffs == tuple(Fraction(c, q) for c in f), (p, m, h)
+        assert L.coeffs == L.coeffs[::-1] and L.constant == 1 and L.degree == 2 * m, (p, m, h)
+    assert (len(CONSTRUCT_GRID), squared) == (220, 20)
+
+
+def test_the_check_evaluates_no_proved_end_value(monkeypatch):
+    # the alternation facts (F, [1], m) and the squared route's (G, F, 5)
+    # come with g(2) g(-2) != 0 proved, so the check evaluates nothing at
+    # +-2; facts from a Sturm chain are evaluated there, and the report is
+    # the one of the check that finds every fact itself
+    at, check = weilpoly._at, condition._check_candidate
+    proved = chained = 0
+
+    def checking(f, p, descent, ends_nonzero):
+        nonlocal proved, chained
+        ends: list[int] = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(weilpoly, "_at", lambda cs, x: (x in (2, -2) and ends.append(x)) or at(cs, x))
+            report = check(f, p, descent, ends_nonzero)
+        if ends_nonzero:
+            assert ends == [], descent
+            proved += 1
+        else:
+            assert ends[:1] == [2], descent
+            chained += 1
+        assert report == check(f, p), descent
+        return report
+
+    monkeypatch.setattr(condition, "_check_candidate", checking)
+    for p, m, h in REJECTING_TRIPLES + [(7, 10, 4)]:
+        condition._witness(p, m, h)
+    assert proved > 5 and chained > 0, (proved, chained)
+
+
+# ---------------------------------------------------------------------------
+# the slope profile read in Z, against the Fraction reading of the oracle
+
+
+def _assert_slope_reading(L: RatPoly, p: int) -> None:
+    """The flat length that `_analyse` bounds its cyclotomic scan by, the
+    report's h, a, slope profile and local check, and the certificate's
+    pure-slope premise (when L is squarefree) all equal the reading of
+    `fraction_slope_shape`."""
+    flats: list[int] = []
+
+    def recording(scan):
+        return lambda cs, flat: flats.append(flat) or scan(cs, flat)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_psi_index_ints", "_cyclotomic_index_ints"):
+            patch.setattr(weilpoly, name, recording(getattr(weilpoly, name)))
+        report = check_candidate(L, p)
+    flat, h, a, symmetric, pure, local = fraction_slope_shape(L.coeffs, p, report.e or 1)
+    where = (format_poly(L), p)
+    assert flats == [flat], where
+    assert (report.h, report.a) == (h, a), where
+    assert report.checks["slope_profile"].status == ("pass" if symmetric else "fail"), where
+    check = report.checks["local_factor_irreducible"].to_json()
+    if report.e is not None and local is None:
+        assert check["status"] == "fail" and "reason" in check, where
+    elif report.e is not None:
+        slope, length, irreducible = local
+        assert check == {"status": "pass" if irreducible else "fail", "slope": slope, "length": length}, where
+    if report.e == 1:
+        certificate = kronecker_certificate(L, p)
+        assert certificate.premises["pure_negative_slope"] == pure, where
+        assert (certificate.detail.get("h"), certificate.detail.get("a")) == (h, a if pure else None), where
+
+
+def test_slope_reading_matches_the_oracle_over_the_golden_corpus():
+    shapes = set()
+    for line in GOLDEN_CHECKS.read_text().splitlines():
+        doc = json.loads(line)
+        L = parse_poly(doc["coeffs"])
+        _assert_slope_reading(L, doc["p"])
+        _, h, a, _, pure, _ = fraction_slope_shape(L.coeffs, doc["p"])
+        shapes.add((h is not None, pure))
+    # symmetric and pure, symmetric with gcd(a, h) > 1
+    assert {(True, True), (True, False)} <= shapes
+
+
+@st.composite
+def _slope_draws(draw) -> tuple[RatPoly, int]:
+    """(L, p) with L(0) = 1 and even degree <= 20.  L is a cloud of p-adic
+    valuations in [-3, 3] with some zero coefficients, or has the hull
+    (0, 0), (h1, -a), (n - h2, -a), (n, b - a) with the other coefficients
+    zero or on or above it (symmetric or not, with or without a flat
+    segment, gcd(a, h1) > 1 allowed), or is the square of either (e = 2)."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    square = draw(st.booleans())
+    n = draw(st.integers(1, 10)) * (1 if square else 2)
+    units = st.sampled_from((1, -1, p + 1, 1 - p))
+    coeffs = [Fraction(1)]
+    if draw(st.booleans()):
+        for i in range(1, n + 1):
+            if i < n and draw(st.integers(0, 3)) == 0:
+                coeffs.append(Fraction(0))
+            else:
+                coeffs.append(draw(units) * Fraction(p) ** draw(st.integers(-3, 3)))
+    else:
+        h1 = draw(st.integers(1, n))
+        h2 = h1 if 2 * h1 <= n and draw(st.integers(0, 3)) else draw(st.integers(0, n - h1))
+        a = draw(st.integers(1, 4))
+        b = draw(st.sampled_from((a, a, a, a, a, a, 2 * a, a + 1)))
+        vertices = {0: 0, h1: -a, n - h2: -a}
+        if h2:
+            vertices[n] = b - a
+        for i in range(1, n + 1):
+            if i in vertices:
+                v = vertices[i]
+            elif draw(st.booleans()):
+                coeffs.append(Fraction(0))
+                continue
+            else:
+                # the hull at i, rounded up, plus a margin
+                if i < h1:
+                    v = -((a * i) // h1)
+                elif i <= n - h2:
+                    v = -a
+                else:
+                    v = -a - ((-b * (i - n + h2)) // h2)
+                v += draw(st.integers(0, 2))
+            coeffs.append(draw(units) * Fraction(p) ** v)
+    L = RatPoly(tuple(coeffs))
+    return (L * L if square else L), p
+
+
+@given(_slope_draws())
+@settings(max_examples=300)
+@example((parse_poly("1,0,1/49,0,1"), 7))  # zeros, no flat, gcd(rise, run) = 2
+@example((parse_poly("1,1/49,1/343,1/343,1"), 7))  # two negative segments
+@example((parse_poly("1,1/7,1/7,0,1"), 7))  # the same rise, not the same run
+@example((parse_poly("1,1/7,1,1/7,1") * parse_poly("1,1/7,1,1/7,1"), 7))  # e = 2
+@example((parse_poly("1,0,1/9,0,1/81,0,1/9,0,1") * parse_poly("1,0,1/9,0,1/81,0,1/9,0,1"), 3))
+def test_slope_reading_matches_the_oracle_on_drawn_hulls(drawn):
+    _assert_slope_reading(*drawn)
