@@ -79,7 +79,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _report_lines(report: CandidateReport) -> list[str]:
+def _report_lines(report) -> list[str]:
     lines = [f"verdict: {report.verdict}"]
     invs = " ".join(
         f"{k}={v}" for k, v in (("m", report.m), ("h", report.h), ("a", report.a), ("e", report.e), ("q", report.q))

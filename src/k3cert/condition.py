@@ -153,44 +153,33 @@ def check_candidate(L: RatPoly, p: int) -> CandidateReport:
 
 
 def _check_candidate(
-    f: list[int],
-    p: int,
-    descent: tuple[list[int], list[int], int | None] | None = None,
-    ends_nonzero: bool = False,
+    f: list[int], p: int, descent: tuple[list[int], list[int], int | None] | None = None
 ) -> CandidateReport:
     """`check_candidate` on the primitive integer multiple f of L, with
     f(0) > 0, so that L = f / f(0).  A caller that has proved the descent
-    facts of G for L = T^m G(T + 1/T) passes them, and says with
-    ends_nonzero whether it has proved G(2) G(-2) != 0 too (see
+    facts of G for L = T^m G(T + 1/T) passes them (see
     `weilpoly._analyse`).
 
-    The slope profile is read in Z from the negative segment (rise, run)
-    of the integer hull: h = run and a = -rise when the hull is
-    symmetric, and the slope rise / run has denominator run // g in
-    lowest terms, for g = gcd(rise, run)."""
+    The six checks read the fields of that one analysis: the slope
+    profile its h and a, and the local check its local, the slope of R's
+    local factor in lowest terms and its length, which passes when the
+    length is the slope's denominator."""
     m = (len(f) - 1) // 2
     # r has the roots of L, each once; e is None unless L = R^e for
     # R = r / r(0).
-    polygon, shape, r, e, on_circle, cyc, offending = _analyse(f, p, descent, ends_nonzero)
-
-    h = a = None
+    analysis = _analyse(f, p, descent)
+    h, a, e = analysis.h, analysis.a, analysis.e
     local = CheckResult("fail", {"reason": "negative part is empty or splits by slope"})
-    if shape is not None:
-        rise, run, symmetric = shape
-        if symmetric:
-            h, a = run, -rise
-        if e is not None:
-            # L = R^e, so R's polygon is L's with every run divided by e
-            g = math.gcd(rise, run)
-            local = _result(
-                run // g == run // e, {"slope": f"{rise // g}/{run // g}", "length": run // e}
-            )
+    if analysis.local is not None:
+        rise, run, length = analysis.local
+        local = _result(run == length, {"slope": f"{rise}/{run}", "length": length})
+    cyc, offending = analysis.cyc, analysis.offending
     checks = {
-        "unit_circle": _result(on_circle, {"squarefree_degree": len(r) - 1}),
+        "unit_circle": _result(analysis.on_circle, {"squarefree_degree": len(analysis.r) - 1}),
         "no_root_of_unity": _result(cyc is None, {} if cyc is None else {"cyclotomic_index": cyc}),
         "integral_away_from_p": _result(not offending, {"offending_indices": offending} if offending else {}),
         "slope_profile": _result(
-            h is not None, {"segments": polygon.to_json(), **({"h": h, "a": a} if h else {})}
+            h is not None, {"segments": analysis.polygon.to_json(), **({"h": h, "a": a} if h else {})}
         ),
     }
 
@@ -218,7 +207,7 @@ def _check_candidate(
         a=a,
         e=e,
         q=p**a if a is not None else None,
-        slope_profile=polygon,
+        slope_profile=analysis.polygon,
         checks=checks,
     )
 
@@ -321,12 +310,13 @@ def construct_witness(
     the check, by the alternation and descent arguments in the
     `weilpoly` module docstring.  First come the signs of p^a F at the
     seed's points, which need no chain: when they strictly alternate, F
-    has m simple roots in (-2, 2), and F(2) F(-2) != 0, so the check
-    evaluates nothing at +-2; when an end sign is wrong, F has
-    a real root beyond +-2, so L has a root off the unit circle and that
-    a is skipped before the transform.  Otherwise one Sturm chain of F
-    decides: a squarefree F with fewer than m roots in [-2, 2] is
-    skipped the same way, and any other F goes on to the check.
+    has m simple roots in (-2, 2) and F(2) F(-2) != 0, so the facts
+    (F, 1, m) carry their count and the check evaluates nothing at +-2;
+    when an end sign is wrong, F has a real root beyond +-2, so L has a
+    root off the unit circle and that a is skipped before the transform.
+    Otherwise one Sturm chain of F decides (`_descent_facts`): a
+    squarefree F with a count, below m, of roots in (-2, 2) is skipped
+    the same way, and any other F goes on to the check.
     """
     _, f, q, report = _search(p, m, h, a_start, a_cap)
     return _mirrored(f, q), report
@@ -366,10 +356,10 @@ def _search(
             continue  # F has a real root beyond +-2, so L has a root off the unit circle
         descent = (F, [1], m) if inside else _descent_facts(F)
         _, d, count = descent
-        if len(d) == 1 and count < m:
+        if len(d) == 1 and count is not None and count < m:
             continue  # so L = T^m F(T + 1/T) has a root off the unit circle
         f = _transform_ints(F)
-        report = _check_candidate(f, p, descent, inside is True)
+        report = _check_candidate(f, p, descent)
         if report.passed and report.h == h and report.e == 1:
             return F, f, q, report
     raise WitnessSearchError(
@@ -398,7 +388,7 @@ def construct_witness_even_h(
     F, _, q, base_report = _search(p, 5, h // 2, a_start, a_cap)
     G = _mul_ints(F, F)
     f = _transform_ints(G)
-    report = _check_candidate(f, p, (G, F, 5), True)
+    report = _check_candidate(f, p, (G, F, 5))
     if not (report.passed and report.m == 10 and report.h == h and report.e == 2):
         raise WitnessSearchError(
             f"squared witness for p={p}, h={h} failed verification (base a={base_report.a})"

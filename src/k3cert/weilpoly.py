@@ -92,6 +92,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arith import _int_val, check_prime, format_rational, is_prime, parse_rational, prime_factors
 
@@ -463,15 +464,16 @@ def _window(chain: list[list[int]]) -> int:
 def _descent_facts(g: list[int]) -> tuple[list[int], list[int], int | None]:
     """(g, d, count) for the nonzero integer g, by its Sturm chain: g made
     primitive, d the chain's last member, a primitive multiple of
-    gcd(g, g'), and count the `_window` of g, or None when d(2) d(-2) = 0.
+    gcd(g, g'), and count the `_window` of g when g(2) g(-2) != 0, or None
+    otherwise.  d divides g, so d(2) d(-2) != 0 then too.
 
-    These are the descent facts `_analyse` reads (see there).  A caller
-    that has proved them otherwise, say by `_alternation`, hands them to
-    `_analyse` without a chain.
+    These are the descent facts `_analyse` reads, and it takes the descent
+    path exactly when count is not None.  A caller that has proved them
+    otherwise, g(2) g(-2) != 0 included, say by `_alternation`, hands them
+    to `_analyse` with their count, and nothing is evaluated at +-2.
     """
     chain = _sturm_chain_ints(g)
-    d = chain[-1]
-    return chain[0], d, (_window(chain) if _at(d, 2) and _at(d, -2) else None)
+    return chain[0], chain[-1], (_window(chain) if _at(g, 2) and _at(g, -2) else None)
 
 
 def _alternation(values: list[int]) -> bool | None:
@@ -492,8 +494,8 @@ def _unit_circle_ints(f: list[int]) -> bool:
     """`unit_circle_check` on an integer multiple f of degree >= 1."""
     if len(f) % 2 == 0 or f != f[::-1]:
         return False
-    g, d, count = _descent_facts(_descent_ints(list(f)))  # a palindrome always descends
-    return len(d) == 1 and count == len(g) - 1
+    chain = _sturm_chain_ints(_descent_ints(list(f)))  # a palindrome always descends
+    return len(chain[-1]) == 1 and _window(chain) == len(chain[0]) - 1
 
 
 def euler_phi(k: int) -> int:
@@ -837,62 +839,64 @@ class IrreducibilityCertificate:
         return {"verdict": self.verdict, "premises": dict(self.premises), "detail": dict(self.detail)}
 
 
-def _slope_shape(segs: list[tuple[int, int]]) -> tuple[int, int, bool] | None:
-    """The lone negative segment (rise, run) of the integer hull segments
-    segs, and whether the hull is the symmetric shape (rise, run),
-    [(0, *)], (-rise, run); None when the negative part is empty or
-    splits by slope.
+class _Analysis(NamedTuple):
+    """What `_analyse` reads off a candidate; see there."""
 
-    That segment has h = run roots of valuation a / h, for a = -rise.  A
-    local factor whose length equals the denominator of its slope,
-    run // gcd(rise, run), is irreducible over Q_p: the slope is then in
-    lowest terms over exactly that many roots.
-    """
-    # the slopes increase, so the negative segments come first
-    if not segs or segs[0][0] >= 0 or (len(segs) > 1 and segs[1][0] < 0):
-        return None
-    rise, run = segs[0]
-    rest = segs[1:]
-    if rest and rest[0][0] == 0:
-        rest = rest[1:]
-    return rise, run, rest == [(-rise, run)]
+    polygon: NewtonPolygon
+    h: int | None
+    a: int | None
+    local: tuple[int, int, int] | None
+    r: list[int]
+    e: int | None
+    on_circle: bool
+    cyc: int | None
+    offending: list[int]
 
 
 def _analyse(
-    f: list[int],
-    p: int,
-    descent: tuple[list[int], list[int], int | None] | None = None,
-    ends_nonzero: bool = False,
-) -> tuple:
-    """(polygon, shape, r, e, on_circle, cyc, offending) for the primitive
-    integer multiple f of some L with L(0) = 1, at p: the Newton polygon
-    and the `_slope_shape` of its integer segments; r and e as in
-    `_squarefree_power_ints`; whether every root of L lies on the unit
-    circle; the smallest k with Phi_k dividing L, or None; and the
-    indices of the coefficients of L whose denominator is not a power of
-    p.
+    f: list[int], p: int, descent: tuple[list[int], list[int], int | None] | None = None
+) -> _Analysis:
+    """The `_Analysis` of the primitive integer multiple f of some L with
+    L(0) = 1, at p:
 
-    The polygon is read in Z: its slope-0 segment is the one of rise 0,
-    and the `NewtonPolygon` is built once, for the report.  The
-    cyclotomic scan covers only the k with phi(k) <= the length of that
-    segment (see the module docstring).  The paths are those of the
-    descent argument there.  A palindrome f of even degree descends to
-    the primitive g, and its descent facts (g, d, count) are those of
-    `_descent_facts`; a caller that has proved them passes them, and
-    otherwise one Sturm chain of g gives them.  The descent path needs
-    g(2) g(-2) != 0: a caller that has proved that too says so with
-    ends_nonzero, and otherwise g is evaluated at +-2.  On the descent
-    path `_radical` gives s = g / d and e with g = s^e (lc(g) = f(0) >
-    0), and r is the transform of s, with L = R^e because the transform
-    is multiplicative and one-to-one; the cyclotomic scan runs on s
-    (`_psi_index_ints`).
+      polygon    the Newton polygon, built once from the integer hull
+      h, a       run and -rise of the hull's lone negative segment
+                 (rise, run) when the hull is the symmetric shape
+                 (rise, run), [(0, *)], (-rise, run); else None
+      local      (rise / g, run / g, run / e) for that segment and
+                 g = gcd(rise, run) when L = R^e: the slope of R's local
+                 factor in lowest terms and its length, as R's polygon is
+                 L's with every run divided by e; None when the negative
+                 part is empty or splits by slope, or e is None
+      r, e       as in `_squarefree_power_ints`
+      on_circle  whether every root of L lies on the unit circle
+      cyc        the smallest k with Phi_k dividing L, or None
+      offending  the indices of the coefficients of L whose denominator
+                 is not a power of p
+
+    The hull is read here and only here, in Z: its slope-0 segment is the
+    one of rise 0, and the cyclotomic scan covers only the k with
+    phi(k) <= the length of that segment (see the module docstring).  A
+    local factor whose length equals the denominator of its slope is
+    irreducible over Q_p: the slope is then in lowest terms over exactly
+    that many roots.
+
+    The paths are those of the descent argument in the module docstring.
+    A palindrome f of even degree descends to the primitive g, and its
+    descent facts (g, d, count) are those of `_descent_facts`; a caller
+    that has proved them passes them, and otherwise one Sturm chain of g
+    gives them.  The descent path is taken exactly when count is not
+    None, that is when g(2) g(-2) != 0.  There `_radical` gives s = g / d
+    and e with g = s^e (lc(g) = f(0) > 0), and r is the transform of s,
+    with L = R^e because the transform is multiplicative and one-to-one;
+    the cyclotomic scan runs on s (`_psi_index_ints`).
     """
     segs = _polygon_ints(f, p)
     flat = next((run for rise, run in segs if rise == 0), 0)
     if descent is None and len(f) % 2 and f == f[::-1]:
         descent = _descent_facts(_descent_ints(list(f)))
-    if descent is not None and (ends_nonzero or (_at(descent[0], 2) and _at(descent[0], -2))):
-        g, d, count = descent
+    g, d, count = descent or (None, None, None)
+    if count is not None:
         s, e = _radical(g, d)
         r = f if e == 1 else _transform_ints(s)
         on_circle = count == len(s) - 1
@@ -905,7 +909,17 @@ def _analyse(
                 rest = _divexact(rest, [-root, 1])
         on_circle = len(rest) == 1 or _unit_circle_ints(rest)
         cyc = _cyclotomic_index_ints(r, flat)
-    return _polygon(segs), _slope_shape(segs), r, e, on_circle, cyc, _off_p_indices(f, f[0], p)
+    h = a = local = None
+    # the slopes increase, so the negative segments come first
+    if segs and segs[0][0] < 0 and (len(segs) == 1 or segs[1][0] >= 0):
+        rise, run = segs[0]
+        # the symmetric shape is (rise, run), [(0, flat)], (-rise, run)
+        if len(segs) == 2 + (flat > 0) and segs[-1] == (-rise, run):
+            h, a = run, -rise
+        if e is not None:
+            gcd = math.gcd(rise, run)
+            local = rise // gcd, run // gcd, run // e
+    return _Analysis(_polygon(segs), h, a, local, r, e, on_circle, cyc, _off_p_indices(f, f[0], p))
 
 
 def kronecker_certificate(R: RatPoly, p: int) -> IrreducibilityCertificate:
@@ -918,28 +932,27 @@ def kronecker_certificate(R: RatPoly, p: int) -> IrreducibilityCertificate:
     roots of R lie on the unit circle; and every coefficient denominator
     is a power of p.  Together these force irreducibility: any proper factor with
     unit-root constraints would be cyclotomic by Kronecker's theorem.
-    The slope premise is read in Z from the negative segment (rise, run)
-    of the integer hull: h = run, a = -rise, and the slope is pure when
-    gcd(rise, run) = 1.
+    The slope premise is read from the analysis: h and a are set, and the
+    local factor, here R's whole negative part, is irreducible, that is
+    gcd(a, h) = 1.
     """
     check_prime(p)
     if R.is_zero or R.constant != 1:
         raise ValueError("certificate needs R(0) = 1")
-    polygon, shape, _, e, on_circle, cyc, offending = _analyse(_integer_multiple(R), p)
-    if e != 1:
+    analysis = _analyse(_integer_multiple(R), p)
+    if analysis.e != 1:
         raise ValueError("certificate needs a squarefree polynomial")
-    detail: dict = {"segments": polygon.to_json()}
-    rise, h, symmetric = shape or (None, None, False)
-    pure = symmetric and math.gcd(rise, h) == 1
-    if symmetric:
-        detail.update({"h": h, "a": -rise if pure else None})
-    if cyc is not None:
-        detail["cyclotomic_index"] = cyc
+    detail: dict = {"segments": analysis.polygon.to_json()}
+    pure = analysis.h is not None and analysis.local[1] == analysis.h
+    if analysis.h is not None:
+        detail.update({"h": analysis.h, "a": analysis.a if pure else None})
+    if analysis.cyc is not None:
+        detail["cyclotomic_index"] = analysis.cyc
     premises = {
         "pure_negative_slope": pure,
-        "no_cyclotomic_factor": cyc is None,
-        "unit_circle": on_circle,
-        "denominators_p_power": not offending,
+        "no_cyclotomic_factor": analysis.cyc is None,
+        "unit_circle": analysis.on_circle,
+        "denominators_p_power": not analysis.offending,
     }
     verdict = "certified" if all(premises.values()) else "unknown"
     return IrreducibilityCertificate(verdict, premises, detail)

@@ -174,6 +174,7 @@ def test_square_class_examples():
     assert square_class(Fraction(4, 9)) == SquareClass(1, 1)
     assert square_class(50) == SquareClass(1, 2)
     assert square_class(Fraction(-1, 7)) == SquareClass(-1, 7)
+    assert str(SquareClass(-1, 2)) == "-2" and str(SquareClass(1, 1)) == "1"
     assert square_class(1).is_trivial
     assert not square_class(2).is_trivial
 
@@ -224,7 +225,7 @@ def test_square_class_kills_squares(x):
 
 
 def test_place_parse_and_str():
-    assert Place.parse("inf") == INFINITE_PLACE
+    assert Place.parse("inf") == INFINITE_PLACE == Place.infinite()
     assert Place.parse("7") == Place.finite(7)
     assert str(Place.finite(2)) == "2"
     assert str(INFINITE_PLACE) == "inf"

@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, output shapes, and JSON stability."""
 
+import inspect
 import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,18 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_every_annotation_in_the_cli_resolves():
+    # annotations are strings here (PEP 563); each must name something the
+    # cli module itself holds, since it loads no layer module at import
+    functions = [f for f in vars(cli).values() if inspect.isfunction(f) and f.__module__ == cli.__name__]
+    for cls in vars(cli).values():
+        if inspect.isclass(cls) and cls.__module__ == cli.__name__:
+            functions += [f for f in vars(cls).values() if inspect.isfunction(f)]
+    assert cli._report_lines in functions and cli._Parser.error in functions
+    for function in functions:
+        typing.get_type_hints(function)
 
 
 # ---------------------------------------------------------------------------

@@ -492,17 +492,23 @@ def _counting(monkeypatch, name: str, *modules) -> list:
 
 
 def test_witness_search_counts_the_sign_variations_once_per_chain(monkeypatch):
+    # a window is counted only on a chain whose G has G(2) G(-2) != 0;
+    # at p = 2 some F of the search vanish at 2 or -2, and their chain counts none
     chains = _counting(monkeypatch, "_sturm_chain_ints", weilpoly)
     variations = _counting(monkeypatch, "_variations", weilpoly)
     checks = _counting(monkeypatch, "_check_candidate", condition)
+    vanishing = 0
     for p, m, h in REJECTING_TRIPLES:
         seed_polynomial(m)
         for calls in (chains, variations, checks):
             calls.clear()
         construct_witness(p, m, h)
-        assert len(variations) == 2 * len(chains), (p, m, h)
+        windows = [G for (G,) in chains if weilpoly._at(G, 2) and weilpoly._at(G, -2)]
+        assert len(variations) == 2 * len(windows), (p, m, h)
+        vanishing += len(chains) - len(windows)
         if p == 2:
             assert len(checks) > 1, (p, m, h)
+    assert vanishing > 0
 
 
 def test_witness_search_builds_no_fractions_for_a_rejected_a(monkeypatch):
@@ -786,32 +792,33 @@ def test_witnesses_are_the_integer_palindrome_over_q():
 
 
 def test_the_check_evaluates_no_proved_end_value(monkeypatch):
-    # the alternation facts (F, [1], m) and the squared route's (G, F, 5)
-    # come with g(2) g(-2) != 0 proved, so the check evaluates nothing at
-    # +-2; facts from a Sturm chain are evaluated there, and the report is
-    # the one of the check that finds every fact itself
+    # descent facts that carry a count come with g(2) g(-2) != 0 proved:
+    # the alternation facts (F, [1], m), a chain's facts with a count and
+    # the squared route's (G, F, 5); the check evaluates nothing at +-2
+    # for them, and its report is the one of the check that finds every
+    # fact itself.  Facts without a count (F(2) F(-2) = 0, at p = 2) are
+    # not trusted.
     at, check = weilpoly._at, condition._check_candidate
-    proved = chained = 0
+    proved = unproved = 0
 
-    def checking(f, p, descent, ends_nonzero):
-        nonlocal proved, chained
+    def checking(f, p, descent):
+        nonlocal proved, unproved
         ends: list[int] = []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(weilpoly, "_at", lambda cs, x: (x in (2, -2) and ends.append(x)) or at(cs, x))
-            report = check(f, p, descent, ends_nonzero)
-        if ends_nonzero:
+            report = check(f, p, descent)
+        if descent[2] is not None:
             assert ends == [], descent
             proved += 1
         else:
-            assert ends[:1] == [2], descent
-            chained += 1
+            unproved += 1
         assert report == check(f, p), descent
         return report
 
     monkeypatch.setattr(condition, "_check_candidate", checking)
     for p, m, h in REJECTING_TRIPLES + [(7, 10, 4)]:
         condition._witness(p, m, h)
-    assert proved > 5 and chained > 0, (proved, chained)
+    assert proved > 5 and unproved > 0, (proved, unproved)
 
 
 # ---------------------------------------------------------------------------
@@ -820,9 +827,9 @@ def test_the_check_evaluates_no_proved_end_value(monkeypatch):
 
 def _assert_slope_reading(L: RatPoly, p: int) -> None:
     """The flat length that `_analyse` bounds its cyclotomic scan by, the
-    report's h, a, slope profile and local check, and the certificate's
-    pure-slope premise (when L is squarefree) all equal the reading of
-    `fraction_slope_shape`."""
+    h, a and local of its record, the report's h, a, slope profile and
+    local check, and the certificate's pure-slope premise (when L is
+    squarefree) all equal the reading of `fraction_slope_shape`."""
     flats: list[int] = []
 
     def recording(scan):
@@ -835,6 +842,13 @@ def _assert_slope_reading(L: RatPoly, p: int) -> None:
     flat, h, a, symmetric, pure, local = fraction_slope_shape(L.coeffs, p, report.e or 1)
     where = (format_poly(L), p)
     assert flats == [flat], where
+    analysis = weilpoly._analyse(weilpoly._integer_multiple(L), p)
+    assert (analysis.h, analysis.a) == (h, a), where
+    if analysis.e is None or local is None:
+        assert analysis.local is None, where
+    else:
+        rise, run, length = analysis.local
+        assert (f"{rise}/{run}", length, run == length) == local, where
     assert (report.h, report.a) == (h, a), where
     assert report.checks["slope_profile"].status == ("pass" if symmetric else "fail"), where
     check = report.checks["local_factor_irreducible"].to_json()

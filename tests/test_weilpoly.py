@@ -23,6 +23,7 @@ from k3cert.weilpoly import (
     _coprime_to_derivative_mod,
     _cyclotomic_ints,
     _cyclotomic_residues,
+    _descent_facts,
     _divexact,
     _integer_multiple,
     _psi_ints,
@@ -218,6 +219,8 @@ def test_parse_format_roundtrip():
     assert parse_poly(text) == WORKED
     assert format_poly(WORKED) == text
     assert format_poly(poly(1, Fraction(-4, 5), 1)) == "1,-4/5,1"
+    assert format_poly(RatPoly.zero()) == "0"
+    assert repr(WORKED) == "RatPoly('1,1/7,1,1/7,1')"
     with pytest.raises(ValueError):
         parse_poly("1,,2")
     with pytest.raises(ValueError):
@@ -293,6 +296,8 @@ def test_sturm_rejects_bad_input():
         sturm_count(poly(1, 1), 3, 3)  # empty interval
     with pytest.raises(ValueError):
         sturm_count(poly(1, 0, 1) * poly(1, 0, 1) * poly(-3, 1), -5, 5)  # repeated non-real factor
+    with pytest.raises(ValueError, match="zero polynomial"):
+        sturm_count(RatPoly.zero(), -5, 5)
 
 
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -516,6 +521,8 @@ def test_has_cyclotomic_factor():
     assert has_cyclotomic_factor(WORKED * cyclotomic(4)) == 4
     # smallest index wins when several divide
     assert has_cyclotomic_factor(cyclotomic(6) * cyclotomic(1)) == 1
+    with pytest.raises(ValueError, match="zero polynomial"):
+        has_cyclotomic_factor(RatPoly.zero())
 
 
 def test_cyclotomic_index_list_is_a_fresh_list():
@@ -605,7 +612,7 @@ def test_zero_residue_without_a_psi_factor(k):
     L = reciprocal_transform(RatPoly.of(*s))
     f = _integer_multiple(L)
     assert _descent_path(L) == "squarefree"
-    assert _analyse_unbounded(f)[5] is None
+    assert _analyse_unbounded(f).cyc is None
     assert cyclotomic_factor_index(L.coeffs) is None
 
 
@@ -893,13 +900,13 @@ def _seeded_candidates(seed: int, count: int) -> list[RatPoly]:
     return out
 
 
-def _analyse_unbounded(f: list[int]) -> tuple:
+def _analyse_unbounded(f: list[int]) -> weilpoly._Analysis:
     """`_analyse` of f at the least prime dividing no nonzero coefficient
     of f.  The polygon is then one slope-0 segment over the whole degree,
     so the cyclotomic scan is not bounded."""
     p = next(q for q in itertools.count(2) if is_prime(q) and all(c % q for c in f if c))
     analysis = _analyse(f, p)
-    assert analysis[0].segments == ((0, len(f) - 1),)
+    assert analysis.polygon.segments == ((0, len(f) - 1),)
     return analysis
 
 
@@ -933,17 +940,42 @@ def test_descent_analysis_matches_the_slow_path_and_the_oracles(monkeypatch):
     for L in candidates:
         f = _integer_multiple(L)
         before = len(slow)
-        _, _, r, e, on_circle, cyc, _ = _analyse_unbounded(f)
+        analysis = _analyse_unbounded(f)
         path = _descent_path(L)
         paths[path] += 1
         assert (len(slow) > before) == (path == "fallback"), format_poly(L)
-        assert (r, e) == squarefree_power_ints(f), format_poly(L)
-        R = RatPoly(tuple(Fraction(c, r[0]) for c in r))
-        assert on_circle == fraction_unit_circle(L.coeffs), format_poly(L)
-        assert cyc == cyclotomic_factor_index(L.coeffs), format_poly(L)
+        assert (analysis.r, analysis.e) == squarefree_power_ints(f), format_poly(L)
+        R = RatPoly(tuple(Fraction(c, analysis.r[0]) for c in analysis.r))
+        assert analysis.on_circle == fraction_unit_circle(L.coeffs), format_poly(L)
+        assert analysis.cyc == cyclotomic_factor_index(L.coeffs), format_poly(L)
         if R.evaluate(1) and R.evaluate(-1):
-            assert on_circle == unit_circle_check(R), format_poly(L)
+            assert analysis.on_circle == unit_circle_check(R), format_poly(L)
     assert min(paths.values()) > 80, paths
+
+
+def test_descent_facts_carry_a_count_exactly_when_g_is_nonzero_at_both_ends():
+    """`_descent_facts` of the descent G of a palindrome gives a count iff
+    G(2) G(-2) != 0 over Q, and then the oracle's window count.  Facts
+    whose count is None give the record of passing no facts."""
+    corpus = Path(__file__).parent / "golden" / "check_reports.jsonl"
+    candidates = [parse_poly(json.loads(line)["coeffs"]) for line in corpus.read_text().splitlines()]
+    candidates += _seeded_candidates(15, 300)
+    counted = uncounted = 0
+    for L in candidates:
+        f = _integer_multiple(L)
+        if len(f) % 2 == 0 or f != f[::-1]:
+            continue
+        g, d, count = _descent_facts(weilpoly._descent_ints(list(f)))
+        G = RatPoly(tuple(fraction_descent(list(L.coeffs))))
+        assert (count is not None) == (G.evaluate(2) * G.evaluate(-2) != 0), format_poly(L)
+        if count is None:
+            uncounted += 1
+        else:
+            assert count == _oracle_window(G), format_poly(L)
+            counted += 1
+        for p in (2, 7):
+            assert _analyse(f, p, (g, d, None)) == _analyse(f, p), (format_poly(L), p)
+    assert counted > 100 and uncounted > 50, (counted, uncounted)
 
 
 def _candidates_at_primes(seed: int, count: int) -> list[tuple[RatPoly, int]]:
@@ -1003,7 +1035,7 @@ def test_flat_segment_bound_keeps_every_cyclotomic_factor(monkeypatch):
         k = cyclotomic_factor_index(L.coeffs)
         hits += k is not None and flat < L.degree
         bounds.clear()
-        assert _analyse(_integer_multiple(L), p)[5] == k, (format_poly(L), p)
+        assert _analyse(_integer_multiple(L), p).cyc == k, (format_poly(L), p)
         assert bounds == [flat], (format_poly(L), p)
         if L.degree % 2 == 0 and L.degree <= 20:
             detail = check_candidate(L, p).checks["no_root_of_unity"].detail
