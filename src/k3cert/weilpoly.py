@@ -68,14 +68,23 @@ appears only in what is handed back: the slopes of the one
 candidate.
 
 Two residue screens run before the Z[T] kernels, and each can only rule
-a fact out.  If Phi_k divides f, then f(w) = 0 mod ell for any root w of
-Phi_k mod a prime ell, so a nonzero residue proves Phi_k does not divide
-f; the same holds for psi_k and s at its root x = w + 1/w mod ell.  If f
-mod ell keeps its degree and is coprime to its derivative, f is
+a fact out.  The root-of-unity screen is one remainder in Z at the
+point N = 2^64.  Phi_k and psi_k are monic in Z[T], so Phi_k | f gives
+f = Phi_k q with q in Z[T], and then the integer Phi_k(N) divides f(N).
+Phi_k(N) > 0, as the roots of Phi_k lie on the unit circle, and
+psi_k(N) > 0, as those of psi_k lie in (-2, 2).  So a nonzero f(N) mod
+Phi_k(N), or s(N) mod psi_k(N), proves that Phi_k does not divide f, or
+psi_k s.  A zero remainder proves nothing, and `_prem` decides.  N is a
+power of two, so f(N) packs the coefficients of f into 64-bit digits
+(Kronecker substitution).  A zero remainder without a factor needs the
+remainder of f mod Phi_k, of degree < phi(k), to have a coefficient
+near 2^63, so in practice `_prem` runs only on true factors.  The values
+Phi_k(N) and psi_k(N) are cached per scan bound, never per input, and
+each input is evaluated at N once.  The squarefree screen: if f mod a
+prime ell keeps its degree and is coprime to its derivative, f is
 squarefree.  Only `_prem` reports a cyclotomic factor, and only
 `_gcd_ints` or a nonconstant last member of a Sturm chain a repeated
-root.  The cyclotomic screen's primes and roots are cached per k, never
-per input.
+root.
 
 Beside the screens, the Newton polygon bounds the cyclotomic scan of the
 candidate analysis: the roots of Phi_k have p-adic valuation 0, so
@@ -86,15 +95,13 @@ scans every k.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import _int_val, check_prime, format_rational, is_prime, parse_rational, prime_factors
+from .arith import _int_val, check_prime, format_rational, parse_rational, prime_factors
 
 __all__ = [
     "IrreducibilityCertificate",
@@ -545,25 +552,6 @@ def _cyclotomic_ints(k: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic_residues(k: int) -> tuple[int, tuple[int, ...]]:
-    """(ell, (w^0, ..., w^(k-1)) mod ell): ell is the least prime above
-    2^31 with ell = 1 (mod k), and w is a root of Phi_k mod ell.
-
-    The k-th powers mod ell form a cyclic group of order k, so some
-    x^((ell-1)/k) is a primitive k-th root of unity; the row keeps the
-    first one at which Phi_k is checked to vanish.
-    """
-    ell = ((1 << 31) // k + 1) * k + 1
-    while not is_prime(ell):
-        ell += k
-    phi = _cyclotomic_ints(k)
-    for x in itertools.count(2):
-        w = pow(x, (ell - 1) // k, ell)
-        if _at(phi, w) % ell == 0:
-            return ell, tuple(pow(w, i, ell) for i in range(k))
-
-
-@lru_cache(maxsize=None)
 def _cyclotomic_indices(maxdeg: int) -> tuple[int, ...]:
     # phi(k) >= sqrt(k/2) for every k >= 1, so scanning to 2*maxdeg^2 is enough.
     return tuple(k for k in range(1, 2 * maxdeg * maxdeg + 1) if euler_phi(k) <= maxdeg)
@@ -576,17 +564,27 @@ def cyclotomic_index_list(maxdeg: int) -> list[int]:
     return list(_cyclotomic_indices(maxdeg))
 
 
+# The integer point of the root-of-unity screens; see the module docstring.
+_SCREEN_POINT = 1 << 64
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_screen(maxdeg: int) -> tuple[tuple[int, int], ...]:
+    """(k, Phi_k(N)) for the k with phi(k) <= maxdeg, N = `_SCREEN_POINT`."""
+    return tuple((k, _at(_cyclotomic_ints(k), _SCREEN_POINT)) for k in _cyclotomic_indices(maxdeg))
+
+
 def has_cyclotomic_factor(L: RatPoly) -> int | None:
     """Smallest k with cyclotomic(k) dividing L, or None.
 
     Phi_k is monic in Z[T], so it divides L over Q iff it divides the
     integer polynomial f = D * L, where D clears the denominators of L;
     and pseudo-division by a monic divisor multiplies by 1, so `_prem`
-    gives the exact remainder.  A residue screens each k first: if
-    f = Phi_k * q, q is in Z[T], so f(w) = 0 mod ell for the root w of
-    Phi_k mod ell in `_cyclotomic_residues(k)`.  A nonzero f(w) mod ell
-    proves that Phi_k does not divide L; a zero one proves nothing and
-    `_prem` decides.
+    gives the exact remainder.  One integer screens each k first: if
+    f = Phi_k * q, then q is in Z[T], so f(N) = Phi_k(N) q(N) at the
+    integer point N = 2^64, where Phi_k(N) > 0.  A nonzero f(N) mod
+    Phi_k(N) proves that Phi_k does not divide L; a zero one proves
+    nothing and `_prem` decides, so only `_prem` reports a factor.
     """
     if L.is_zero:
         raise ValueError("zero polynomial")
@@ -597,10 +595,9 @@ def has_cyclotomic_factor(L: RatPoly) -> int | None:
 def _cyclotomic_index_ints(f: list[int], flat: int) -> int | None:
     """`has_cyclotomic_factor` on a nonzero integer multiple f of L, over
     the k with phi(k) <= flat (see `_analyse`)."""
-    for k in _cyclotomic_indices(min(len(f) - 1, flat)):
-        ell, powers = _cyclotomic_residues(k)
-        folded = f if len(f) <= k else [sum(f[j::k]) for j in range(k)]
-        if sum(map(operator.mul, folded, powers)) % ell == 0 and not _prem(f, _cyclotomic_ints(k)):
+    at_n = _at(f, _SCREEN_POINT)
+    for k, phi_n in _cyclotomic_screen(min(len(f) - 1, flat)):
+        if at_n % phi_n == 0 and not _prem(f, _cyclotomic_ints(k)):
             return k
     return None
 
@@ -612,6 +609,12 @@ def _psi_ints(k: int) -> tuple[int, ...]:
     return tuple(_descent_ints(list(_cyclotomic_ints(k))))
 
 
+@lru_cache(maxsize=None)
+def _psi_screen(maxdeg: int) -> tuple[tuple[int, int], ...]:
+    """(k, psi_k(N)) for the k >= 3 with phi(k) <= maxdeg, N = `_SCREEN_POINT`."""
+    return tuple((k, _at(_psi_ints(k), _SCREEN_POINT)) for k in _cyclotomic_indices(maxdeg)[2:])
+
+
 def _psi_index_ints(s: list[int], flat: int) -> int | None:
     """`_cyclotomic_index_ints(transform of s, flat)` for the integer s
     with s(2) s(-2) != 0, computed on s.
@@ -619,15 +622,16 @@ def _psi_index_ints(s: list[int], flat: int) -> int | None:
     The transform has no root +-1, so neither Phi_1 nor Phi_2 divides it.
     For k >= 3, Phi_k divides it iff the root 2 cos(2 pi / k) of the
     irreducible psi_k is a root of s, that is iff psi_k divides s.  The
-    indices run in the same order, so the smallest k is the same.  A
-    residue screens each k, as in `has_cyclotomic_factor`: for the root w
-    of Phi_k mod ell in `_cyclotomic_residues(k)`, w^(phi(k)/2) psi_k(x) =
-    Phi_k(w) = 0 mod ell at x = w + 1/w = w + w^(k-1), and psi_k is monic,
-    so psi_k | s forces s(x) = 0 mod ell.  Only `_prem` reports a factor.
+    indices run in the same order, so the smallest k is the same.  One
+    integer screens each k, as in `has_cyclotomic_factor`: psi_k is monic
+    in Z[x], so psi_k | s gives s = psi_k * q with q in Z[x], and psi_k(N)
+    divides s(N).  psi_k(N) > 0, as the roots of psi_k lie in (-2, 2) and
+    N = 2^64 lies above them.  A nonzero s(N) mod psi_k(N) rules psi_k
+    out; a zero one proves nothing, and only `_prem` reports a factor.
     """
-    for k in _cyclotomic_indices(min(2 * len(s) - 2, flat))[2:]:
-        ell, powers = _cyclotomic_residues(k)
-        if _at(s, powers[1] + powers[-1]) % ell == 0 and not _prem(s, _psi_ints(k)):
+    at_n = _at(s, _SCREEN_POINT)
+    for k, psi_n in _psi_screen(min(2 * len(s) - 2, flat)):
+        if at_n % psi_n == 0 and not _prem(s, _psi_ints(k)):
             return k
     return None
 

@@ -266,16 +266,18 @@ def _phi(k):
     return naive_phi(k)
 
 
-def cyclotomic_factor_index(coeffs):
-    """Smallest k with Phi_k dividing the polynomial, or None.
+def cyclotomic_factor_index(coeffs, maxdeg=None):
+    """Smallest k with Phi_k dividing the polynomial, or None; only the k
+    with phi(k) <= maxdeg count when maxdeg is given.
 
     A factor Phi_k has degree phi(k) <= deg, and phi(k) >= sqrt(k/2), so
     k <= 2 deg^2 bounds the search.
     """
     f = _q_trim(coeffs)
     deg = len(f) - 1
+    bound = deg if maxdeg is None else min(deg, maxdeg)
     for k in range(1, 2 * deg * deg + 1):
-        if _phi(k) <= deg and not _q_divmod(f, fraction_cyclotomic(k))[1]:
+        if _phi(k) <= bound and not _q_divmod(f, fraction_cyclotomic(k))[1]:
             return k
     return None
 

@@ -3,6 +3,7 @@ cyclotomic detection, Newton polygons, and the irreducibility certificate."""
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from math import lcm
@@ -22,13 +23,15 @@ from k3cert.weilpoly import (
     _analyse,
     _coprime_to_derivative_mod,
     _cyclotomic_ints,
-    _cyclotomic_residues,
     _descent_facts,
+    _descent_ints,
     _divexact,
     _integer_multiple,
+    _mul_ints,
     _psi_ints,
     _squarefree_power_ints,
     _sturm_chain_ints,
+    _transform_ints,
     _window,
     cyclotomic,
     cyclotomic_index_list,
@@ -561,27 +564,52 @@ def test_cyclotomic_coefficients_match_fraction_division():
         assert _cyclotomic_ints(k) == tuple(int(c) for c in fraction_cyclotomic(k)), k
 
 
-def test_cyclotomic_residue_rows_hold_a_root_of_phi_k():
-    for k in range(1, 201):
-        ell, powers = _cyclotomic_residues(k)
-        assert is_prime(ell) and (ell - 1) % k == 0 and ell > 1 << 31, k
-        w = powers[1 % k]
-        assert powers == tuple(pow(w, i, ell) for i in range(k)), k
-        at_w = sum(c * w**i for i, c in enumerate(fraction_cyclotomic(k)))
-        assert at_w.denominator == 1 and at_w.numerator % ell == 0, k
+N = weilpoly._SCREEN_POINT
 
 
-@pytest.mark.parametrize("k", [2, 3, 5, 7, 12, 25, 33, 66])
-def test_zero_residue_without_a_cyclotomic_factor(k):
-    # T^phi(k) - (w^phi(k) mod ell) vanishes at w mod ell, so the residue
-    # screen cannot rule Phi_k out; only the division does.  Its roots have
-    # absolute value > 1, so no Phi_j divides it.
-    ell, powers = _cyclotomic_residues(k)
-    n = naive_phi(k)
-    L = RatPoly.monomial(n) - RatPoly.of(powers[n % k])
-    assert sum(c * powers[i % k] for i, c in enumerate(_integer_multiple(L))) % ell == 0
-    assert has_cyclotomic_factor(L) is None
-    assert cyclotomic_factor_index(L.coeffs) is None
+def _at_n(cs) -> int:
+    """cs(N) for a list of integers or integral Fractions."""
+    value = sum(c * N**i for i, c in enumerate(cs))
+    assert value.denominator == 1
+    return int(value)
+
+
+def _mobius(n: int) -> int:
+    out, q = 1, 2
+    while n > 1:
+        if n % q == 0:
+            n //= q
+            if n % q == 0:
+                return 0
+            out = -out
+        q += 1
+    return out
+
+
+def test_cyclotomic_screen_rows_are_phi_k_at_n():
+    """Each row (k, Phi_k(N)) holds the oracle's Phi_k at N, which is also
+    prod_(d | k) (N^d - 1)^mu(k / d), for every k <= 200; the rows of each
+    scan bound are the k with phi(k) <= the bound, in order."""
+    checked = set()
+    for maxdeg in (*range(21), 198):
+        rows = weilpoly._cyclotomic_screen(maxdeg)
+        assert [k for k, _ in rows] == cyclotomic_index_list(maxdeg), maxdeg
+        for k, value in rows:
+            if k <= 200:
+                moebius = math.prod(Fraction(N**d - 1) ** _mobius(k // d) for d in range(1, k + 1) if k % d == 0)
+                assert value == _at_n(fraction_cyclotomic(k)) == moebius > 0, k
+                checked.add(k)
+    assert checked == set(range(1, 201))
+
+
+def test_psi_screen_rows_are_psi_k_at_n():
+    """Each row (k, psi_k(N)) holds the oracle's descent of Phi_k at N, for
+    the k >= 3 with phi(k) <= the scan bound, for every bound up to 20."""
+    for maxdeg in range(21):
+        rows = weilpoly._psi_screen(maxdeg)
+        assert [k for k, _ in rows] == cyclotomic_index_list(maxdeg)[2:], maxdeg
+        for k, value in rows:
+            assert value == _at_n(fraction_descent(fraction_cyclotomic(k))) > 0, k
 
 
 def test_psi_is_the_descent_of_phi_k():
@@ -589,31 +617,104 @@ def test_psi_is_the_descent_of_phi_k():
         assert _psi_ints(k) == tuple(int(c) for c in fraction_descent(fraction_cyclotomic(k))), k
 
 
-def _psi_root(k: int) -> tuple[int, int]:
-    """(ell, w + 1/w) for the root w of Phi_k mod ell that screens k."""
-    ell, powers = _cyclotomic_residues(k)
-    return ell, powers[1] + powers[-1]
+def _forced_collision(cs: list[int]) -> list[int]:
+    """cs + cs(N): its value at N is 2 cs(N), so the screen passes every
+    k with Phi_k | cs (or psi_k | cs) on to `_prem`; the remainder of the
+    division is the nonzero constant cs(N)."""
+    return [cs[0] + _at_n(cs), *cs[1:]]
 
 
-def test_psi_screen_point_is_a_root_of_psi_k():
-    for k in cyclotomic_index_list(20)[2:]:
-        ell, x = _psi_root(k)
-        assert sum(c * x**i for i, c in enumerate(_psi_ints(k))) % ell == 0, k
+def _prem_divisors(monkeypatch) -> list[tuple[int, ...]]:
+    """The divisors `_prem` is called with from now on."""
+    divisors = []
+    prem = weilpoly._prem
+    monkeypatch.setattr(weilpoly, "_prem", lambda a, b: divisors.append(tuple(b)) or prem(a, b))
+    return divisors
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 12, 25, 33, 66])
+def test_zero_residue_without_a_cyclotomic_factor(k, monkeypatch):
+    # f = Phi_k + Phi_k(N) has f(N) = 2 Phi_k(N), so the integer screen
+    # cannot rule Phi_k out; only the division does.  f mod Phi_k is the
+    # constant Phi_k(N), and f has no root on the unit circle at all.
+    f = _forced_collision(list(_cyclotomic_ints(k)))
+    assert _at_n(f) % dict(weilpoly._cyclotomic_screen(naive_phi(k)))[k] == 0
+    L = RatPoly.of(*f)
+    divisors = _prem_divisors(monkeypatch)
+    assert has_cyclotomic_factor(L) is None
+    assert _cyclotomic_ints(k) in divisors
+    assert cyclotomic_factor_index(L.coeffs) is None
 
 
 @pytest.mark.parametrize("k", [3, 5, 7, 12, 25, 33])
-def test_zero_residue_without_a_psi_factor(k):
-    # s = psi_k + ell vanishes at x mod ell, so the residue screen cannot
-    # rule psi_k out; only the division does.  s(+-2) = psi_k(+-2) + ell
-    # != 0, so the analysis reads the transform of s from its chain.
-    ell, x = _psi_root(k)
-    s = [_psi_ints(k)[0] + ell, *_psi_ints(k)[1:]]
-    assert sum(c * x**i for i, c in enumerate(s)) % ell == 0
+def test_zero_residue_without_a_psi_factor(k, monkeypatch):
+    # s = psi_k + psi_k(N) has s(N) = 2 psi_k(N), so the integer screen
+    # cannot rule psi_k out; only the division does.  s(+-2) =
+    # psi_k(+-2) + psi_k(N) != 0, so the analysis reads the transform of s
+    # from its chain.
+    s = _forced_collision(list(_psi_ints(k)))
+    assert _at_n(s) % dict(weilpoly._psi_screen(naive_phi(k)))[k] == 0
     L = reciprocal_transform(RatPoly.of(*s))
     f = _integer_multiple(L)
     assert _descent_path(L) == "squarefree"
+    divisors = _prem_divisors(monkeypatch)
     assert _analyse_unbounded(f).cyc is None
+    assert _psi_ints(k) in divisors
     assert cyclotomic_factor_index(L.coeffs) is None
+
+
+def _seeded_products(rng: random.Random, factors: list[tuple[int, ...]], count: int) -> list[list[int]]:
+    """count products of a small scalar, one or two of the factors (each
+    once or twice) and a small integer polynomial, each followed by its
+    forced collision at N."""
+    out = []
+    for _ in range(count):
+        f = [rng.choice((-1, 1)) * rng.randint(1, 5)]
+        for _ in range(rng.randint(1, 2)):
+            factor = list(rng.choice(factors))
+            for _ in range(rng.choice((1, 1, 2))):
+                f = _mul_ints(f, factor)
+        f = _mul_ints(f, [rng.randint(-4, 4) or 1 for _ in range(rng.randint(0, 2))] + [rng.randint(1, 4)])
+        out += [f, _forced_collision(f)]
+    return out
+
+
+def test_integer_point_screens_match_the_oracle_below_the_flat_bound():
+    """`_cyclotomic_index_ints(f, flat)` is the oracle's smallest k with
+    phi(k) <= flat and Phi_k | f, and so is `_psi_index_ints(s, flat)` for
+    a palindrome f with descent s, s(2) s(-2) != 0.  Inputs: the golden
+    check corpus at its flat bound, the `construct` grid's 220 witnesses
+    with and without a factor Phi_4, and seeded products of Phi_k or psi_k
+    with repeats, with and without a forced collision, at two bounds."""
+    from k3cert.condition import construct_witness
+
+    cases = []
+    for line in (Path(__file__).parent / "golden" / "check_reports.jsonl").read_text().splitlines():
+        record = json.loads(line)
+        L = parse_poly(record["coeffs"])
+        cases.append((_integer_multiple(L), _oracle_flat_length(L, record["p"]) if L.constant else L.degree))
+    for p in (5, 7, 11, 13):
+        for m in range(1, 11):
+            for h in range(1, m + 1):
+                f = _integer_multiple(construct_witness(p, m, h)[0])
+                flat = 2 * (m - h)
+                cases += [(f, flat), (_mul_ints(f, [1, 0, 1]), flat + 2)]
+    rng = random.Random(22)
+    phis = _seeded_products(rng, [_cyclotomic_ints(k) for k in cyclotomic_index_list(6)], 40)
+    psis = _seeded_products(rng, [_psi_ints(k) for k in cyclotomic_index_list(8)[2:]], 20)
+    for f in phis + [_transform_ints(s) for s in psis]:
+        cases += [(f, len(f) - 1), (f, rng.randint(0, len(f) - 1))]
+    found = {"phi": 0, "psi": 0}
+    for f, flat in cases:
+        want = cyclotomic_factor_index(f, flat)
+        assert weilpoly._cyclotomic_index_ints(f, flat) == want, (f, flat)
+        found["phi"] += want is not None
+        if len(f) % 2 and f == f[::-1]:
+            s = _descent_ints(list(f))
+            if weilpoly._at(s, 2) and weilpoly._at(s, -2):
+                assert weilpoly._psi_index_ints(s, flat) == want, (f, flat)
+                found["psi"] += want is not None
+    assert found["phi"] > 300 and found["psi"] > 250, found
 
 
 def test_strip_cyclotomic_worked_example():
