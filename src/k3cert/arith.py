@@ -11,14 +11,24 @@ additively as bits: 0 is the trivial class, 1 the nontrivial one, and
 classes combine by XOR.  In particular `hilbert(a, b, v) == 0` means the
 conic z^2 = a*x^2 + b*y^2 has a nontrivial point over the completion of
 Q at v.
+
+The package's records (`SquareClass`, `Place`, the polynomial, report and
+lattice records of the other modules) derive from `_Record`: immutable
+value classes that declare their fields as `__slots__` and write their own
+`__init__`, which checks the arguments and stores them with `_assign`.
+`_Record` reads the fields in slot order through one `operator.attrgetter`
+and gives field-wise `==` and `hash`, the repr `Name(field=value, ...)`,
+pickling by constructor call, and an `AttributeError` on any assignment
+or deletion.  It compiles no code when a class is made, so importing a
+module stays cheap.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 __all__ = [
     "INF",
@@ -67,6 +77,42 @@ class _Infinity:
 
 
 INF = _Infinity()
+
+# stores a field of a `_Record`, whose own __setattr__ refuses every assignment
+_assign = object.__setattr__
+
+
+class _Record:
+    """Base of the immutable records; a subclass names its fields in `__slots__`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        get = attrgetter(*cls.__slots__)
+        # the field values as a tuple, also for a single field
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 # Witness set proven sufficient for deterministic Miller-Rabin far beyond
 # 2**64; the 2**64 cap below keeps the guarantee comfortably inside the
@@ -163,20 +209,20 @@ def prime_factors(n: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class SquareClass:
+class SquareClass(_Record):
     """An element of Q*/(Q*)^2, stored as a sign and a squarefree positive part."""
 
-    sign: int
-    sqfree: int
+    __slots__ = ("sign", "sqfree")
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
+    def __init__(self, sign: int, sqfree: int) -> None:
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self.sqfree < 1:
+        if sqfree < 1:
             raise ValueError("squarefree part must be positive")
-        if self.sqfree > 1 and any(e > 1 for e in prime_factors(self.sqfree).values()):
-            raise ValueError(f"{self.sqfree} is not squarefree")
+        if sqfree > 1 and any(e > 1 for e in prime_factors(sqfree).values()):
+            raise ValueError(f"{sqfree} is not squarefree")
+        _assign(self, "sign", sign)
+        _assign(self, "sqfree", sqfree)
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         g = math.gcd(self.sqfree, other.sqfree)
@@ -215,23 +261,23 @@ def _class_and_primes(v: int) -> tuple[SquareClass, list[int]]:
 
 
 def _known_class(sign: int, sqfree: int) -> SquareClass:
-    """SquareClass(sign, sqfree) without `__post_init__`'s factoring check,
+    """SquareClass(sign, sqfree) without `__init__`'s factoring check,
     for a sqfree the caller has proved squarefree."""
     out = object.__new__(SquareClass)
-    object.__setattr__(out, "sign", sign)
-    object.__setattr__(out, "sqfree", sqfree)
+    _assign(out, "sign", sign)
+    _assign(out, "sqfree", sqfree)
     return out
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(_Record):
     """A place of Q: a finite prime, or the real place (prime=None)."""
 
-    prime: int | None = None
+    __slots__ = ("prime",)
 
-    def __post_init__(self) -> None:
-        if self.prime is not None:
-            check_prime(self.prime)
+    def __init__(self, prime: int | None = None) -> None:
+        if prime is not None:
+            check_prime(prime)
+        _assign(self, "prime", prime)
 
     @classmethod
     def finite(cls, p: int) -> "Place":
@@ -264,6 +310,14 @@ class Place:
 
 
 INFINITE_PLACE = Place(None)
+
+
+def _known_place(p: int | None) -> Place:
+    """Place(p) without `__init__`'s primality proof, for a p the caller
+    has proved prime, say by finding it with `prime_factors`."""
+    out = object.__new__(Place)
+    _assign(out, "prime", p)
+    return out
 
 
 def _hasse_bit(values, p: int | None) -> int:

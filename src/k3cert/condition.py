@@ -37,11 +37,10 @@ the square of a degree-10 witness is used instead, giving e = 2;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .arith import check_prime
+from .arith import _assign, _Record, check_prime
 from .weilpoly import (
     NewtonPolygon,
     RatPoly,
@@ -86,25 +85,39 @@ def check_names() -> tuple[str, ...]:
     return _CHECK_NAMES
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    status: str  # "pass" | "fail" | "unknown"
-    detail: dict
+class CheckResult(_Record):
+    __slots__ = ("status", "detail")
+
+    def __init__(self, status: str, detail: dict) -> None:
+        _assign(self, "status", status)  # "pass" | "fail" | "unknown"
+        _assign(self, "detail", detail)
 
     def to_json(self) -> dict:
         return {"status": self.status, **self.detail}
 
 
-@dataclass(frozen=True)
-class CandidateReport:
-    verdict: str  # "pass" when every check passes, else "fail"
-    m: int
-    h: int | None
-    a: int | None
-    e: int | None
-    q: int | None
-    slope_profile: NewtonPolygon
-    checks: dict[str, CheckResult]
+class CandidateReport(_Record):
+    __slots__ = ("verdict", "m", "h", "a", "e", "q", "slope_profile", "checks")
+
+    def __init__(
+        self,
+        verdict: str,
+        m: int,
+        h: int | None,
+        a: int | None,
+        e: int | None,
+        q: int | None,
+        slope_profile: NewtonPolygon,
+        checks: dict[str, CheckResult],
+    ) -> None:
+        _assign(self, "verdict", verdict)  # "pass" when every check passes, else "fail"
+        _assign(self, "m", m)
+        _assign(self, "h", h)
+        _assign(self, "a", a)
+        _assign(self, "e", e)
+        _assign(self, "q", q)
+        _assign(self, "slope_profile", slope_profile)
+        _assign(self, "checks", checks)
 
     @property
     def passed(self) -> bool:
@@ -316,7 +329,10 @@ def construct_witness(
     root off the unit circle and that a is skipped before the transform.
     Otherwise one Sturm chain of F decides (`_descent_facts`): a
     squarefree F with a count, below m, of roots in (-2, 2) is skipped
-    the same way, and any other F goes on to the check.
+    the same way; so is an F with F(2) F(-2) = 0, which has no count, as
+    Phi_1 or Phi_2 then divides L (only p = 2 reaches this, since
+    q seed(+-2) = -(+-2)^(m-h) needs p | 2); and any other F goes on to
+    the check.
     """
     _, f, q, report = _search(p, m, h, a_start, a_cap)
     return _mirrored(f, q), report
@@ -356,8 +372,10 @@ def _search(
             continue  # F has a real root beyond +-2, so L has a root off the unit circle
         descent = (F, [1], m) if inside else _descent_facts(F)
         _, d, count = descent
-        if len(d) == 1 and count is not None and count < m:
-            continue  # so L = T^m F(T + 1/T) has a root off the unit circle
+        if count is None:
+            continue  # F(2) F(-2) = 0, so Phi_1 or Phi_2 divides L = T^m F(T + 1/T)
+        if len(d) == 1 and count < m:
+            continue  # so L has a root off the unit circle
         f = _transform_ints(F)
         report = _check_candidate(f, p, descent)
         if report.passed and report.h == h and report.e == 1:
@@ -404,8 +422,7 @@ def _witness(p: int, m: int, h: int, a_start: int = 1) -> tuple[RatPoly, Candida
     return construct_witness(p, m, h, a_start)
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
+class FeasibilityVerdict(_Record):
     """Answer to: can Picard number rho coexist with slope height h over F_p?
 
     feasible is decided by the rank bound rho <= 22 - 2h.  For feasible
@@ -416,16 +433,31 @@ class FeasibilityVerdict:
     witness was requested.
     """
 
-    p: int
-    rho: int
-    h: int
-    feasible: bool
-    reason: str  # "artin_violation" | "theorem_case" | "witness_provided"
-    description: str
-    m: int | None = None
-    witness: RatPoly | None = None
-    report: CandidateReport | None = None
-    witness_status: str | None = None
+    __slots__ = ("p", "rho", "h", "feasible", "reason", "description", "m", "witness", "report", "witness_status")
+
+    def __init__(
+        self,
+        p: int,
+        rho: int,
+        h: int,
+        feasible: bool,
+        reason: str,
+        description: str,
+        m: int | None = None,
+        witness: RatPoly | None = None,
+        report: CandidateReport | None = None,
+        witness_status: str | None = None,
+    ) -> None:
+        _assign(self, "p", p)
+        _assign(self, "rho", rho)
+        _assign(self, "h", h)
+        _assign(self, "feasible", feasible)
+        _assign(self, "reason", reason)  # "artin_violation" | "theorem_case" | "witness_provided"
+        _assign(self, "description", description)
+        _assign(self, "m", m)
+        _assign(self, "witness", witness)
+        _assign(self, "report", report)
+        _assign(self, "witness_status", witness_status)
 
     def to_json(self) -> dict:
         return {

@@ -17,9 +17,7 @@ represents 2 but not -2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .arith import INFINITE_PLACE, Place, SquareClass, check_prime, companion_prime, square_class
+from .arith import INFINITE_PLACE, SquareClass, _assign, _known_place, _Record, companion_prime, square_class
 from .qform import (
     CMFieldData,
     EmbeddingReport,
@@ -45,18 +43,18 @@ __all__ = [
 K3_RANK = 22
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
+class LatticeSpec(_Record):
     """Orthogonal sum of "U" blocks and even rank-one blocks <d>."""
 
-    blocks: tuple
+    __slots__ = ("blocks",)
 
-    def __post_init__(self) -> None:
-        for b in self.blocks:
+    def __init__(self, blocks: tuple) -> None:
+        for b in blocks:
             if b != "U" and (not isinstance(b, int) or b == 0 or b % 2 != 0):
                 raise ValueError(f"diagonal block {b!r} must be a nonzero even integer")
-        if not self.blocks:
+        if not blocks:
             raise ValueError("lattice needs at least one block")
+        _assign(self, "blocks", blocks)
 
     @property
     def rank(self) -> int:
@@ -77,7 +75,7 @@ def k3_ambient_invariants() -> SpaceInvariants:
         dim=K3_RANK,
         det=SquareClass(-1, 1),
         signature=(3, 19),
-        hasse={Place.finite(2): 1, INFINITE_PLACE: 1},
+        hasse={_known_place(2): 1, INFINITE_PLACE: 1},
     )
 
 
@@ -133,8 +131,7 @@ def rationalize(spec: LatticeSpec) -> QuadSpace:
     return QuadSpace.of(*entries)
 
 
-@dataclass(frozen=True)
-class NoMinusTwoCertificate:
+class NoMinusTwoCertificate(_Record):
     """Proof that 2x^2 - 8ny^2 never takes the value -2, and a vector of square +2.
 
     The mod-4 argument: a solution would force x^2 + 1 = 4ny^2, but
@@ -142,10 +139,19 @@ class NoMinusTwoCertificate:
     certificate records those residues and the vector (1, 0) of square +2.
     """
 
-    n: int
-    mod4_square_residues: tuple[int, ...]
-    mod4_required_residue: int
-    plus_two_vector: tuple[int, int]
+    __slots__ = ("n", "mod4_square_residues", "mod4_required_residue", "plus_two_vector")
+
+    def __init__(
+        self,
+        n: int,
+        mod4_square_residues: tuple[int, ...],
+        mod4_required_residue: int,
+        plus_two_vector: tuple[int, int],
+    ) -> None:
+        _assign(self, "n", n)
+        _assign(self, "mod4_square_residues", mod4_square_residues)
+        _assign(self, "mod4_required_residue", mod4_required_residue)
+        _assign(self, "plus_two_vector", plus_two_vector)
 
     @property
     def holds(self) -> bool:
@@ -180,18 +186,39 @@ def no_minus_two_vector(n: int) -> NoMinusTwoCertificate:
     )
 
 
-@dataclass(frozen=True)
-class LatticeReport:
+class LatticeReport(_Record):
     """Everything `verify_lattice` establishes about one case of the table."""
 
-    lattice: LatticeSpec
-    rank: int
-    signature: tuple[int, int]
-    rational_space: QuadSpace
-    picard_invariants: SpaceInvariants
-    transcendental_invariants: SpaceInvariants
-    embedding: EmbeddingReport
-    no_minus2_certificate: NoMinusTwoCertificate | None
+    __slots__ = (
+        "lattice",
+        "rank",
+        "signature",
+        "rational_space",
+        "picard_invariants",
+        "transcendental_invariants",
+        "embedding",
+        "no_minus2_certificate",
+    )
+
+    def __init__(
+        self,
+        lattice: LatticeSpec,
+        rank: int,
+        signature: tuple[int, int],
+        rational_space: QuadSpace,
+        picard_invariants: SpaceInvariants,
+        transcendental_invariants: SpaceInvariants,
+        embedding: EmbeddingReport,
+        no_minus2_certificate: NoMinusTwoCertificate | None,
+    ) -> None:
+        _assign(self, "lattice", lattice)
+        _assign(self, "rank", rank)
+        _assign(self, "signature", signature)
+        _assign(self, "rational_space", rational_space)
+        _assign(self, "picard_invariants", picard_invariants)
+        _assign(self, "transcendental_invariants", transcendental_invariants)
+        _assign(self, "embedding", embedding)
+        _assign(self, "no_minus2_certificate", no_minus2_certificate)
 
     def to_json(self) -> dict:
         return {

@@ -14,7 +14,8 @@ once and counts the primes of the entries' square classes: those primes,
 with 2 and inf, are the places to read, and the primes of odd count give
 the determinant's squarefree part.  Inside the kernels a place is a plain
 integer (None for inf); a `Place` is built only for a place whose bit is
-1, when the report is assembled.
+1, when the report is assembled, and its prime, found by factoring, is not
+proved prime again.
 
 `embedding_criterion` packages the three-part embedding test for a space
 against the invariants of a CM field: determinant matching, even
@@ -28,15 +29,17 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import (
     Place,
     SquareClass,
+    _assign,
     _class_and_primes,
     _hasse_bit,
     _known_class,
+    _known_place,
+    _Record,
     check_prime,
     format_rational,
     square_class,
@@ -58,19 +61,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadSpace:
+class QuadSpace(_Record):
     """Diagonal quadratic space <entries> over Q; entries are nonzero Fractions."""
 
-    entries: tuple[Fraction, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        es = tuple(e if isinstance(e, Fraction) else Fraction(e) for e in self.entries)
+    def __init__(self, entries: tuple[Fraction, ...]) -> None:
+        es = tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries)
         if not es:
             raise ValueError("a quadratic space needs at least one entry")
         if not all(es):
             raise ValueError("diagonal entries must be nonzero")
-        object.__setattr__(self, "entries", es)
+        _assign(self, "entries", es)
 
     @classmethod
     def of(cls, *entries) -> "QuadSpace":
@@ -87,26 +89,26 @@ class QuadSpace:
         return [format_rational(e) for e in self.entries]
 
 
-@dataclass(frozen=True)
-class SpaceInvariants:
+class SpaceInvariants(_Record):
     """(dim, det, signature, Hasse bits) of a quadratic space over Q.
 
     hasse holds only the places with nontrivial invariant; use hasse_at
     for the total function.
     """
 
-    dim: int
-    det: SquareClass
-    signature: tuple[int, int]
-    hasse: dict[Place, int]
+    __slots__ = ("dim", "det", "signature", "hasse")
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
+    def __init__(self, dim: int, det: SquareClass, signature: tuple[int, int], hasse: dict[Place, int]) -> None:
+        if dim < 1:
             raise ValueError("dimension must be positive")
-        if sum(self.signature) != self.dim:
+        if sum(signature) != dim:
             raise ValueError("signature must sum to the dimension")
-        if any(bit != 1 for bit in self.hasse.values()):
+        if any(bit != 1 for bit in hasse.values()):
             raise ValueError("stored Hasse bits must be 1 (zeros are implicit)")
+        _assign(self, "dim", dim)
+        _assign(self, "det", det)
+        _assign(self, "signature", signature)
+        _assign(self, "hasse", hasse)
 
     def hasse_at(self, place: Place) -> int:
         return self.hasse.get(place, 0)
@@ -140,7 +142,7 @@ def invariants(space: QuadSpace) -> SpaceInvariants:
     # of odd count divide the product of the classes, the others cancel
     counts = Counter(p for v in values for p in found[v][1])
     reps = [found[v][0].representative() for v in values]
-    hasse = {Place(p): 1 for p in _places(counts) if _hasse_bit(reps, p)}
+    hasse = {_known_place(p): 1 for p in _places(counts) if _hasse_bit(reps, p)}
     neg = sum(1 for v in values if v < 0)
     det = _known_class(-1 if neg % 2 else 1, math.prod(p for p, c in counts.items() if c % 2))
     return SpaceInvariants(space.dim, det, (space.dim - neg, neg), hasse)
@@ -173,12 +175,11 @@ def complement_invariants(ambient: SpaceInvariants, sub: SpaceInvariants) -> Spa
     # the places where exactly one of ambient and sub has bit 1
     flipped = {pl.prime for pl in ambient.hasse} ^ {pl.prime for pl in sub.hasse}
     pair = (sub.det.representative(), det.representative())
-    hasse = {Place(v): 1 for v in _places({*odd, *flipped}) if (v in flipped) ^ _hasse_bit(pair, v)}
+    hasse = {_known_place(v): 1 for v in _places({*odd, *flipped}) if (v in flipped) ^ _hasse_bit(pair, v)}
     return SpaceInvariants(ambient.dim - sub.dim, det, (pos, neg), hasse)
 
 
-@dataclass(frozen=True)
-class CMFieldData:
+class CMFieldData(_Record):
     """The fragments of a degree-2m CM field this library consumes.
 
     n is a positive integer representing the discriminant square class
@@ -189,25 +190,29 @@ class CMFieldData:
     with fully known splitting behaviour (True = every place above splits).
     """
 
-    degree: int
-    n: int
-    nonsplit_witness: int | None = None
-    split_table: dict[int, bool] = field(default_factory=dict)
+    __slots__ = ("degree", "n", "nonsplit_witness", "split_table")
 
-    def __post_init__(self) -> None:
-        if self.degree < 2 or self.degree % 2 != 0:
+    def __init__(
+        self, degree: int, n: int, nonsplit_witness: int | None = None, split_table: dict[int, bool] | None = None
+    ) -> None:
+        if split_table is None:
+            split_table = {}
+        if degree < 2 or degree % 2 != 0:
             raise ValueError("degree must be a positive even integer")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("n must be a positive integer")
-        if self.nonsplit_witness is not None:
-            w = self.nonsplit_witness
-            check_prime(w)
-            if w == 2:
+        if nonsplit_witness is not None:
+            check_prime(nonsplit_witness)
+            if nonsplit_witness == 2:
                 raise ValueError("nonsplit witness must be odd")
-            if self.split_table.get(w) is True:
-                raise ValueError(f"prime {w} cannot be both split and a nonsplit witness")
-        for q in self.split_table:
+            if split_table.get(nonsplit_witness) is True:
+                raise ValueError(f"prime {nonsplit_witness} cannot be both split and a nonsplit witness")
+        for q in split_table:
             check_prime(q)
+        _assign(self, "degree", degree)
+        _assign(self, "n", n)
+        _assign(self, "nonsplit_witness", nonsplit_witness)
+        _assign(self, "split_table", split_table)
 
     @classmethod
     def from_m(
@@ -244,8 +249,7 @@ class CMFieldData:
         }
 
 
-@dataclass(frozen=True)
-class HyperbolicityReport:
+class HyperbolicityReport(_Record):
     """Where a space fails to look hyperbolic, and whether field data excuses it.
 
     discrepancy lists the finite primes where the Hasse bit differs from
@@ -256,11 +260,21 @@ class HyperbolicityReport:
     recorded as split, so the criterion genuinely fails there).
     """
 
-    verdict: str
-    discrepancy: tuple[int, ...]
-    certified_nonsplit: tuple[int, ...]
-    unknown_split: tuple[int, ...]
-    split_conflicts: tuple[int, ...]
+    __slots__ = ("verdict", "discrepancy", "certified_nonsplit", "unknown_split", "split_conflicts")
+
+    def __init__(
+        self,
+        verdict: str,
+        discrepancy: tuple[int, ...],
+        certified_nonsplit: tuple[int, ...],
+        unknown_split: tuple[int, ...],
+        split_conflicts: tuple[int, ...],
+    ) -> None:
+        _assign(self, "verdict", verdict)
+        _assign(self, "discrepancy", discrepancy)
+        _assign(self, "certified_nonsplit", certified_nonsplit)
+        _assign(self, "unknown_split", unknown_split)
+        _assign(self, "split_conflicts", split_conflicts)
 
     @property
     def passed(self) -> bool:
@@ -307,17 +321,30 @@ def hyperbolicity_check(space: QuadSpace, fielddata: CMFieldData) -> Hyperbolici
     return hyperbolicity_from_invariants(invariants(space), fielddata)
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
+class EmbeddingReport(_Record):
     """Three-part embedding criterion: determinant, signature parity, hyperbolicity."""
 
-    verdict: str  # "pass" | "fail" | "needs-data"
-    det_matches: bool
-    expected_det: SquareClass
-    actual_det: SquareClass
-    signature: tuple[int, int]
-    signature_even: bool
-    hyperbolicity: HyperbolicityReport
+    __slots__ = (
+        "verdict", "det_matches", "expected_det", "actual_det", "signature", "signature_even", "hyperbolicity"
+    )
+
+    def __init__(
+        self,
+        verdict: str,
+        det_matches: bool,
+        expected_det: SquareClass,
+        actual_det: SquareClass,
+        signature: tuple[int, int],
+        signature_even: bool,
+        hyperbolicity: HyperbolicityReport,
+    ) -> None:
+        _assign(self, "verdict", verdict)  # "pass" | "fail" | "needs-data"
+        _assign(self, "det_matches", det_matches)
+        _assign(self, "expected_det", expected_det)
+        _assign(self, "actual_det", actual_det)
+        _assign(self, "signature", signature)
+        _assign(self, "signature_even", signature_even)
+        _assign(self, "hyperbolicity", hyperbolicity)
 
     @property
     def passed(self) -> bool:

@@ -96,12 +96,11 @@ scans every k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
-from .arith import _int_val, check_prime, format_rational, parse_rational, prime_factors
+from .arith import _assign, _int_val, _Record, check_prime, format_rational, parse_rational, prime_factors
 
 __all__ = [
     "IrreducibilityCertificate",
@@ -126,17 +125,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RatPoly:
+class RatPoly(_Record):
     """Dense univariate polynomial over Q; immutable, normalized on construction."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        cs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
+    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
+        cs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+        _assign(self, "coeffs", cs)
 
     @classmethod
     def of(cls, *coeffs) -> "RatPoly":
@@ -553,8 +551,14 @@ def _cyclotomic_ints(k: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _cyclotomic_indices(maxdeg: int) -> tuple[int, ...]:
-    # phi(k) >= sqrt(k/2) for every k >= 1, so scanning to 2*maxdeg^2 is enough.
-    return tuple(k for k in range(1, 2 * maxdeg * maxdeg + 1) if euler_phi(k) <= maxdeg)
+    # phi(k) >= sqrt(k/2) for every k >= 1, so scanning to 2*maxdeg^2 is enough;
+    # a totient sieve gives every phi(k) up to there
+    bound = 2 * maxdeg * maxdeg
+    phi = list(range(bound + 1))
+    for q in range(2, bound + 1):
+        if phi[q] == q:  # q is prime: no smaller prime has touched it
+            phi[q::q] = [v - v // q for v in phi[q::q]]
+    return tuple(k for k in range(1, bound + 1) if phi[k] <= maxdeg)
 
 
 def cyclotomic_index_list(maxdeg: int) -> list[int]:
@@ -654,22 +658,22 @@ def strip_cyclotomic(P: RatPoly) -> tuple[RatPoly, list[int]]:
     return RatPoly(tuple(Fraction(c, D) for c in f)), removed
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(_Record):
     """Lower hull of a p-adic coefficient cloud, as (slope, length) segments.
 
     Slopes are strictly increasing Fractions, lengths positive integers;
     a segment (s, l) certifies l roots of valuation -s.
     """
 
-    segments: tuple[tuple[Fraction, int], ...]
+    __slots__ = ("segments",)
 
-    def __post_init__(self) -> None:
-        for (s1, l1), (s2, l2) in zip(self.segments, self.segments[1:]):
+    def __init__(self, segments: tuple[tuple[Fraction, int], ...]) -> None:
+        for (s1, l1), (s2, l2) in zip(segments, segments[1:]):
             if not s1 < s2:
                 raise ValueError("polygon slopes must be strictly increasing")
-        if any(l < 1 for _, l in self.segments):
+        if any(l < 1 for _, l in segments):
             raise ValueError("polygon lengths must be positive")
+        _assign(self, "segments", segments)
 
     @property
     def total_length(self) -> int:
@@ -823,17 +827,19 @@ def _off_p_indices(cs: list[int], D: int, p: int) -> list[int]:
     return [i for i, c in enumerate(cs) if c % u]
 
 
-@dataclass(frozen=True)
-class IrreducibilityCertificate:
+class IrreducibilityCertificate(_Record):
     """Outcome of the Kronecker-style irreducibility test.
 
     verdict is "certified" or "unknown"; premises records which of the
     four sufficient conditions held.  "unknown" makes no claim either way.
     """
 
-    verdict: str
-    premises: dict[str, bool]
-    detail: dict
+    __slots__ = ("verdict", "premises", "detail")
+
+    def __init__(self, verdict: str, premises: dict[str, bool], detail: dict) -> None:
+        _assign(self, "verdict", verdict)
+        _assign(self, "premises", premises)
+        _assign(self, "detail", detail)
 
     @property
     def certified(self) -> bool:
@@ -843,18 +849,8 @@ class IrreducibilityCertificate:
         return {"verdict": self.verdict, "premises": dict(self.premises), "detail": dict(self.detail)}
 
 
-class _Analysis(NamedTuple):
-    """What `_analyse` reads off a candidate; see there."""
-
-    polygon: NewtonPolygon
-    h: int | None
-    a: int | None
-    local: tuple[int, int, int] | None
-    r: list[int]
-    e: int | None
-    on_circle: bool
-    cyc: int | None
-    offending: list[int]
+# What `_analyse` reads off a candidate; see there.
+_Analysis = namedtuple("_Analysis", "polygon h a local r e on_circle cyc offending")
 
 
 def _analyse(

@@ -1,7 +1,6 @@
 """The six-part candidate check, witness construction, and feasibility queries."""
 
 import ast
-import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -15,6 +14,7 @@ import k3cert.condition as condition
 import k3cert.weilpoly as weilpoly
 from k3cert.condition import (
     MAX_M,
+    CandidateReport,
     WitnessSearchError,
     check_candidate,
     check_names,
@@ -493,7 +493,8 @@ def _counting(monkeypatch, name: str, *modules) -> list:
 
 def test_witness_search_counts_the_sign_variations_once_per_chain(monkeypatch):
     # a window is counted only on a chain whose G has G(2) G(-2) != 0;
-    # at p = 2 some F of the search vanish at 2 or -2, and their chain counts none
+    # at p = 2 some F of the search vanish at 2 or -2, and their chain counts
+    # none; Phi_1 or Phi_2 then divides L, so the search skips them
     chains = _counting(monkeypatch, "_sturm_chain_ints", weilpoly)
     variations = _counting(monkeypatch, "_variations", weilpoly)
     checks = _counting(monkeypatch, "_check_candidate", condition)
@@ -506,8 +507,7 @@ def test_witness_search_counts_the_sign_variations_once_per_chain(monkeypatch):
         windows = [G for (G,) in chains if weilpoly._at(G, 2) and weilpoly._at(G, -2)]
         assert len(variations) == 2 * len(windows), (p, m, h)
         vanishing += len(chains) - len(windows)
-        if p == 2:
-            assert len(checks) > 1, (p, m, h)
+        assert len(checks) == 1, (p, m, h)
     assert vanishing > 0
 
 
@@ -522,8 +522,7 @@ def test_witness_search_builds_no_fractions_for_a_rejected_a(monkeypatch):
             calls.clear()
         L, report = construct_witness(p, m, h)
         assert (cleared, transforms) == ([], []), (p, m, h)
-        if p == 2:
-            assert len(checks) > 1, (p, m, h)
+        assert len(checks) == 1, (p, m, h)  # the search checks only the witness
         # the witness is the transform of seed + p^(-a) T^(m-h), as a RatPoly
         F = seed_polynomial(m) + RatPoly.monomial(m - h, Fraction(1, p**report.a))
         assert L == reciprocal_transform(F), (p, m, h)
@@ -658,7 +657,10 @@ def test_even_height_route_raises_when_the_square_fails_its_check(monkeypatch):
 
     def failing_square(*args):
         report = check(*args)
-        return dataclasses.replace(report, verdict="fail") if report.m == 10 else report
+        if report.m != 10:
+            return report
+        fields = (report.m, report.h, report.a, report.e, report.q, report.slope_profile, report.checks)
+        return CandidateReport("fail", *fields)
 
     monkeypatch.setattr(condition, "_check_candidate", failing_square)
     with pytest.raises(WitnessSearchError, match="squared witness"):
@@ -796,29 +798,46 @@ def test_the_check_evaluates_no_proved_end_value(monkeypatch):
     # the alternation facts (F, [1], m), a chain's facts with a count and
     # the squared route's (G, F, 5); the check evaluates nothing at +-2
     # for them, and its report is the one of the check that finds every
-    # fact itself.  Facts without a count (F(2) F(-2) = 0, at p = 2) are
-    # not trusted.
+    # fact itself.  The search hands over no facts without a count.
     at, check = weilpoly._at, condition._check_candidate
-    proved = unproved = 0
+    proved = 0
 
     def checking(f, p, descent):
-        nonlocal proved, unproved
+        nonlocal proved
+        assert descent[2] is not None, descent
         ends: list[int] = []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(weilpoly, "_at", lambda cs, x: (x in (2, -2) and ends.append(x)) or at(cs, x))
             report = check(f, p, descent)
-        if descent[2] is not None:
-            assert ends == [], descent
-            proved += 1
-        else:
-            unproved += 1
+        assert ends == [], descent
+        proved += 1
         assert report == check(f, p), descent
         return report
 
     monkeypatch.setattr(condition, "_check_candidate", checking)
     for p, m, h in REJECTING_TRIPLES + [(7, 10, 4)]:
         condition._witness(p, m, h)
-    assert proved > 5 and unproved > 0, (proved, unproved)
+    assert proved > 5, proved
+
+
+def test_facts_without_a_count_are_not_trusted_and_fail_the_root_of_unity_check(monkeypatch):
+    # F(2) F(-2) = 0 (the search meets such F at p = 2): T - 1 or T + 1
+    # divides L = T^m F(T + 1/T), the check finds every fact itself, and
+    # the report fails
+    facts = _counting(monkeypatch, "_descent_facts", weilpoly, condition)
+    for p, m, h in REJECTING_TRIPLES:
+        construct_witness(p, m, h)
+    monkeypatch.undo()
+    vanishing = [F for (F,) in facts if weilpoly._at(F, 2) * weilpoly._at(F, -2) == 0]
+    assert vanishing
+    for F in vanishing:
+        descent = weilpoly._descent_facts(F)
+        assert descent[2] is None, F
+        f = weilpoly._transform_ints(F)
+        report = condition._check_candidate(f, 2, descent)
+        assert report == condition._check_candidate(f, 2), F
+        assert not report.passed and "no_root_of_unity" in report.failed_checks, F
+        assert report.checks["no_root_of_unity"].detail["cyclotomic_index"] in (1, 2), F
 
 
 # ---------------------------------------------------------------------------

@@ -107,3 +107,35 @@ def test_import_footprint(target, loaded):
     )
     assert proc.returncode == 0, proc.stderr
     assert set(json.loads(proc.stdout)) == {"k3cert"} | loaded
+
+
+# Standard-library modules that code generation or type hints at import
+# time would load; none of them does any of the package's arithmetic.
+_HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+
+_HEAVY_SCRIPT = """
+import json, sys
+found = {}
+for name in ("k3cert.cli", "k3cert.arith", "k3cert.condition", "k3cert.k3lattice"):
+    before = set(sys.modules)
+    __import__(name)
+    found[name] = sorted(set(sys.modules) - before)
+print(json.dumps(found))
+"""
+
+
+def test_no_layer_imports_code_generation_or_typing():
+    # -S: without site, nothing but the interpreter's own start-up is loaded
+    # before the package
+    src = str(Path(k3cert.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _HEAVY_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout)
+    assert found["k3cert.condition"] and found["k3cert.k3lattice"]  # each import loaded its layers
+    assert {name: sorted(set(new) & set(_HEAVY)) for name, new in found.items()} == dict.fromkeys(found, [])

@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from k3cert.arith import INFINITE_PLACE, Place, SquareClass, hilbert, square_class
+import k3cert.arith as arith
+from k3cert.arith import INFINITE_PLACE, Place, SquareClass, hilbert, is_prime, square_class
+from k3cert.k3lattice import k3_ambient_invariants
 from k3cert.qform import (
     CMFieldData,
     EmbeddingReport,
@@ -250,6 +252,28 @@ def test_complement_involution():
     ambient = invariants(sub.direct_sum(rest))
     t = complement_invariants(ambient, invariants(sub))
     assert complement_invariants(ambient, t) == invariants(sub)
+
+
+def test_invariants_prove_no_factored_prime_again(monkeypatch):
+    # every Hasse-support place is 2, inf or a prime that prime_factors has
+    # just found, so building the report's places runs no primality test
+    spaces = [QuadSpace.of(3, -5, 7, Fraction(-11, 13)), QuadSpace.of(-1, -1, 6, 10, 15), hyperbolic(3)]
+    subs = [QuadSpace.of(-3, 5), QuadSpace.of(7, -11, 13)]
+
+    def run():
+        ambient = k3_ambient_invariants()
+        invs = [invariants(sp) for sp in spaces + subs]
+        return invs, [complement_invariants(ambient, inv) for inv in invs[len(spaces):]]
+
+    want = run()
+    assert any(pl.prime not in (None, 2) for inv in want[0] + want[1] for pl in inv.hasse)
+    tested: list[int] = []
+    monkeypatch.setattr(arith, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    assert run() == want and tested == []
+    for bad in (lambda: Place(4), lambda: Place.parse("4")):  # the public constructors still prove
+        with pytest.raises(ValueError, match="not a prime"):
+            bad()
+    assert tested
 
 
 def test_complement_dimension_guard():

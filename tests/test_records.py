@@ -1,0 +1,180 @@
+"""The contract of every public record class: construction by position,
+keyword and default, equality, hashing, repr, immutability and pickling."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from k3cert.arith import Place, SquareClass
+from k3cert.condition import CandidateReport, CheckResult, FeasibilityVerdict
+from k3cert.k3lattice import LatticeReport, LatticeSpec, NoMinusTwoCertificate
+from k3cert.qform import (
+    CMFieldData,
+    EmbeddingReport,
+    HyperbolicityReport,
+    QuadSpace,
+    SpaceInvariants,
+)
+from k3cert.weilpoly import IrreducibilityCertificate, NewtonPolygon, RatPoly
+
+POLYGON = NewtonPolygon(((Fraction(-1, 2), 2), (Fraction(0), 2), (Fraction(1, 2), 2)))
+CHECK = CheckResult("pass", {"e": 1})
+HYPERBOLICITY = HyperbolicityReport("conditional-pass", (3,), (3,), (), ())
+EMBEDDING = EmbeddingReport("pass", True, SquareClass(1, 5), SquareClass(1, 5), (2, 10), True, HYPERBOLICITY)
+INVARIANTS = SpaceInvariants(2, SquareClass(-1, 3), (1, 1), {Place(3): 1})
+
+# (class, fields in order, a field and another value for it, hashable)
+RECORDS = [
+    (SquareClass, {"sign": -1, "sqfree": 15}, ("sign", 1), True),
+    (Place, {"prime": 7}, ("prime", 11), True),
+    (RatPoly, {"coeffs": (Fraction(1), Fraction(1, 7), Fraction(1))}, ("coeffs", (Fraction(2),)), True),
+    (NewtonPolygon, {"segments": POLYGON.segments}, ("segments", ()), True),
+    (
+        IrreducibilityCertificate,
+        {"verdict": "certified", "premises": {"unit_circle": True}, "detail": {"h": 2}},
+        ("verdict", "unknown"),
+        False,
+    ),
+    (CheckResult, {"status": "pass", "detail": {"e": 1}}, ("status", "fail"), False),
+    (
+        CandidateReport,
+        {
+            "verdict": "pass",
+            "m": 3,
+            "h": 2,
+            "a": 1,
+            "e": 1,
+            "q": 7,
+            "slope_profile": POLYGON,
+            "checks": {"unit_circle": CHECK},
+        },
+        ("m", 4),
+        False,
+    ),
+    (
+        FeasibilityVerdict,
+        {
+            "p": 7,
+            "rho": 2,
+            "h": 1,
+            "feasible": True,
+            "reason": "theorem_case",
+            "description": "a pair",
+            "m": 10,
+            "witness": RatPoly((Fraction(1), Fraction(1))),
+            "report": None,
+            "witness_status": "computed",
+        },
+        ("rho", 4),
+        True,
+    ),
+    (QuadSpace, {"entries": (Fraction(1), Fraction(-3, 2))}, ("entries", (Fraction(1),)), True),
+    (
+        SpaceInvariants,
+        {"dim": 2, "det": SquareClass(-1, 3), "signature": (1, 1), "hasse": {Place(3): 1}},
+        ("hasse", {}),
+        False,
+    ),
+    (CMFieldData, {"degree": 12, "n": 5, "nonsplit_witness": 7, "split_table": {11: True}}, ("n", 6), False),
+    (
+        HyperbolicityReport,
+        {
+            "verdict": "needs-data",
+            "discrepancy": (3, 5),
+            "certified_nonsplit": (3,),
+            "unknown_split": (5,),
+            "split_conflicts": (),
+        },
+        ("verdict", "fail"),
+        True,
+    ),
+    (
+        EmbeddingReport,
+        {
+            "verdict": "pass",
+            "det_matches": True,
+            "expected_det": SquareClass(1, 5),
+            "actual_det": SquareClass(1, 5),
+            "signature": (2, 10),
+            "signature_even": True,
+            "hyperbolicity": HYPERBOLICITY,
+        },
+        ("signature_even", False),
+        True,
+    ),
+    (LatticeSpec, {"blocks": ("U", -4, -20)}, ("blocks", ("U",)), True),
+    (
+        NoMinusTwoCertificate,
+        {"n": 3, "mod4_square_residues": (0, 1), "mod4_required_residue": 3, "plus_two_vector": (1, 0)},
+        ("n", 5),
+        True,
+    ),
+    (
+        LatticeReport,
+        {
+            "lattice": LatticeSpec(("U", -4)),
+            "rank": 3,
+            "signature": (1, 2),
+            "rational_space": QuadSpace.of(1, -1, -1),
+            "picard_invariants": INVARIANTS,
+            "transcendental_invariants": INVARIANTS,
+            "embedding": EMBEDDING,
+            "no_minus2_certificate": None,
+        },
+        ("rank", 4),
+        False,
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, fields, change, hashable", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_record_contract(cls, fields, change, hashable):
+    record = cls(*fields.values())
+    assert [getattr(record, name) for name in fields] == list(fields.values())
+
+    by_keyword = cls(**fields)
+    assert record == by_keyword and not record != by_keyword
+    name, value = change
+    other = cls(**{**fields, name: value})
+    assert record != other and not record == other
+    assert record != object() and (record == tuple(fields.values())) is False
+
+    if hashable:
+        assert hash(record) == hash(by_keyword)
+        assert {record, by_keyword, other} == {record, other}
+    else:
+        with pytest.raises(TypeError):
+            hash(record)
+
+    text = repr(record)
+    if cls is RatPoly:  # RatPoly keeps its own repr, the coefficient list
+        assert text == "RatPoly('1,1/7,1')"
+    else:
+        assert text == cls.__name__ + "(" + ", ".join(f"{k}={v!r}" for k, v in fields.items()) + ")"
+
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1
+    assert record == by_keyword
+
+    for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(clone) is cls and clone == record
+
+
+def test_record_defaults():
+    assert Place() == Place(None) == Place.infinite()
+    assert Place().prime is None
+    data, again = CMFieldData(12, 5), CMFieldData(12, 5)
+    assert (data.nonsplit_witness, data.split_table) == (None, {})
+    assert data.split_table is not again.split_table  # a fresh table per instance
+    verdict = FeasibilityVerdict(7, 2, 1, True, "theorem_case", "a pair")
+    assert (verdict.m, verdict.witness, verdict.report, verdict.witness_status) == (None, None, None, None)
+    assert verdict == FeasibilityVerdict(7, 2, 1, True, "theorem_case", "a pair", None, None, None, None)
+    by_keyword = FeasibilityVerdict(p=7, rho=2, h=1, feasible=True, reason="theorem_case", description="a pair")
+    assert hash(verdict) == hash(by_keyword)

@@ -503,6 +503,10 @@ def test_cyclotomic_index_list_small():
     assert cyclotomic_index_list(1) == [1, 2]
     assert cyclotomic_index_list(2) == [1, 2, 3, 4, 6]
     assert cyclotomic_index_list(0) == []
+    # the totient sieve against the listing by euler_phi
+    for maxdeg in range(1, 41):
+        want = [k for k in range(1, 2 * maxdeg * maxdeg + 1) if euler_phi(k) <= maxdeg]
+        assert cyclotomic_index_list(maxdeg) == want, maxdeg
 
 
 def test_cyclotomic_index_list_versus_totient():
