@@ -40,9 +40,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .arith import _assign, _Record, check_prime
+from .arith import _Record, check_prime
 from .weilpoly import (
-    NewtonPolygon,
     RatPoly,
     _alternation,
     _analyse,
@@ -86,38 +85,22 @@ def check_names() -> tuple[str, ...]:
 
 
 class CheckResult(_Record):
-    __slots__ = ("status", "detail")
+    """One check of a candidate: status is "pass" | "fail" | "unknown", and
+    detail holds the facts the report prints beside it."""
 
-    def __init__(self, status: str, detail: dict) -> None:
-        _assign(self, "status", status)  # "pass" | "fail" | "unknown"
-        _assign(self, "detail", detail)
+    __slots__ = ("status", "detail")
 
     def to_json(self) -> dict:
         return {"status": self.status, **self.detail}
 
 
 class CandidateReport(_Record):
-    __slots__ = ("verdict", "m", "h", "a", "e", "q", "slope_profile", "checks")
+    """What `check_candidate` found: verdict is "pass" when every check
+    passes, else "fail"; h, a, e and q are None where the candidate has
+    none; slope_profile is the `NewtonPolygon` and checks maps each name of
+    `check_names()` to its `CheckResult`."""
 
-    def __init__(
-        self,
-        verdict: str,
-        m: int,
-        h: int | None,
-        a: int | None,
-        e: int | None,
-        q: int | None,
-        slope_profile: NewtonPolygon,
-        checks: dict[str, CheckResult],
-    ) -> None:
-        _assign(self, "verdict", verdict)  # "pass" when every check passes, else "fail"
-        _assign(self, "m", m)
-        _assign(self, "h", h)
-        _assign(self, "a", a)
-        _assign(self, "e", e)
-        _assign(self, "q", q)
-        _assign(self, "slope_profile", slope_profile)
-        _assign(self, "checks", checks)
+    __slots__ = ("verdict", "m", "h", "a", "e", "q", "slope_profile", "checks")
 
     @property
     def passed(self) -> bool:
@@ -430,34 +413,13 @@ class FeasibilityVerdict(_Record):
     "computed" when a witness polynomial is attached, "unsupported_case"
     when existence holds but this library's constructive route does not
     reach the case (p = 5 with m = 10 and odd h), and None when no
-    witness was requested.
+    witness was requested.  reason is "artin_violation" | "theorem_case" |
+    "witness_provided".  m, witness, report and witness_status default to
+    None.
     """
 
     __slots__ = ("p", "rho", "h", "feasible", "reason", "description", "m", "witness", "report", "witness_status")
-
-    def __init__(
-        self,
-        p: int,
-        rho: int,
-        h: int,
-        feasible: bool,
-        reason: str,
-        description: str,
-        m: int | None = None,
-        witness: RatPoly | None = None,
-        report: CandidateReport | None = None,
-        witness_status: str | None = None,
-    ) -> None:
-        _assign(self, "p", p)
-        _assign(self, "rho", rho)
-        _assign(self, "h", h)
-        _assign(self, "feasible", feasible)
-        _assign(self, "reason", reason)  # "artin_violation" | "theorem_case" | "witness_provided"
-        _assign(self, "description", description)
-        _assign(self, "m", m)
-        _assign(self, "witness", witness)
-        _assign(self, "report", report)
-        _assign(self, "witness_status", witness_status)
+    _defaults = (None, None, None, None)
 
     def to_json(self) -> dict:
         return {

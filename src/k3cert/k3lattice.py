@@ -20,7 +20,6 @@ from __future__ import annotations
 from .arith import INFINITE_PLACE, SquareClass, _assign, _known_place, _Record, companion_prime, square_class
 from .qform import (
     CMFieldData,
-    EmbeddingReport,
     QuadSpace,
     SpaceInvariants,
     complement_invariants,
@@ -49,6 +48,7 @@ class LatticeSpec(_Record):
     __slots__ = ("blocks",)
 
     def __init__(self, blocks: tuple) -> None:
+        blocks = tuple(blocks)
         for b in blocks:
             if b != "U" and (not isinstance(b, int) or b == 0 or b % 2 != 0):
                 raise ValueError(f"diagonal block {b!r} must be a nonzero even integer")
@@ -141,18 +141,6 @@ class NoMinusTwoCertificate(_Record):
 
     __slots__ = ("n", "mod4_square_residues", "mod4_required_residue", "plus_two_vector")
 
-    def __init__(
-        self,
-        n: int,
-        mod4_square_residues: tuple[int, ...],
-        mod4_required_residue: int,
-        plus_two_vector: tuple[int, int],
-    ) -> None:
-        _assign(self, "n", n)
-        _assign(self, "mod4_square_residues", mod4_square_residues)
-        _assign(self, "mod4_required_residue", mod4_required_residue)
-        _assign(self, "plus_two_vector", plus_two_vector)
-
     @property
     def holds(self) -> bool:
         return self.mod4_required_residue not in self.mod4_square_residues
@@ -199,26 +187,6 @@ class LatticeReport(_Record):
         "embedding",
         "no_minus2_certificate",
     )
-
-    def __init__(
-        self,
-        lattice: LatticeSpec,
-        rank: int,
-        signature: tuple[int, int],
-        rational_space: QuadSpace,
-        picard_invariants: SpaceInvariants,
-        transcendental_invariants: SpaceInvariants,
-        embedding: EmbeddingReport,
-        no_minus2_certificate: NoMinusTwoCertificate | None,
-    ) -> None:
-        _assign(self, "lattice", lattice)
-        _assign(self, "rank", rank)
-        _assign(self, "signature", signature)
-        _assign(self, "rational_space", rational_space)
-        _assign(self, "picard_invariants", picard_invariants)
-        _assign(self, "transcendental_invariants", transcendental_invariants)
-        _assign(self, "embedding", embedding)
-        _assign(self, "no_minus2_certificate", no_minus2_certificate)
 
     def to_json(self) -> dict:
         return {

@@ -99,6 +99,7 @@ class SpaceInvariants(_Record):
     __slots__ = ("dim", "det", "signature", "hasse")
 
     def __init__(self, dim: int, det: SquareClass, signature: tuple[int, int], hasse: dict[Place, int]) -> None:
+        signature, hasse = tuple(signature), dict(hasse)
         if dim < 1:
             raise ValueError("dimension must be positive")
         if sum(signature) != dim:
@@ -195,8 +196,7 @@ class CMFieldData(_Record):
     def __init__(
         self, degree: int, n: int, nonsplit_witness: int | None = None, split_table: dict[int, bool] | None = None
     ) -> None:
-        if split_table is None:
-            split_table = {}
+        split_table = dict(split_table or ())
         if degree < 2 or degree % 2 != 0:
             raise ValueError("degree must be a positive even integer")
         if n < 1:
@@ -223,7 +223,7 @@ class CMFieldData(_Record):
         split_table: dict[int, bool] | None = None,
     ) -> "CMFieldData":
         """Build field data for degree 2m."""
-        return cls(2 * m, n, nonsplit_witness, dict(split_table or {}))
+        return cls(2 * m, n, nonsplit_witness, split_table)
 
     @property
     def m(self) -> int:
@@ -261,20 +261,6 @@ class HyperbolicityReport(_Record):
     """
 
     __slots__ = ("verdict", "discrepancy", "certified_nonsplit", "unknown_split", "split_conflicts")
-
-    def __init__(
-        self,
-        verdict: str,
-        discrepancy: tuple[int, ...],
-        certified_nonsplit: tuple[int, ...],
-        unknown_split: tuple[int, ...],
-        split_conflicts: tuple[int, ...],
-    ) -> None:
-        _assign(self, "verdict", verdict)
-        _assign(self, "discrepancy", discrepancy)
-        _assign(self, "certified_nonsplit", certified_nonsplit)
-        _assign(self, "unknown_split", unknown_split)
-        _assign(self, "split_conflicts", split_conflicts)
 
     @property
     def passed(self) -> bool:
@@ -322,29 +308,14 @@ def hyperbolicity_check(space: QuadSpace, fielddata: CMFieldData) -> Hyperbolici
 
 
 class EmbeddingReport(_Record):
-    """Three-part embedding criterion: determinant, signature parity, hyperbolicity."""
+    """Three-part embedding criterion: determinant, signature parity, hyperbolicity.
+
+    verdict is "pass" | "fail" | "needs-data".
+    """
 
     __slots__ = (
         "verdict", "det_matches", "expected_det", "actual_det", "signature", "signature_even", "hyperbolicity"
     )
-
-    def __init__(
-        self,
-        verdict: str,
-        det_matches: bool,
-        expected_det: SquareClass,
-        actual_det: SquareClass,
-        signature: tuple[int, int],
-        signature_even: bool,
-        hyperbolicity: HyperbolicityReport,
-    ) -> None:
-        _assign(self, "verdict", verdict)  # "pass" | "fail" | "needs-data"
-        _assign(self, "det_matches", det_matches)
-        _assign(self, "expected_det", expected_det)
-        _assign(self, "actual_det", actual_det)
-        _assign(self, "signature", signature)
-        _assign(self, "signature_even", signature_even)
-        _assign(self, "hyperbolicity", hyperbolicity)
 
     @property
     def passed(self) -> bool:

@@ -668,6 +668,7 @@ class NewtonPolygon(_Record):
     __slots__ = ("segments",)
 
     def __init__(self, segments: tuple[tuple[Fraction, int], ...]) -> None:
+        segments = tuple(segments)
         for (s1, l1), (s2, l2) in zip(segments, segments[1:]):
             if not s1 < s2:
                 raise ValueError("polygon slopes must be strictly increasing")
@@ -835,11 +836,6 @@ class IrreducibilityCertificate(_Record):
     """
 
     __slots__ = ("verdict", "premises", "detail")
-
-    def __init__(self, verdict: str, premises: dict[str, bool], detail: dict) -> None:
-        _assign(self, "verdict", verdict)
-        _assign(self, "premises", premises)
-        _assign(self, "detail", detail)
 
     @property
     def certified(self) -> bool:

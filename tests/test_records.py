@@ -2,6 +2,7 @@
 keyword and default, equality, hashing, repr, immutability and pickling."""
 
 import copy
+import inspect
 import pickle
 from fractions import Fraction
 
@@ -128,11 +129,38 @@ RECORDS = [
     ),
 ]
 
+# the parameters with a default value, for the classes that have any
+DEFAULTS = {
+    Place: {"prime": None},
+    CMFieldData: {"nonsplit_witness": None, "split_table": None},
+    FeasibilityVerdict: dict.fromkeys(("m", "witness", "report", "witness_status")),
+}
+
 
 @pytest.mark.parametrize("cls, fields, change, hashable", RECORDS, ids=[r[0].__name__ for r in RECORDS])
 def test_record_contract(cls, fields, change, hashable):
-    record = cls(*fields.values())
-    assert [getattr(record, name) for name in fields] == list(fields.values())
+    parameters = inspect.signature(cls).parameters
+    assert list(parameters) == list(cls.__slots__) == list(fields)
+    assert {p.kind for p in parameters.values()} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    assert {n: p.default for n, p in parameters.items() if p.default is not p.empty} == DEFAULTS.get(cls, {})
+    init = cls.__init__
+    assert (init.__qualname__, init.__module__) == (f"{cls.__name__}.__init__", cls.__module__)
+
+    values = list(fields.values())
+    required = [n for n, p in parameters.items() if p.default is p.empty]
+    calls = [
+        lambda: cls(*values, None),  # an extra positional argument
+        lambda: cls(**fields, not_a_field=1),
+        lambda: cls(*values, **{cls.__slots__[0]: values[0]}),  # a field given twice
+    ]
+    if required:
+        calls.append(lambda: cls(**{n: v for n, v in fields.items() if n != required[0]}))
+    for call in calls:
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__init__\(\)"):
+            call()
+
+    record = cls(*values)
+    assert [getattr(record, name) for name in fields] == values
 
     by_keyword = cls(**fields)
     assert record == by_keyword and not record != by_keyword
@@ -178,3 +206,26 @@ def test_record_defaults():
     assert verdict == FeasibilityVerdict(7, 2, 1, True, "theorem_case", "a pair", None, None, None, None)
     by_keyword = FeasibilityVerdict(p=7, rho=2, h=1, feasible=True, reason="theorem_case", description="a pair")
     assert hash(verdict) == hash(by_keyword)
+
+
+def test_validated_records_copy_their_mutable_arguments():
+    # a later change to the caller's list or dict cannot undo a check
+    signature, hasse = [1, 1], {Place(3): 1}
+    space = SpaceInvariants(2, SquareClass(-1, 3), signature, hasse)
+    signature.append(1)
+    hasse[Place(5)] = 0
+    segments = list(POLYGON.segments)
+    polygon = NewtonPolygon(segments)
+    segments.append((Fraction(-3), 0))
+    blocks = ["U", -4]
+    spec = LatticeSpec(blocks)
+    blocks.append(3)
+    table = {13: False}
+    data, from_m = CMFieldData(14, 5, 11, table), CMFieldData.from_m(7, 5, 11, table)
+    table[11] = True
+
+    assert space == INVARIANTS and space.to_json()["hasse"] == {"3": 1}
+    assert polygon == POLYGON
+    assert spec == LatticeSpec(("U", -4)) and spec.rank == 3
+    assert data == from_m == CMFieldData(14, 5, 11, {13: False})
+    assert data.split_status(11) is False
