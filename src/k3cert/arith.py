@@ -28,7 +28,11 @@ which stores them with `_assign`.
 `_Record` reads the fields in slot order through one `operator.attrgetter`
 and gives field-wise `==` and `hash`, the repr `Name(field=value, ...)`,
 pickling by constructor call, and an `AttributeError` on any assignment
-or deletion.
+or deletion.  One rule decides hashing, by class and not by value: a
+record whose class has a field that can hold a dict, directly or through
+another record, sets `__hash__ = None`, so `hash` raises `TypeError`
+whatever its values are, as for a dict; every other record hashes by its
+fields.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .arith import _Record, check_prime
+from .arith import _assign, _Record, check_prime
 from .weilpoly import (
     RatPoly,
     _alternation,
@@ -89,6 +89,7 @@ class CheckResult(_Record):
     detail holds the facts the report prints beside it."""
 
     __slots__ = ("status", "detail")
+    __hash__ = None  # it can hold a dict; see `arith._Record`
 
     def to_json(self) -> dict:
         return {"status": self.status, **self.detail}
@@ -101,6 +102,7 @@ class CandidateReport(_Record):
     `check_names()` to its `CheckResult`."""
 
     __slots__ = ("verdict", "m", "h", "a", "e", "q", "slope_profile", "checks")
+    __hash__ = None  # it can hold a dict; see `arith._Record`
 
     @property
     def passed(self) -> bool:
@@ -322,10 +324,14 @@ def construct_witness(
 
 
 def _mirrored(f: list[int], q: int) -> RatPoly:
-    """f / q for the palindrome f: one `Fraction` per coefficient of its
-    first half, mirrored into the second."""
+    """f / q for the palindrome f with f(0) = q: one `Fraction` per
+    coefficient of its first half, mirrored into the second.  Its
+    coefficients are Fractions and the last is 1, so the constructor's
+    normalisation is skipped."""
     half = [Fraction(c, q) for c in f[: len(f) // 2 + 1]]
-    return RatPoly(tuple(half + half[-2::-1]))
+    out = object.__new__(RatPoly)
+    _assign(out, "coeffs", tuple(half + half[-2::-1]))
+    return out
 
 
 def _search(
@@ -420,6 +426,7 @@ class FeasibilityVerdict(_Record):
 
     __slots__ = ("p", "rho", "h", "feasible", "reason", "description", "m", "witness", "report", "witness_status")
     _defaults = (None, None, None, None)
+    __hash__ = None  # it can hold a dict; see `arith._Record`
 
     def to_json(self) -> dict:
         return {

@@ -187,6 +187,7 @@ class LatticeReport(_Record):
         "embedding",
         "no_minus2_certificate",
     )
+    __hash__ = None  # it can hold a dict; see `arith._Record`
 
     def to_json(self) -> dict:
         return {

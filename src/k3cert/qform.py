@@ -97,6 +97,7 @@ class SpaceInvariants(_Record):
     """
 
     __slots__ = ("dim", "det", "signature", "hasse")
+    __hash__ = None  # it can hold a dict; see `arith._Record`
 
     def __init__(self, dim: int, det: SquareClass, signature: tuple[int, int], hasse: dict[Place, int]) -> None:
         signature, hasse = tuple(signature), dict(hasse)
@@ -192,6 +193,7 @@ class CMFieldData(_Record):
     """
 
     __slots__ = ("degree", "n", "nonsplit_witness", "split_table")
+    __hash__ = None  # it can hold a dict; see `arith._Record`
 
     def __init__(
         self, degree: int, n: int, nonsplit_witness: int | None = None, split_table: dict[int, bool] | None = None

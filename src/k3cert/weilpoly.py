@@ -23,7 +23,8 @@ chain of the squarefree f / d, with the same V(x) wherever d(x) != 0; so
 for any f the count V(lo) - V(hi) is that of the distinct roots when
 d(lo) d(hi) != 0.  In particular, when d(2) d(-2) != 0, f has
 V(-2) - V(2) distinct roots in (-2, 2], and one more at -2 if f(-2) = 0:
-that is the window count `_window`.
+that is the window count `_window`, which reads each member at both ends
+in one pass over its coefficients.
 
 A cheaper proof needs no chain.  If g of degree m takes nonzero values
 of strictly alternating sign at points -2 = x_0 < x_1 < ... < x_m = 2,
@@ -66,6 +67,20 @@ and the local irreducibility are read from those pairs.  `Fraction`
 appears only in what is handed back: the slopes of the one
 `NewtonPolygon` a report carries, and the squarefree part R of a
 candidate.
+
+Palindromes are read at half size.  Every L = T^m G(T + 1/T), and so
+every candidate of the witness search, is a palindrome: f_i = f_(n-i)
+for n = deg f.  The cloud of points (i, v_p(f_i)) is then symmetric
+about x = n / 2, and so is its lower hull: the hull's mirror image is a
+lower convex hull of the same cloud, and there is only one.  The hull's
+lowest points span [x*, n - x*] for its leftmost lowest vertex
+x* <= n / 2, and left of x* it is the hull of the left half, i <= n / 2,
+up to that half's leftmost lowest vertex.  So `_polygon_ints` builds the left
+half's hull, keeps its falling segments, and adds the flat segment of
+run n - 2x* (when positive) and the falling segments mirrored.  Every
+basis polynomial T^(m-k) (T^2 + 1)^k of the transform is a palindrome
+too, so the transform computes the upper half of L and mirrors it, and
+the descent peels the upper half only.
 
 Two residue screens run before the Z[T] kernels, and each can only rule
 a fact out.  The root-of-unity screen is one remainder in Z at the
@@ -340,8 +355,11 @@ def format_poly(p: RatPoly) -> str:
 
 
 @lru_cache(maxsize=None)
-def _binomial_row(k: int) -> tuple[int, ...]:
-    return tuple(math.comb(k, j) for j in range(k + 1))
+def _upper_row(k: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (t, C(k, j)) for k / 2 <= j <= k and t = 2j - k: the
+    upper half of T^k (T + 1/T)^k = (T^2 + 1)^k, coefficient by coefficient
+    of T^(k+t)."""
+    return tuple((2 * j - k, math.comb(k, j)) for j in range((k + 1) // 2, k + 1))
 
 
 def reciprocal_transform(f: RatPoly) -> RatPoly:
@@ -353,15 +371,21 @@ def reciprocal_transform(f: RatPoly) -> RatPoly:
 
 
 def _transform_ints(s: list[int]) -> list[int]:
-    """T^n s(T + 1/T) for the nonzero integer s of degree n; `_descent_ints` inverts it."""
+    """T^n s(T + 1/T) for the nonzero integer s of degree n; `_descent_ints` inverts it.
+
+    Each basis polynomial T^(n-k) (T^2+1)^k is a palindrome of degree 2n,
+    so their sum is one too: only the coefficients of T^n ... T^2n are
+    computed, and the lower half is their mirror image.
+    """
     n = len(s) - 1
-    # T^n (T + 1/T)^k = T^(n-k) (T^2+1)^k = sum_j C(k, j) T^(n-k+2j)
-    out = [0] * (2 * n + 1)
+    # T^n (T + 1/T)^k = T^(n-k) (T^2+1)^k = sum_j C(k, j) T^(n-k+2j); top[t]
+    # holds the coefficient of T^(n+t)
+    top = [0] * (n + 1)
     for k, c in enumerate(s):
         if c:
-            for j, b in enumerate(_binomial_row(k)):
-                out[n - k + 2 * j] += c * b
-    return out
+            for t, b in _upper_row(k):
+                top[t] += c * b
+    return top[:0:-1] + top
 
 
 def symmetric_descent(L: RatPoly) -> RatPoly | None:
@@ -371,24 +395,33 @@ def symmetric_descent(L: RatPoly) -> RatPoly | None:
     top degree down; returns None when L is not in their span (in
     particular whenever L is not self-reciprocal of even degree).
     """
-    if L.is_zero or L.degree % 2 != 0:
-        return None
     D, cs = _cleared(L.coeffs)
     g = _descent_ints(cs)
     return None if g is None else RatPoly(tuple(Fraction(c, D) for c in g))
 
 
-def _descent_ints(rem: list[int]) -> list[int] | None:
-    """The integer g with sum_k g_k T^(m-k) (T^2+1)^k equal to rem, of
-    degree 2m; None when rem is not in the span.  Overwrites rem."""
-    m = (len(rem) - 1) // 2
+def _descent_ints(f: list[int]) -> list[int] | None:
+    """The integer g with sum_k g_k T^(m-k) (T^2+1)^k equal to f, of
+    degree 2m; None when f is not in the span.
+
+    Every basis polynomial is a palindrome of degree 2m, so the span holds
+    only palindromes of odd length, and anything else gives None at once.
+    A palindrome is always in it: peeling g_k = (the coefficient of
+    T^(m+k)) times the k-th basis polynomial, from k = m down, keeps the
+    rest a palindrome and clears its top coefficient, so only the upper
+    half f[m:] is peeled, and its last step leaves the rest zero.
+    """
+    if len(f) % 2 == 0 or f != f[::-1]:
+        return None
+    m = len(f) // 2
+    top = f[m:]  # top[t] is the coefficient of T^(m+t)
     g = [0] * (m + 1)
     for k in range(m, -1, -1):
-        c = g[k] = rem[m + k]
+        c = g[k] = top[k]
         if c:
-            for j, b in enumerate(_binomial_row(k)):
-                rem[m - k + 2 * j] -= c * b
-    return None if any(rem) else g
+            for t, b in _upper_row(k):
+                top[t] -= c * b
+    return g
 
 
 def _sturm_chain_ints(a: list[int]) -> list[list[int]]:
@@ -415,15 +448,14 @@ def _at(cs: list[int], x: int) -> int:
 def _variations(chain: list[list[int]], x: Fraction | int) -> int:
     # d^k P(n/d) = sum_i c_i n^i d^(k-i) has the sign of P(x) since d > 0
     n, d = x.numerator, x.denominator
-    signs = []
+    values = []
     for cs in chain:
         acc, dk = 0, 1
         for c in reversed(cs):
             acc = acc * n + c * dk
             dk *= d
-        if acc:
-            signs.append(acc > 0)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        values.append(acc)
+    return _sign_changes(values)
 
 
 def sturm_count(f: RatPoly, lo, hi) -> int:
@@ -462,8 +494,27 @@ def unit_circle_check(L: RatPoly) -> bool:
 
 def _window(chain: list[list[int]]) -> int:
     """The distinct roots of chain[0] in [-2, 2], for a Sturm chain whose
-    last member is nonzero at +-2 (see the module docstring)."""
-    return _variations(chain, -2) - _variations(chain, 2) + (_at(chain[0], -2) == 0)
+    last member is nonzero at +-2 (see the module docstring).
+
+    Each member P is read at both ends in one pass: with E and O its even
+    and odd parts, P(x) = E(x^2) + x O(x^2), so P(+-2) = E(4) +- 2 O(4).
+    """
+    at_two, at_minus_two = [], []
+    for cs in chain:
+        even = odd = 0
+        for c in reversed(cs[::2]):
+            even = 4 * even + c
+        for c in reversed(cs[1::2]):
+            odd = 4 * odd + c
+        at_two.append(even + 2 * odd)
+        at_minus_two.append(even - 2 * odd)
+    return _sign_changes(at_minus_two) - _sign_changes(at_two) + (at_minus_two[0] == 0)
+
+
+def _sign_changes(values: list[int]) -> int:
+    """The sign variations of values, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def _descent_facts(g: list[int]) -> tuple[list[int], list[int], int | None]:
@@ -497,9 +548,10 @@ def _alternation(values: list[int]) -> bool | None:
 
 def _unit_circle_ints(f: list[int]) -> bool:
     """`unit_circle_check` on an integer multiple f of degree >= 1."""
-    if len(f) % 2 == 0 or f != f[::-1]:
+    g = _descent_ints(f)
+    if g is None:
         return False
-    chain = _sturm_chain_ints(_descent_ints(list(f)))  # a palindrome always descends
+    chain = _sturm_chain_ints(g)
     return len(chain[-1]) == 1 and _window(chain) == len(chain[0]) - 1
 
 
@@ -704,23 +756,56 @@ def newton_polygon(P: RatPoly, p: int) -> NewtonPolygon:
 def _polygon_ints(f: list[int], p: int) -> list[tuple[int, int]]:
     """The segments of `newton_polygon` on a positive integer multiple f
     of P, as (rise, run): the hull's vertices are integer points, so a
-    segment of slope s and length l has rise s * l in Z and run l > 0."""
-    pts = [(i, _int_val(c, p)) for i, c in enumerate(f) if c]
+    segment of slope s and length l has rise s * l in Z and run l > 0.
+
+    A palindrome f of degree n reads only its left half, i <= n // 2.
+    Its cloud of points is symmetric about x = n / 2, so its hull is too,
+    and the hull's lowest points span [x*, n - x*] for the leftmost
+    lowest vertex x* <= n / 2.  Left of x* the hull is the hull of the
+    points with i <= x*: a point further right lies no lower than x*, so
+    above every falling segment that ends there.  The left half's hull
+    starts with that falling part, and its vertices after x* do not fall,
+    so popping them leaves the falling segments.  The whole hull is those,
+    then (0, n - 2 x*) when that run is positive, then their mirror image,
+    the same segments in reverse order with negated rise.
+    """
+    n = len(f) - 1
+    if f != f[::-1]:
+        hull = _lower_hull(f, p)
+        return [(y2 - y1, x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
+    hull = _lower_hull(f[: n // 2 + 1], p)
+    while len(hull) >= 2 and hull[-1][1] >= hull[-2][1]:
+        hull.pop()
+    falling = [(y2 - y1, x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
+    flat = n - 2 * hull[-1][0]
+    return falling + [(0, flat)] * (flat > 0) + [(-rise, run) for rise, run in reversed(falling)]
+
+
+def _lower_hull(f: list[int], p: int) -> list[tuple[int, int]]:
+    """The vertices of the lower convex hull of the points (i, v_p(f_i))
+    over the nonzero f_i, from left to right; a point on a segment between
+    two others is no vertex."""
     hull: list[tuple[int, int]] = []
-    for x, y in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (x - x2) >= (y - y2) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append((x, y))
-    return [(y2 - y1, x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
+    for x, c in enumerate(f):
+        if c:
+            y = _int_val(c, p)
+            while len(hull) >= 2:
+                (x1, y1), (x2, y2) = hull[-2], hull[-1]
+                if (y2 - y1) * (x - x2) >= (y - y2) * (x2 - x1):
+                    hull.pop()
+                else:
+                    break
+            hull.append((x, y))
+    return hull
 
 
 def _polygon(segs: list[tuple[int, int]]) -> NewtonPolygon:
-    """The `NewtonPolygon` of the integer segments (rise, run)."""
-    return NewtonPolygon(tuple((Fraction(rise, run), run) for rise, run in segs))
+    """The `NewtonPolygon` of the integer segments (rise, run) of a hull,
+    whose slopes increase strictly and whose runs are positive, so the
+    constructor's checks are skipped."""
+    out = object.__new__(NewtonPolygon)
+    _assign(out, "segments", tuple((Fraction(rise, run), run) for rise, run in segs))
+    return out
 
 
 def squarefree_decompose(L: RatPoly) -> tuple[RatPoly, int] | None:
@@ -820,12 +905,13 @@ def _off_p_indices(cs: list[int], D: int, p: int) -> list[int]:
     not a power of p.
 
     With D = p^k u and u prime to p, that denominator D / gcd(cs[i], D)
-    is a power of p iff u divides cs[i].
+    is a power of p iff u divides cs[i]; so u = 1, a D that is a power of
+    p as for every witness of the search, gives [] without a scan.
     """
     u = D
     while u % p == 0:
         u //= p
-    return [i for i, c in enumerate(cs) if c % u]
+    return [i for i, c in enumerate(cs) if c % u] if u > 1 else []
 
 
 class IrreducibilityCertificate(_Record):
@@ -836,6 +922,7 @@ class IrreducibilityCertificate(_Record):
     """
 
     __slots__ = ("verdict", "premises", "detail")
+    __hash__ = None  # it can hold a dict; see `arith._Record`
 
     @property
     def certified(self) -> bool:
@@ -889,8 +976,8 @@ def _analyse(
     """
     segs = _polygon_ints(f, p)
     flat = next((run for rise, run in segs if rise == 0), 0)
-    if descent is None and len(f) % 2 and f == f[::-1]:
-        descent = _descent_facts(_descent_ints(list(f)))
+    if descent is None and (g := _descent_ints(f)) is not None:
+        descent = _descent_facts(g)
     g, d, count = descent or (None, None, None)
     if count is not None:
         s, e = _radical(g, d)

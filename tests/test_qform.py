@@ -282,6 +282,13 @@ def test_complement_dimension_guard():
         complement_invariants(amb, invariants(QuadSpace.of(1, 1, 1)))
 
 
+def test_complement_dimension_guard_at_equal_dimensions():
+    # the complement of a space in itself would have dimension 0
+    space = QuadSpace.of(1, -1)
+    with pytest.raises(ValueError, match="strictly smaller dimension"):
+        complement_invariants(invariants(space), invariants(space))
+
+
 def test_complement_signature_guard():
     amb = invariants(QuadSpace.of(1, 1))
     with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from k3cert.arith import Place, SquareClass
-from k3cert.condition import CandidateReport, CheckResult, FeasibilityVerdict
+from k3cert.condition import CandidateReport, CheckResult, FeasibilityVerdict, feasibility
 from k3cert.k3lattice import LatticeReport, LatticeSpec, NoMinusTwoCertificate
 from k3cert.qform import (
     CMFieldData,
@@ -22,6 +22,7 @@ from k3cert.weilpoly import IrreducibilityCertificate, NewtonPolygon, RatPoly
 
 POLYGON = NewtonPolygon(((Fraction(-1, 2), 2), (Fraction(0), 2), (Fraction(1, 2), 2)))
 CHECK = CheckResult("pass", {"e": 1})
+REPORT = CandidateReport("pass", 3, 2, 1, 1, 7, POLYGON, {"unit_circle": CHECK})
 HYPERBOLICITY = HyperbolicityReport("conditional-pass", (3,), (3,), (), ())
 EMBEDDING = EmbeddingReport("pass", True, SquareClass(1, 5), SquareClass(1, 5), (2, 10), True, HYPERBOLICITY)
 INVARIANTS = SpaceInvariants(2, SquareClass(-1, 3), (1, 1), {Place(3): 1})
@@ -65,11 +66,11 @@ RECORDS = [
             "description": "a pair",
             "m": 10,
             "witness": RatPoly((Fraction(1), Fraction(1))),
-            "report": None,
+            "report": REPORT,
             "witness_status": "computed",
         },
         ("rho", 4),
-        True,
+        False,
     ),
     (QuadSpace, {"entries": (Fraction(1), Fraction(-3, 2))}, ("entries", (Fraction(1),)), True),
     (
@@ -195,6 +196,32 @@ def test_record_contract(cls, fields, change, hashable):
         assert type(clone) is cls and clone == record
 
 
+def _holds_a_dict(value) -> bool:
+    if isinstance(value, dict):
+        return True
+    if isinstance(value, (tuple, list)):
+        return any(_holds_a_dict(v) for v in value)
+    if hasattr(type(value), "_values"):  # a record
+        return any(_holds_a_dict(v) for v in value._values(value))
+    return False
+
+
+def test_one_hash_rule_for_every_record_class():
+    # a class whose sample holds a dict, directly or through another record,
+    # is unhashable whatever its values; every other class hashes by value
+    assert len(RECORDS) == 16
+    for cls, fields, _, hashable in RECORDS:
+        assert hashable is not _holds_a_dict(cls(**fields)), cls.__name__
+        assert (cls.__hash__ is None) is not hashable, cls.__name__
+    # so a verdict with no report attached is unhashable too, like one with
+    # a report, whose checks are dicts
+    for verdict in (feasibility(7, 2, 1), feasibility(7, 2, 1, want_witness=True)):
+        with pytest.raises(TypeError, match="unhashable type: 'FeasibilityVerdict'"):
+            hash(verdict)
+    with pytest.raises(TypeError, match="unhashable type: 'CheckResult'"):
+        hash(CheckResult("pass", {}))  # an empty dict is still a dict
+
+
 def test_record_defaults():
     assert Place() == Place(None) == Place.infinite()
     assert Place().prime is None
@@ -205,7 +232,7 @@ def test_record_defaults():
     assert (verdict.m, verdict.witness, verdict.report, verdict.witness_status) == (None, None, None, None)
     assert verdict == FeasibilityVerdict(7, 2, 1, True, "theorem_case", "a pair", None, None, None, None)
     by_keyword = FeasibilityVerdict(p=7, rho=2, h=1, feasible=True, reason="theorem_case", description="a pair")
-    assert hash(verdict) == hash(by_keyword)
+    assert verdict == by_keyword
 
 
 def test_validated_records_copy_their_mutable_arguments():

@@ -1249,3 +1249,122 @@ def test_kronecker_certified_outputs_survive_factor_sieve():
             if not candidates:
                 break
         assert candidates == set(), (format_poly(base), candidates)
+
+
+# ---------------------------------------------------------------------------
+# palindrome kernels at half size: the hull, the transform and descent, and
+# the window
+
+
+def _valued(rng: random.Random, p: int, v: int) -> int:
+    """A random nonzero integer of p-adic valuation v."""
+    u = p
+    while u % p == 0:
+        u = rng.randint(1, 40)
+    return rng.choice((-1, 1)) * u * p**v
+
+
+def _palindrome(half: list[int], n: int) -> list[int]:
+    """The palindrome of degree n whose coefficients 0 ... n // 2 are half."""
+    return half + (half[::-1] if n % 2 else half[-2::-1])
+
+
+def _as_oracle_segments(segs):
+    return tuple((Fraction(rise, run), run) for rise, run in segs)
+
+
+def test_half_hull_matches_the_oracle_on_palindromes():
+    rng = random.Random(2601)
+    seen = dict.fromkeys(
+        ("odd degree", "even degree", "zero coefficient", "flat", "no flat", "lowest at 0", "flat in left half"), 0
+    )
+    for p in (2, 3, 5, 7):
+        for _ in range(400):
+            n = rng.randint(0, 20)
+            top = rng.randint(0, 4)
+            half = [
+                _valued(rng, p, rng.randint(0, top)) if i == 0 or rng.random() < 0.8 else 0
+                for i in range(n // 2 + 1)
+            ]
+            f = _palindrome(half, n)
+            segs = weilpoly._polygon_ints(f, p)
+            assert _as_oracle_segments(segs) == fraction_newton_polygon(f, p), (f, p)
+            vals = [weilpoly._int_val(c, p) if c else math.inf for c in half]
+            lowest = [i for i, v in enumerate(vals) if v == min(vals)]
+            seen["odd degree" if n % 2 else "even degree"] += 1
+            seen["zero coefficient"] += 0 in f
+            seen["flat" if any(rise == 0 for rise, _ in segs) else "no flat"] += 1
+            seen["lowest at 0"] += lowest[0] == 0 and n > 0
+            seen["flat in left half"] += len(lowest) > 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_half_hull_worked_examples():
+    # valuations 2, 0, 0, 0, 0, 0, 2: the left half's own hull runs flat
+    # from x = 1 to the middle, and only x* = 1 is kept
+    f = [49, 1, 1, 1, 1, 1, 49]
+    assert weilpoly._polygon_ints(f, 7) == [(-2, 1), (0, 4), (2, 1)]
+    # valuations 2, 1, 0 | 0, 1, 2: collinear points are no vertices
+    assert weilpoly._polygon_ints([9, 3, 1, 1, 3, 9], 3) == [(-2, 2), (0, 1), (2, 2)]
+    # lowest at index 0, and a unique lowest middle with no flat
+    assert weilpoly._polygon_ints([1, 5, 25, 5, 1], 5) == [(0, 4)]
+    assert weilpoly._polygon_ints([4, 0, 1, 0, 4], 2) == [(-2, 2), (2, 2)]
+    assert weilpoly._polygon_ints([3], 3) == []
+
+
+def test_full_hull_matches_the_oracle_on_non_palindromes():
+    rng = random.Random(2602)
+    for p in (2, 3, 5, 7):
+        for _ in range(200):
+            n = rng.randint(1, 20)
+            f = [_valued(rng, p, rng.randint(0, 4)) if i in (0, n) or rng.random() < 0.8 else 0 for i in range(n + 1)]
+            if f == f[::-1]:
+                continue
+            assert _as_oracle_segments(weilpoly._polygon_ints(f, p)) == fraction_newton_polygon(f, p), (f, p)
+
+
+def test_half_transform_and_descent_match_the_fraction_descent():
+    rng = random.Random(2603)
+    rejected = 0
+    for _ in range(400):
+        n = rng.randint(0, 10)
+        s = [rng.randint(-9, 9) if rng.random() < 0.75 else 0 for _ in range(n)] + [_valued(rng, 2, 0)]
+        f = _transform_ints(s)
+        assert len(f) == 2 * n + 1 and f == f[::-1]
+        assert fraction_descent(f) == s  # the oracle inverts the transform
+        assert _descent_ints(f) == s
+        # a palindrome of odd length not built by the transform always descends
+        L = _palindrome([_valued(rng, 3, 0)] + [rng.randint(-30, 30) for _ in range(n)], 2 * n)
+        before = list(L)
+        g = _descent_ints(L)
+        assert L == before  # the argument is left alone
+        assert g == fraction_descent(L) and _transform_ints(g) == L
+        # anything else is in the span of no palindrome basis
+        if n:
+            i = rng.choice([j for j in range(2 * n + 1) if j != n])
+            broken = list(L)
+            broken[i] += rng.choice((-1, 1)) * rng.randint(1, 5)
+            assert _descent_ints(broken) is None, broken
+            assert _descent_ints(L[:n] + L[n + 1 :]) is None  # a palindrome of even length
+            rejected += 1
+    assert rejected > 300
+
+
+def test_one_pass_window_matches_the_oracle():
+    # G of both parities of degree, some with a root at 2 or -2, whose
+    # chain's last member is nonzero at +-2
+    rng = random.Random(2604)
+    counted = 0
+    for _ in range(250):
+        n = rng.randint(1, 9)
+        G = RatPoly(tuple(Fraction(rng.randint(-12, 12)) for _ in range(n)) + (Fraction(rng.randint(1, 3)),))
+        for end in (2, -2):
+            if rng.random() < 0.3:
+                G = G * poly(-end, 1)
+        chain = _sturm_chain_ints(_integer_multiple(G))
+        if not (weilpoly._at(chain[-1], 2) and weilpoly._at(chain[-1], -2)):
+            continue
+        sturm = weilpoly._variations(chain, -2) - weilpoly._variations(chain, 2) + (G.evaluate(-2) == 0)
+        assert _window(chain) == sturm == _oracle_window(G), format_poly(G)
+        counted += 1
+    assert counted > 150
