@@ -11,7 +11,12 @@
     denominator, square) of its 20 witnesses;
   * for p = 7 and 2 <= h <= m <= 10, the transform of
     seed + 7^(-h) T^(m-h): gcd(a, h) > 1, so the slope profile passes
-    while the local factor splits.
+    while the local factor splits;
+  * non-palindromes, which take the path off the descent: each witness of
+    the acceptance-2 sweep with its first nonzero coefficient off the
+    middle times the p-adic unit 1 + p, and the square (1 + 2T + 3T^3)^2
+    at p = 7, whose squarefree part r has degree 3 below the flat length
+    6 of the square's polygon.
 
 Regenerate (only when the report contract changes on purpose) with
 `PYTHONPATH=src python tests/test_golden_reports.py`.
@@ -22,7 +27,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
-from k3cert.condition import check_candidate, construct_witness, seed_polynomial
+from k3cert.condition import check_candidate, construct_witness, construct_witness_even_h, seed_polynomial
 from k3cert.weilpoly import (
     RatPoly,
     cyclotomic,
@@ -89,8 +94,22 @@ def _non_coprime_perturbations() -> list[tuple[int, RatPoly]]:
     return out
 
 
+def _non_palindromes() -> list[tuple[int, RatPoly]]:
+    out = []
+    for p in (5, 7):
+        for m in range(1, 11):
+            for h in range(1, m + 1):
+                L, _ = construct_witness_even_h(p, h) if m == 10 and h % 2 == 0 else construct_witness(p, m, h)
+                coeffs = list(L.coeffs)
+                i = next(k for k in range(1, 2 * m + 1) if k != m and coeffs[k] != 0)
+                coeffs[i] *= 1 + p
+                out.append((p, RatPoly.of(*coeffs)))
+    square = RatPoly.of(1, 2, 0, 3)
+    return out + [(7, square * square)]
+
+
 def generate() -> list[str]:
-    cases = _sweep_candidates() + _mutants() + _non_coprime_perturbations()
+    cases = _sweep_candidates() + _mutants() + _non_coprime_perturbations() + _non_palindromes()
     return [_line(p, L) for p, L in cases]
 
 
@@ -99,7 +118,7 @@ def _corpus() -> list[str]:
 
 
 def test_corpus_size():
-    assert len(_corpus()) == 175 + 60 + 45
+    assert len(_corpus()) == 175 + 60 + 45 + 110 + 1
 
 
 def test_reports_match_corpus_bytes():

@@ -1,8 +1,10 @@
 """The contract of every public record class: construction by position,
-keyword and default, equality, hashing, repr, immutability and pickling."""
+keyword and default, equality, hashing, repr, immutability, pickling and
+JSON."""
 
 import copy
 import inspect
+import json
 import pickle
 from fractions import Fraction
 
@@ -18,7 +20,7 @@ from k3cert.qform import (
     QuadSpace,
     SpaceInvariants,
 )
-from k3cert.weilpoly import IrreducibilityCertificate, NewtonPolygon, RatPoly
+from k3cert.weilpoly import IrreducibilityCertificate, NewtonPolygon, RatPoly, format_poly
 
 POLYGON = NewtonPolygon(((Fraction(-1, 2), 2), (Fraction(0), 2), (Fraction(1, 2), 2)))
 CHECK = CheckResult("pass", {"e": 1})
@@ -256,3 +258,167 @@ def test_validated_records_copy_their_mutable_arguments():
     assert spec == LatticeSpec(("U", -4)) and spec.rank == 3
     assert data == from_m == CMFieldData(14, 5, 11, {13: False})
     assert data.split_status(11) is False
+
+
+HYPERBOLICITY_JSON = {
+    "verdict": "conditional-pass",
+    "discrepancy": [3],
+    "certified_nonsplit": [3],
+    "unknown_split": [],
+    "split_conflicts": [],
+}
+EMBEDDING_JSON = {
+    "verdict": "pass",
+    "det": {"matches": True, "expected": {"sign": 1, "sqfree": 5}, "actual": {"sign": 1, "sqfree": 5}},
+    "signature": {"value": [2, 10], "even": True},
+    "hyperbolicity": HYPERBOLICITY_JSON,
+}
+INVARIANTS_JSON = {"dim": 2, "det": {"sign": -1, "sqfree": 3}, "sig": [1, 1], "hasse": {"3": 1}}
+POLYGON_JSON = [["-1/2", 2], ["0", 2], ["1/2", 2]]
+REPORT_JSON = {
+    "verdict": "pass",
+    "m": 3,
+    "h": 2,
+    "a": 1,
+    "e": 1,
+    "q": 7,
+    "slope_profile": POLYGON_JSON,
+    "checks": {"unit_circle": {"status": "pass", "e": 1}},
+}
+
+# the JSON document of each `RECORDS` sample, keys in order; `Place` has no
+# JSON of its own, and a `RatPoly` is the text of `format_poly`
+RECORD_JSON = {
+    SquareClass: {"sign": -1, "sqfree": 15},
+    NewtonPolygon: POLYGON_JSON,
+    IrreducibilityCertificate: {"verdict": "certified", "premises": {"unit_circle": True}, "detail": {"h": 2}},
+    CheckResult: {"status": "pass", "e": 1},
+    CandidateReport: REPORT_JSON,
+    FeasibilityVerdict: {
+        "p": 7,
+        "rho": 2,
+        "h": 1,
+        "feasible": True,
+        "reason": "theorem_case",
+        "description": "a pair",
+        "m": 10,
+        "witness": "1,1",
+        "report": REPORT_JSON,
+        "witness_status": "computed",
+    },
+    QuadSpace: ["1", "-3/2"],
+    SpaceInvariants: INVARIANTS_JSON,
+    CMFieldData: {"degree": 12, "n": 5, "disc_is_square": False, "nonsplit_witness": 7, "split_table": {"11": True}},
+    HyperbolicityReport: {
+        "verdict": "needs-data",
+        "discrepancy": [3, 5],
+        "certified_nonsplit": [3],
+        "unknown_split": [5],
+        "split_conflicts": [],
+    },
+    EmbeddingReport: EMBEDDING_JSON,
+    LatticeSpec: {"blocks": ["U", {"diag": -4}, {"diag": -20}]},
+    NoMinusTwoCertificate: {
+        "n": 3,
+        "target": -2,
+        "mod4": {"square_residues": [0, 1], "required_residue": 3, "obstructed": True},
+        "plus_two_vector": [1, 0],
+    },
+    LatticeReport: {
+        "lattice": {"blocks": ["U", {"diag": -4}]},
+        "rank": 3,
+        "signature": [1, 2],
+        "rational_space": ["1", "-1", "-1"],
+        "picard_invariants": INVARIANTS_JSON,
+        "transcendental_invariants": INVARIANTS_JSON,
+        "embedding": EMBEDDING_JSON,
+        "no_minus2_certificate": None,
+    },
+}
+
+# samples whose optional fields take their other form: defaults left as
+# None, a certificate attached, lists and Fractions in a detail
+EXTRA_JSON = [
+    (
+        FeasibilityVerdict(5, 2, 3, False, "artin_violation", "no pair"),
+        {
+            "p": 5,
+            "rho": 2,
+            "h": 3,
+            "feasible": False,
+            "reason": "artin_violation",
+            "description": "no pair",
+            "m": None,
+            "witness": None,
+            "report": None,
+            "witness_status": None,
+        },
+    ),
+    (
+        LatticeReport(LatticeSpec((2, -8)), 2, (1, 1), QuadSpace.of(2, -8), INVARIANTS, INVARIANTS, EMBEDDING,
+                      NoMinusTwoCertificate(1, (0, 1), 3, (1, 0))),
+        {
+            "lattice": {"blocks": [{"diag": 2}, {"diag": -8}]},
+            "rank": 2,
+            "signature": [1, 1],
+            "rational_space": ["2", "-8"],
+            "picard_invariants": INVARIANTS_JSON,
+            "transcendental_invariants": INVARIANTS_JSON,
+            "embedding": EMBEDDING_JSON,
+            "no_minus2_certificate": {
+                "n": 1,
+                "target": -2,
+                "mod4": {"square_residues": [0, 1], "required_residue": 3, "obstructed": True},
+                "plus_two_vector": [1, 0],
+            },
+        },
+    ),
+    (
+        IrreducibilityCertificate(
+            "unknown",
+            {"pure_negative_slope": False, "unit_circle": True},
+            {"segments": POLYGON_JSON, "h": 4, "a": None, "cyclotomic_index": 12},
+        ),
+        {
+            "verdict": "unknown",
+            "premises": {"pure_negative_slope": False, "unit_circle": True},
+            "detail": {"segments": POLYGON_JSON, "h": 4, "a": None, "cyclotomic_index": 12},
+        },
+    ),
+    (
+        CheckResult("fail", {"segments": POLYGON_JSON, "h": None}),
+        {"status": "fail", "segments": POLYGON_JSON, "h": None},
+    ),
+]
+
+
+def _dicts(value) -> list:
+    """The dicts in value, itself included, through lists, tuples and records."""
+    if isinstance(value, dict):
+        return [value] + [d for v in value.values() for d in _dicts(v)]
+    if isinstance(value, (list, tuple)):
+        return [d for v in value for d in _dicts(v)]
+    if hasattr(type(value), "_values"):  # a record
+        return [d for v in value._values(value) for d in _dicts(v)]
+    return []
+
+
+def _assert_json(record, expected) -> None:
+    doc = record.to_json()
+    # == tells a list from a tuple; the dump pins the order of the keys
+    assert doc == expected
+    assert json.dumps(doc) == json.dumps(expected)
+    # no dict of the document is one the record holds, so editing the
+    # document cannot change the record
+    held = {id(d) for d in _dicts(record)}
+    assert not [d for d in _dicts(doc) if id(d) in held]
+
+
+def test_every_record_json_literally():
+    assert set(RECORD_JSON) == {cls for cls, *_ in RECORDS} - {Place, RatPoly}
+    for cls, fields, _, _ in RECORDS:
+        if cls in RECORD_JSON:
+            _assert_json(cls(**fields), RECORD_JSON[cls])
+    for record, expected in EXTRA_JSON:
+        _assert_json(record, expected)
+
