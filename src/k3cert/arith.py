@@ -32,7 +32,12 @@ or deletion.  One rule decides hashing, by class and not by value: a
 record whose class has a field that can hold a dict, directly or through
 another record, sets `__hash__ = None`, so `hash` raises `TypeError`
 whatever its values are, as for a dict; every other record hashes by its
-fields.
+fields.  One rule gives a record's JSON: `to_json` maps its fields, in
+slot order, to their values converted by `_json`, which writes a record
+by its own `to_json`, a tuple as a list and a dict as a new dict, their
+items converted in turn, and anything else as it is.  A record whose JSON
+is not that, say a bare list, other keys or a derived value, overrides
+`to_json`; a `RatPoly` is the text of `weilpoly.format_poly`.
 """
 
 from __future__ import annotations
@@ -136,6 +141,23 @@ class _Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def to_json(self):
+        """The fields in slot order, their values converted by `_json`."""
+        return {name: _json(value) for name, value in zip(self.__slots__, self._values(self))}
+
+
+def _json(value):
+    """A field value as JSON: a record by its `to_json`, a tuple as a list
+    and a dict as a new dict, their items converted; anything else as it is."""
+    if isinstance(value, _Record):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _json(v) for key, v in value.items()}
+    return value
+
 
 # Witness set proven sufficient for deterministic Miller-Rabin far beyond
 # 2**64; the 2**64 cap below keeps the guarantee comfortably inside the
@@ -262,9 +284,6 @@ class SquareClass(_Record):
 
     def __str__(self) -> str:
         return str(self.representative())
-
-    def to_json(self) -> dict:
-        return {"sign": self.sign, "sqfree": self.sqfree}
 
 
 def square_class(x) -> SquareClass:

@@ -51,7 +51,6 @@ from .weilpoly import (
     _mul_ints,
     _psi_ints,
     _transform_ints,
-    format_poly,
 )
 
 __all__ = [
@@ -115,18 +114,6 @@ class CandidateReport(_Record):
     @property
     def unknown_checks(self) -> tuple[str, ...]:
         return tuple(name for name in _CHECK_NAMES if self.checks[name].status == "unknown")
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "m": self.m,
-            "h": self.h,
-            "a": self.a,
-            "e": self.e,
-            "q": self.q,
-            "slope_profile": self.slope_profile.to_json(),
-            "checks": {name: res.to_json() for name, res in self.checks.items()},
-        }
 
 
 def _result(ok: bool, detail: dict) -> CheckResult:
@@ -427,20 +414,6 @@ class FeasibilityVerdict(_Record):
     __slots__ = ("p", "rho", "h", "feasible", "reason", "description", "m", "witness", "report", "witness_status")
     _defaults = (None, None, None, None)
     __hash__ = None  # it can hold a dict; see `arith._Record`
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "rho": self.rho,
-            "h": self.h,
-            "feasible": self.feasible,
-            "reason": self.reason,
-            "description": self.description,
-            "m": self.m,
-            "witness": format_poly(self.witness) if self.witness is not None else None,
-            "report": self.report.to_json() if self.report is not None else None,
-            "witness_status": self.witness_status,
-        }
 
 
 def feasibility(p: int, rho: int, h: int, want_witness: bool = False) -> FeasibilityVerdict:

@@ -189,20 +189,6 @@ class LatticeReport(_Record):
     )
     __hash__ = None  # it can hold a dict; see `arith._Record`
 
-    def to_json(self) -> dict:
-        return {
-            "lattice": self.lattice.to_json(),
-            "rank": self.rank,
-            "signature": list(self.signature),
-            "rational_space": self.rational_space.to_json(),
-            "picard_invariants": self.picard_invariants.to_json(),
-            "transcendental_invariants": self.transcendental_invariants.to_json(),
-            "embedding": self.embedding.to_json(),
-            "no_minus2_certificate": (
-                self.no_minus2_certificate.to_json() if self.no_minus2_certificate else None
-            ),
-        }
-
 
 def verify_lattice(m: int, fielddata: CMFieldData) -> LatticeReport:
     """Build the case lattice for m and certify its role in the existence argument.

@@ -268,15 +268,6 @@ class HyperbolicityReport(_Record):
     def passed(self) -> bool:
         return self.verdict in ("pass", "conditional-pass")
 
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "discrepancy": list(self.discrepancy),
-            "certified_nonsplit": list(self.certified_nonsplit),
-            "unknown_split": list(self.unknown_split),
-            "split_conflicts": list(self.split_conflicts),
-        }
-
 
 def hyperbolicity_from_invariants(inv: SpaceInvariants, fielddata: CMFieldData) -> HyperbolicityReport:
     if inv.dim != fielddata.degree:

@@ -254,6 +254,9 @@ class RatPoly(_Record):
     def __repr__(self) -> str:
         return f"RatPoly({format_poly(self)!r})"
 
+    def to_json(self) -> str:
+        return format_poly(self)
+
 
 def _cleared(coeffs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
     """(D, [c * D for c in coeffs]) with D > 0 the lcm of the denominators."""
@@ -927,9 +930,6 @@ class IrreducibilityCertificate(_Record):
     @property
     def certified(self) -> bool:
         return self.verdict == "certified"
-
-    def to_json(self) -> dict:
-        return {"verdict": self.verdict, "premises": dict(self.premises), "detail": dict(self.detail)}
 
 
 # What `_analyse` reads off a candidate; see there.

@@ -422,3 +422,9 @@ def test_every_record_json_literally():
     for record, expected in EXTRA_JSON:
         _assert_json(record, expected)
 
+
+
+def test_polynomial_json_is_its_text():
+    for poly in (RatPoly((Fraction(1), Fraction(1, 7), Fraction(1))), RatPoly.of(0, -3, Fraction(5, 2)), RatPoly(())):
+        assert poly.to_json() == format_poly(poly)
+    assert RatPoly.of(1, Fraction(1, 7), 1).to_json() == "1,1/7,1"
