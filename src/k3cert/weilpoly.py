@@ -495,9 +495,10 @@ def unit_circle_check(L: RatPoly) -> bool:
     return _unit_circle_ints(_cleared(L.coeffs)[1])
 
 
-def _window(chain: list[list[int]]) -> int:
-    """The distinct roots of chain[0] in [-2, 2], for a Sturm chain whose
-    last member is nonzero at +-2 (see the module docstring).
+def _window(chain: list[list[int]]) -> tuple[int, int]:
+    """(count, ends) for a Sturm chain: count is the number of distinct
+    roots of chain[0] in [-2, 2] when the last member is nonzero at +-2
+    (see the module docstring), and ends = chain[0](-2) chain[0](2).
 
     Each member P is read at both ends in one pass: with E and O its even
     and odd parts, P(x) = E(x^2) + x O(x^2), so P(+-2) = E(4) +- 2 O(4).
@@ -511,7 +512,8 @@ def _window(chain: list[list[int]]) -> int:
             odd = 4 * odd + c
         at_two.append(even + 2 * odd)
         at_minus_two.append(even - 2 * odd)
-    return _sign_changes(at_minus_two) - _sign_changes(at_two) + (at_minus_two[0] == 0)
+    count = _sign_changes(at_minus_two) - _sign_changes(at_two) + (at_minus_two[0] == 0)
+    return count, at_minus_two[0] * at_two[0]
 
 
 def _sign_changes(values: list[int]) -> int:
@@ -524,7 +526,8 @@ def _descent_facts(g: list[int]) -> tuple[list[int], list[int], int | None]:
     """(g, d, count) for the nonzero integer g, by its Sturm chain: g made
     primitive, d the chain's last member, a primitive multiple of
     gcd(g, g'), and count the `_window` of g when g(2) g(-2) != 0, or None
-    otherwise.  d divides g, so d(2) d(-2) != 0 then too.
+    otherwise.  d divides g, so d(2) d(-2) != 0 then too.  The end values
+    are those `_window` reads: g made primitive is a positive multiple of g.
 
     These are the descent facts `_analyse` reads, and it takes the descent
     path exactly when count is not None.  A caller that has proved them
@@ -532,7 +535,8 @@ def _descent_facts(g: list[int]) -> tuple[list[int], list[int], int | None]:
     to `_analyse` with their count, and nothing is evaluated at +-2.
     """
     chain = _sturm_chain_ints(g)
-    return chain[0], chain[-1], (_window(chain) if _at(g, 2) and _at(g, -2) else None)
+    count, ends = _window(chain)
+    return chain[0], chain[-1], count if ends else None
 
 
 def _alternation(values: list[int]) -> bool | None:
@@ -555,7 +559,7 @@ def _unit_circle_ints(f: list[int]) -> bool:
     if g is None:
         return False
     chain = _sturm_chain_ints(g)
-    return len(chain[-1]) == 1 and _window(chain) == len(chain[0]) - 1
+    return len(chain[-1]) == 1 and _window(chain)[0] == len(chain[0]) - 1
 
 
 def euler_phi(k: int) -> int:
@@ -655,6 +659,10 @@ def _cyclotomic_index_ints(f: list[int], flat: int) -> int | None:
     """`has_cyclotomic_factor` on a nonzero integer multiple f of L, over
     the k with phi(k) <= flat (see `_analyse`)."""
     at_n = _at(f, _SCREEN_POINT)
+    # flat can exceed deg f: `_analyse` passes the flat length of L's
+    # polygon with the squarefree part r of L = R^e, e times shorter; for
+    # (1 + 2T + 3T^3)^2 at p = 7, deg r = 3 and flat = 6.  No Phi_k with
+    # phi(k) > deg f divides f, so the min only bounds the scan.
     for k, phi_n in _cyclotomic_screen(min(len(f) - 1, flat)):
         if at_n % phi_n == 0 and not _prem(f, _cyclotomic_ints(k)):
             return k

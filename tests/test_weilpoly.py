@@ -401,17 +401,17 @@ def test_window_matches_the_oracle_on_the_radical():
         chain = _sturm_chain_ints(_integer_multiple(G))
         d = RatPoly.of(*chain[-1])
         assert d.evaluate(2) and d.evaluate(-2), format_poly(G)
-        assert _window(chain) == _oracle_window(G), format_poly(G)
+        assert _window(chain)[0] == _oracle_window(G), format_poly(G)
     assert min(seen.values()) > 50, seen
 
 
 def test_window_counts_a_root_at_minus_two():
     # (T + 2)(T - 1)(T - 3): -2 and 1 lie in [-2, 2], 3 does not
     G = poly(2, 1) * poly(-1, 1) * poly(-3, 1)
-    assert _window(_sturm_chain_ints(_integer_multiple(G))) == 2
+    assert _window(_sturm_chain_ints(_integer_multiple(G))) == (2, 0)
     # a repeated pair +-sqrt(3) away from the ends does not hide -2
     G = poly(2, 1) * poly(-3, 0, 1) * poly(-3, 0, 1)
-    assert _window(_sturm_chain_ints(_integer_multiple(G))) == 3 == _oracle_window(G)
+    assert _window(_sturm_chain_ints(_integer_multiple(G)))[0] == 3 == _oracle_window(G)
 
 
 # ---------------------------------------------------------------------------
@@ -1365,6 +1365,8 @@ def test_one_pass_window_matches_the_oracle():
         if not (weilpoly._at(chain[-1], 2) and weilpoly._at(chain[-1], -2)):
             continue
         sturm = weilpoly._variations(chain, -2) - weilpoly._variations(chain, 2) + (G.evaluate(-2) == 0)
-        assert _window(chain) == sturm == _oracle_window(G), format_poly(G)
+        count, ends = _window(chain)
+        assert count == sturm == _oracle_window(G), format_poly(G)
+        assert ends == weilpoly._at(chain[0], -2) * weilpoly._at(chain[0], 2), format_poly(G)
         counted += 1
     assert counted > 150
