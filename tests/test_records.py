@@ -198,14 +198,15 @@ def test_record_contract(cls, fields, change, hashable):
         assert type(clone) is cls and clone == record
 
 
-def _holds_a_dict(value) -> bool:
+def _dicts(value) -> list:
+    """The dicts in value, itself included, through lists, tuples and records."""
     if isinstance(value, dict):
-        return True
-    if isinstance(value, (tuple, list)):
-        return any(_holds_a_dict(v) for v in value)
+        return [value] + [d for v in value.values() for d in _dicts(v)]
+    if isinstance(value, (list, tuple)):
+        return [d for v in value for d in _dicts(v)]
     if hasattr(type(value), "_values"):  # a record
-        return any(_holds_a_dict(v) for v in value._values(value))
-    return False
+        return [d for v in value._values(value) for d in _dicts(v)]
+    return []
 
 
 def test_one_hash_rule_for_every_record_class():
@@ -213,7 +214,7 @@ def test_one_hash_rule_for_every_record_class():
     # is unhashable whatever its values; every other class hashes by value
     assert len(RECORDS) == 16
     for cls, fields, _, hashable in RECORDS:
-        assert hashable is not _holds_a_dict(cls(**fields)), cls.__name__
+        assert hashable is not bool(_dicts(cls(**fields))), cls.__name__
         assert (cls.__hash__ is None) is not hashable, cls.__name__
     # so a verdict with no report attached is unhashable too, like one with
     # a report, whose checks are dicts
@@ -390,17 +391,6 @@ EXTRA_JSON = [
         {"status": "fail", "segments": POLYGON_JSON, "h": None},
     ),
 ]
-
-
-def _dicts(value) -> list:
-    """The dicts in value, itself included, through lists, tuples and records."""
-    if isinstance(value, dict):
-        return [value] + [d for v in value.values() for d in _dicts(v)]
-    if isinstance(value, (list, tuple)):
-        return [d for v in value for d in _dicts(v)]
-    if hasattr(type(value), "_values"):  # a record
-        return [d for v in value._values(value) for d in _dicts(v)]
-    return []
 
 
 def _assert_json(record, expected) -> None:
