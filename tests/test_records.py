@@ -338,7 +338,7 @@ RECORD_JSON = {
 }
 
 # samples whose optional fields take their other form: defaults left as
-# None, a certificate attached, lists and Fractions in a detail
+# None, a certificate attached, lists and None in a detail
 EXTRA_JSON = [
     (
         FeasibilityVerdict(5, 2, 3, False, "artin_violation", "no pair"),
