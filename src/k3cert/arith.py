@@ -34,8 +34,9 @@ another record, sets `__hash__ = None`, so `hash` raises `TypeError`
 whatever its values are, as for a dict; every other record hashes by its
 fields.  One rule gives a record's JSON: `to_json` maps its fields, in
 slot order, to their values converted by `_json`, which writes a record
-by its own `to_json`, a tuple as a list and a dict as a new dict, their
-items converted in turn, and anything else as it is.  A record whose JSON
+by its own `to_json`, a tuple or list as a new list and a dict as a new
+dict, their items converted in turn, and anything else as it is, so no
+list or dict of a document is one the record holds.  A record whose JSON
 is not that, say a bare list, other keys or a derived value, overrides
 `to_json`; a `RatPoly` is the text of `weilpoly.format_poly`.
 """
@@ -45,6 +46,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import compress
 from operator import attrgetter
 
 __all__ = [
@@ -148,11 +150,12 @@ class _Record:
 
 
 def _json(value):
-    """A field value as JSON: a record by its `to_json`, a tuple as a list
-    and a dict as a new dict, their items converted; anything else as it is."""
+    """A field value as JSON: a record by its `to_json`, a tuple or list as
+    a new list and a dict as a new dict, their items converted; anything
+    else as it is."""
     if isinstance(value, _Record):
         return value.to_json()
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return [_json(v) for v in value]
     if isinstance(value, dict):
         return {key: _json(v) for key, v in value.items()}
@@ -231,24 +234,53 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
+def _sieve(bound: int) -> tuple[int, ...]:
+    """The primes below bound, by the sieve of Eratosthenes."""
+    marks = bytearray([1]) * bound
+    marks[:2] = b"\0\0"
+    for p in range(2, math.isqrt(bound - 1) + 1):
+        if marks[p]:
+            marks[p * p :: p] = bytes(len(range(p * p, bound, p)))
+    return tuple(compress(range(bound), marks))
+
+
+# trial division tries the primes below 2**10, then the odd numbers above them
+_SMALL_PRIMES = _sieve(1 << 10)
+_TRIAL_DIVISORS = (_SMALL_PRIMES, range(_SMALL_PRIMES[-1] + 2, 1 << 20, 2))
+
+
 def prime_factors(n: int) -> dict[int, int]:
-    """Factor |n| by trial division below 2**20; a cofactor left must be a proven prime < 2**64 or its square."""
+    """{prime: exponent} of |n| > 0, in ascending order of the primes.
+
+    Trial division tries the primes below 2**10, from a table sieved once
+    at import, then the odd numbers up to 2**20, and stops once the
+    divisor's square passes the cofactor.  When every divisor has been
+    tried, the cofactor left has no factor below 2**20: it must be a
+    proven prime < 2**64 or the square of one, and any other is refused
+    with a `ValueError`.
+    """
     number = n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        if d > 1 << 20:
-            if (r := math.isqrt(n)) ** 2 == n and r < 1 << 64 and is_prime(r):
-                return out | {r: 2}
-            if n >= 1 << 64 or not is_prime(n):
-                raise ValueError(f"cannot factor {number}: cofactor {n} is not a proven prime")
-            break
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
+    # a loop per run of divisors, not one over their chain, which costs
+    # more per divisor
+    for divisors in _TRIAL_DIVISORS:
+        for d in divisors:
+            if d * d > n:
+                break
+            while n % d == 0:
+                out[d] = out.get(d, 0) + 1
+                n //= d
+        else:
+            continue  # every divisor of the run was tried: on to the next run
+        break  # the divisor's square passed the cofactor
+    else:
+        # every divisor below 2**20 was tried, and none divides the cofactor
+        if (r := math.isqrt(n)) ** 2 == n and r < 1 << 64 and is_prime(r):
+            return out | {r: 2}
+        if n >= 1 << 64 or not is_prime(n):
+            raise ValueError(f"cannot factor {number}: cofactor {n} is not a proven prime")
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
@@ -291,15 +323,16 @@ def square_class(x) -> SquareClass:
     x = Fraction(x)
     if x == 0:
         raise ValueError("0 has no square class")
-    # num/den and num*den differ by the square den^2.
-    return _class_and_primes(x.numerator * x.denominator)[0]
+    # num/den and num*den differ by the square den^2; a product of
+    # distinct primes is squarefree
+    v = x.numerator * x.denominator
+    return _known_class(1 if v > 0 else -1, math.prod(_sqfree_primes(v)))
 
 
-def _class_and_primes(v: int) -> tuple[SquareClass, list[int]]:
-    """(square_class(v), the primes dividing its squarefree part) of a nonzero integer."""
-    odd = [p for p, e in prime_factors(v).items() if e % 2]
-    # a product of distinct primes is squarefree
-    return _known_class(1 if v > 0 else -1, math.prod(odd)), odd
+def _sqfree_primes(v: int) -> list[int]:
+    """The primes of odd exponent in the nonzero integer v, ascending:
+    those dividing the squarefree part of its square class."""
+    return [p for p, e in prime_factors(v).items() if e % 2]
 
 
 def _known_class(sign: int, sqfree: int) -> SquareClass:
@@ -381,7 +414,9 @@ def _hasse_bit(values, p: int | None) -> int:
     At odd p, A X - sum alpha_i chi_i = sum_i chi_i (A - alpha_i), which mod
     2 is the sum of chi_i over the i with alpha_i != A (mod 2).  There chi
     is the character of F_p* with kernel the squares, so that sum is chi of
-    the product of those u_i mod p: one Euler symbol per odd place.
+    the product of those u_i mod p: one Euler symbol per odd place, which
+    `_odd_place_bit` closes with the eps(p) C(A, 2) term.  `qform.invariants`
+    calls it directly, with A and the product read off its factorisations.
     """
     if p is None:
         k = sum(1 for a in values if a < 0)
@@ -404,7 +439,14 @@ def _hasse_bit(values, p: int | None) -> int:
             alpha ^= 1
         A += alpha
         units[alpha] = units[alpha] * a % p
-    chi = pow(units[1 - A % 2], (p - 1) // 2, p) != 1
+    return _odd_place_bit(A, units[1 - A % 2], p)
+
+
+def _odd_place_bit(A: int, u: int, p: int) -> int:
+    """The Hasse bit at an odd prime p, from A, the number of entries of odd
+    valuation there, and u, the product of the units of the entries whose
+    valuation parity differs from A's: chi(u) + eps(p) C(A, 2) (see `_hasse_bit`)."""
+    chi = pow(u, (p - 1) // 2, p) != 1
     return ((p - 1) // 2 * (A * (A - 1) // 2) + chi) % 2
 
 

@@ -40,7 +40,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .arith import _assign, _Record, check_prime
+from .arith import _assign, _json, _Record, check_prime
 from .weilpoly import (
     RatPoly,
     _alternation,
@@ -91,7 +91,7 @@ class CheckResult(_Record):
     __hash__ = None  # it can hold a dict; see `arith._Record`
 
     def to_json(self) -> dict:
-        return {"status": self.status, **self.detail}
+        return {"status": self.status, **_json(self.detail)}
 
 
 class CandidateReport(_Record):

@@ -7,15 +7,22 @@ w = sum_{i<j} (a_i, a_j) at every place, stored sparsely: the map keeps
 only the places with nontrivial bit, all others are implicitly 0.  The
 support is finite (contained in {2, inf} and the primes dividing some
 entry), so equality of Hasse invariants "at every place" is decidable.
-Each place reads w in one pass over the entries (`_hasse_bit`): the number
-of entries with odd valuation there, and at an odd prime one Euler symbol
-of a product of their units.  `invariants` factors each distinct entry
-once and counts the primes of the entries' square classes: those primes,
-with 2 and inf, are the places to read, and the primes of odd count give
-the determinant's squarefree part.  Inside the kernels a place is a plain
-integer (None for inf); a `Place` is built only for a place whose bit is
-1, when the report is assembled, and its prime, found by factoring, is not
-proved prime again.
+At a place, w is read from A, the number of entries of odd valuation
+there, and at an odd prime from one Euler symbol of a product of units.
+`invariants` factors each distinct entry once and represents its square
+class by sign * (its primes of odd exponent).  For each odd prime p of
+those it keeps the list of reps that p divides: the reps are squarefree,
+so that list is exactly the entries of odd valuation at p, A is its
+length, and the unit product is read from it and the product of all reps,
+with no pass over the other entries (`arith._odd_place_bit`).  So the odd
+places cost one step per prime of a rep, not one pass over the entries
+per place.  The places 2 and inf, and the general integer pairs of
+`hilbert` and `complement_invariants`, are read by one pass over the
+entries (`arith._hasse_bit`).  The primes dividing an odd number of reps
+give the determinant's squarefree part.  Inside the kernels a place is a
+plain integer (None for inf); a `Place` is built only for a place whose
+bit is 1, when the report is assembled, and its prime, found by
+factoring, is not proved prime again.
 
 `embedding_criterion` packages the three-part embedding test for a space
 against the invariants of a CM field: determinant matching, even
@@ -28,18 +35,18 @@ its verdict is four-valued rather than boolean.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 
 from .arith import (
     Place,
     SquareClass,
     _assign,
-    _class_and_primes,
     _hasse_bit,
     _known_class,
     _known_place,
+    _odd_place_bit,
     _Record,
+    _sqfree_primes,
     check_prime,
     format_rational,
     square_class,
@@ -136,17 +143,36 @@ def _places(primes) -> tuple[int | None, ...]:
 
 def invariants(space: QuadSpace) -> SpaceInvariants:
     """Dimension, determinant class, signature, and sparse Hasse map of a space."""
-    # num/den and num*den differ by the square den^2; each distinct value is factored once
+    # num/den and num*den differ by the square den^2; each distinct value is
+    # factored once, and its class represented by sign * (its odd-exponent primes)
     values = [e.numerator * e.denominator for e in space.entries]
-    found = {v: _class_and_primes(v) for v in set(values)}
+    odd = {v: _sqfree_primes(v) for v in set(values)}
+    rep = {v: math.prod(primes, start=1 if v > 0 else -1) for v, primes in odd.items()}
+    reps = [rep[v] for v in values]
     # the symbol depends only on square classes, so only primes dividing
-    # some class can carry a nontrivial bit besides 2 and inf; the primes
-    # of odd count divide the product of the classes, the others cancel
-    counts = Counter(p for v in values for p in found[v][1])
-    reps = [found[v][0].representative() for v in values]
-    hasse = {_known_place(p): 1 for p in _places(counts) if _hasse_bit(reps, p)}
+    # some class can carry a nontrivial bit besides 2 and inf.  For each
+    # such p, the reps that p divides: reps are squarefree, so these are
+    # exactly the entries of odd valuation at p
+    divided: dict[int, list[int]] = {}
+    for v, r in zip(values, reps):
+        for p in odd[v]:
+            divided.setdefault(p, []).append(r)
+    total = math.prod(reps)
+    hasse = {}
+    for p in _places(divided):
+        if p is None or p == 2:
+            bit = _hasse_bit(reps, p)
+        else:
+            # u multiplies the units of the entries whose valuation parity
+            # differs from A's: the A reps p divides, each over p, when A is
+            # even, else all the other reps, whose product is total // q
+            A, q = len(divided[p]), math.prod(divided[p])
+            bit = _odd_place_bit(A, total // q if A % 2 else q // p**A, p)
+        if bit:
+            hasse[_known_place(p)] = 1
+    # the primes dividing an odd number of reps divide their product, the others cancel
+    det = _known_class(1 if total > 0 else -1, math.prod(p for p, reps_p in divided.items() if len(reps_p) % 2))
     neg = sum(1 for v in values if v < 0)
-    det = _known_class(-1 if neg % 2 else 1, math.prod(p for p, c in counts.items() if c % 2))
     return SpaceInvariants(space.dim, det, (space.dim - neg, neg), hasse)
 
 
@@ -173,7 +199,7 @@ def complement_invariants(ambient: SpaceInvariants, sub: SpaceInvariants) -> Spa
         raise ValueError("subspace signature does not fit inside the ambient space")
     det = ambient.det * sub.det
     # the primes dividing sub.det or det are those dividing sub.det or ambient.det
-    _, odd = _class_and_primes(math.lcm(sub.det.sqfree, ambient.det.sqfree))
+    odd = _sqfree_primes(math.lcm(sub.det.sqfree, ambient.det.sqfree))
     # the places where exactly one of ambient and sub has bit 1
     flipped = {pl.prime for pl in ambient.hasse} ^ {pl.prime for pl in sub.hasse}
     pair = (sub.det.representative(), det.representative())

@@ -2,7 +2,10 @@
 
 Everything in here is deliberately written from first principles with a
 different algorithm than the code under test: Hilbert symbols by brute-force
-solubility search instead of closed formulas, real root counting by
+solubility search instead of closed formulas (and, at odd primes too large
+for the search, pairwise by Serre's formula on table-read Legendre symbols,
+itself checked against the search at small primes; the code under test
+reads one Euler symbol per place), real root counting by
 Descartes/bisection instead of Sturm chains, the descent of a palindrome
 by the recurrence for T^k + T^-k instead of binomial peeling, factor
 degree patterns by
@@ -43,8 +46,27 @@ def brute_legendre(a: int, p: int) -> int:
     a %= p
     if a == 0:
         return 0
-    squares = {(x * x) % p for x in range(1, p)}
-    return 1 if a in squares else -1
+    return 1 if a in _nonzero_squares(p) else -1
+
+
+@cache
+def _nonzero_squares(p: int) -> frozenset[int]:
+    return frozenset((x * x) % p for x in range(1, p))
+
+
+def naive_prime_factors(n: int) -> dict[int, int]:
+    """{prime: exponent} of |n| > 0, by division by every d = 2, 3, 4, ... while d^2 <= the cofactor."""
+    n = abs(n)
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def squarefree_part(x) -> int:
@@ -120,24 +142,70 @@ def brute_hilbert_bit(a, b, p: int | None) -> int:
     return 1
 
 
+def formula_hilbert_bit(a, b, p: int) -> int:
+    """The bit of (a, b)_p at an odd prime p by Serre's closed formula (III.1, Thm. 1).
+
+    With a = p^alpha u and b = p^beta v, u and v units:
+    (a, b)_p = (-1)^(alpha beta eps(p)) (u|p)^beta (v|p)^alpha, eps(p) = (p - 1)/2,
+    the Legendre symbols read by `brute_legendre`.
+    """
+    (alpha, u), (beta, v) = _split_off(a, p), _split_off(b, p)
+    bit = alpha * beta * ((p - 1) // 2)
+    bit += beta * (brute_legendre(u, p) == -1) + alpha * (brute_legendre(v, p) == -1)
+    return bit % 2
+
+
+def _split_off(x, p: int) -> tuple[int, int]:
+    """(alpha, u) with num * den of the rational x equal to p^alpha u, p not dividing u."""
+    x = Fraction(x)
+    u, alpha = x.numerator * x.denominator, 0
+    while u % p == 0:
+        u //= p
+        alpha += 1
+    return alpha, u
+
+
 @cache
 def class_hilbert_bit(a: int, b: int, p: int | None) -> int:
     """`brute_hilbert_bit` of two squarefree integers, each triple searched once per session."""
     return brute_hilbert_bit(a, b, p)
 
 
-def pairwise_hasse_bit(entries, p: int | None) -> int:
+def pairwise_hasse_bit(entries, p: int | None, symbol=class_hilbert_bit) -> int:
     """Hasse invariant sum_{i<j} (a_i, a_j) of <entries> at a place, by definition.
 
-    Every pairwise symbol comes from `brute_hilbert_bit`; each distinct pair
-    of square classes is searched once (`class_hilbert_bit`).
+    By default every pairwise symbol comes from `brute_hilbert_bit`, each
+    distinct pair of square classes searched once (`class_hilbert_bit`);
+    `symbol=formula_hilbert_bit` reads them by the closed formula at an odd p.
     """
     classes = [squarefree_part(e) for e in entries]
     bit = 0
     for i in range(len(classes)):
         for j in range(i + 1, len(classes)):
-            bit ^= class_hilbert_bit(classes[i], classes[j], p)
+            bit ^= symbol(classes[i], classes[j], p)
     return bit
+
+
+ODD_PRIMES_BELOW_200 = tuple(q for q in range(3, 200, 2) if all(q % d for d in range(3, q, 2)))
+
+
+def space_over_odd_primes(rng, m: int) -> list[Fraction]:
+    """2m seeded nonzero entries built from m + 2 odd primes below 200.
+
+    Each prime of the sample multiplies one numerator, and each entry takes
+    one more of them into its numerator or denominator (so some entries
+    hold a square), with a random sign: the shape of the benchmark's
+    `lattice` spaces.
+    """
+    support = rng.sample(ODD_PRIMES_BELOW_200, m + 2)
+    num, den = [1] * (2 * m), [1] * (2 * m)
+    for j, q in enumerate(support):
+        num[j % (2 * m)] *= q
+    for i in range(2 * m):
+        q = rng.choice(support)
+        # never cancel a prime: q joins the numerator when it is there already
+        (num if num[i] % q == 0 or rng.random() < 0.5 else den)[i] *= q
+    return [Fraction(rng.choice((-1, 1)) * a, b) for a, b in zip(num, den)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exact arithmetic layer: valuations, symbols, square classes, places."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from k3cert.arith import (
     val_p,
 )
 
-from oracles import brute_hilbert_bit, brute_legendre, class_hilbert_bit, squarefree_part
+from oracles import brute_hilbert_bit, brute_legendre, class_hilbert_bit, naive_prime_factors, squarefree_part
 
 nonzero_rationals = st.fractions(
     min_value=-60, max_value=60, max_denominator=60
@@ -114,6 +115,24 @@ def test_prime_factors():
     assert prime_factors(97) == {97: 1}
     with pytest.raises(ValueError, match="cannot factor 0"):
         prime_factors(0)
+
+
+def test_prime_factors_matches_naive_division():
+    for n in range(1, 1 << 16):
+        assert prime_factors(n) == naive_prime_factors(n), n
+    rng = random.Random(1 << 40)
+    for _ in range(100):
+        n = rng.randrange(1, 1 << 40)
+        assert prime_factors(-n) == naive_prime_factors(n), n
+
+
+def test_prime_factors_around_the_end_of_the_prime_table():
+    # 1021 is the largest prime below 2**10, and 1031 and 1033 the first above
+    assert prime_factors(1021**2) == {1021: 2}
+    assert prime_factors(1031**2) == {1031: 2}
+    assert prime_factors(1021 * 1031) == {1021: 1, 1031: 1}
+    assert prime_factors(1031 * 1033) == {1031: 1, 1033: 1}
+    assert prime_factors(1025) == {5: 2, 41: 1}
 
 
 def test_prime_factors_refuses_a_cofactor_it_cannot_prove_prime():

@@ -8,8 +8,9 @@ per request and its report:
     nonsplit witness p1 = 11 for m in {7, 8} and a seeded split table;
   * {"kind": "embedding", "entries", "n", "p1", "split", "report"}: the
     `embedding_criterion` report for a seeded diagonal space of even
-    dimension 2..20 whose entries carry square factors and 2-power and
-    odd denominators.
+    dimension 2..20, first 200 whose entries carry square factors and
+    2-power and odd denominators over the primes up to 17, then 100 over
+    m + 2 odd primes below 200 (`oracles.space_over_odd_primes`).
 
 Regenerate (only when the report contract changes on purpose) with
 `PYTHONPATH=src python tests/test_golden_lattice.py`.
@@ -24,6 +25,8 @@ from k3cert.arith import format_rational, parse_rational, square_class, support_
 from k3cert.k3lattice import verify_lattice
 from k3cert.qform import CMFieldData, QuadSpace, embedding_criterion
 
+from oracles import space_over_odd_primes
+
 CORPUS = Path(__file__).parent / "golden" / "lattice_reports.jsonl"
 
 P1 = 11
@@ -32,6 +35,7 @@ ENTRY_PRIMES = (2, 3, 5, 7, 11, 13, 17)
 SQUARES = (1, 1, 4, 9, 25, 36)
 DENOMINATORS = (1, 1, 2, 4, 8, 3, 9, 5, 12, 7, 20, 27)
 EMBEDDING_CASES = 200
+LARGE_PRIME_CASES = 100
 
 
 def _split_table(rng: random.Random, pool) -> dict[int, bool]:
@@ -61,28 +65,32 @@ def _embedding_requests() -> list[dict]:
     out = []
     for _ in range(EMBEDDING_CASES):
         m = rng.randint(1, 10)
-        entries = [_entry(rng) for _ in range(2 * m)]
-        det = square_class(1)
-        for e in entries:
-            det = det * square_class(e)
-        # half the time, field data whose class of n matches the determinant
-        if det.sign == 1 and rng.random() < 0.5:
-            n = det.sqfree * rng.randint(1, 4) ** 2
-        else:
-            n = rng.randint(1, 60)
-        support = sorted(q for q in support_primes(entries) if q > 2)
-        p1 = rng.choice(support) if support and rng.random() < 0.5 else None
-        pool = [q for q in list(SPLIT_PRIMES) + support if q != p1]
-        out.append(
-            {
-                "kind": "embedding",
-                "entries": [format_rational(e) for e in entries],
-                "n": n,
-                "p1": p1,
-                "split": _split_table(rng, sorted(set(pool))),
-            }
-        )
+        out.append(_embedding_request(rng, [_entry(rng) for _ in range(2 * m)]))
+    rng = random.Random(27182)
+    for _ in range(LARGE_PRIME_CASES):
+        out.append(_embedding_request(rng, space_over_odd_primes(rng, rng.randint(1, 10))))
     return out
+
+
+def _embedding_request(rng: random.Random, entries: list[Fraction]) -> dict:
+    det = square_class(1)
+    for e in entries:
+        det = det * square_class(e)
+    # half the time, field data whose class of n matches the determinant
+    if det.sign == 1 and rng.random() < 0.5:
+        n = det.sqfree * rng.randint(1, 4) ** 2
+    else:
+        n = rng.randint(1, 60)
+    support = sorted(q for q in support_primes(entries) if q > 2)
+    p1 = rng.choice(support) if support and rng.random() < 0.5 else None
+    pool = [q for q in list(SPLIT_PRIMES) + support if q != p1]
+    return {
+        "kind": "embedding",
+        "entries": [format_rational(e) for e in entries],
+        "n": n,
+        "p1": p1,
+        "split": _split_table(rng, sorted(set(pool))),
+    }
 
 
 def _report(request: dict):
@@ -121,7 +129,7 @@ def _corpus() -> list[str]:
 def test_corpus_size():
     kinds = [json.loads(line)["kind"] for line in _corpus()]
     assert kinds.count("verify") == 5 * 40
-    assert kinds.count("embedding") == EMBEDDING_CASES
+    assert kinds.count("embedding") == EMBEDDING_CASES + LARGE_PRIME_CASES
 
 
 def test_reports_match_corpus_bytes():

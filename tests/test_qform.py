@@ -23,7 +23,15 @@ from k3cert.qform import (
     invariants,
 )
 
-from oracles import brute_hilbert_bit, pairwise_hasse_bit
+from oracles import (
+    ODD_PRIMES_BELOW_200,
+    brute_hilbert_bit,
+    class_hilbert_bit,
+    formula_hilbert_bit,
+    pairwise_hasse_bit,
+    space_over_odd_primes,
+    squarefree_part,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +235,40 @@ def test_invariants_hasse_matches_pairwise_oracle_at_prime_powers():
         _assert_det_and_signature(inv, entries)
         for place in (2, p, q, None):
             assert inv.hasse_at(Place(place)) == pairwise_hasse_bit(entries, place), (entries, place)
+
+
+def test_formula_oracle_matches_brute_search():
+    # the closed-formula symbol against the solubility search, at the odd
+    # primes where the search mod p^3 stays small
+    rng = random.Random(62)
+    for p in (3, 5, 7, 11, 13):
+        units = [u for u in range(1, 16) if u % p]
+        for _ in range(120):
+            a, b = (rng.choice((-1, 1)) * p ** rng.randint(0, 3) * rng.choice(units) for _ in range(2))
+            if rng.random() < 0.3:
+                b = Fraction(b, rng.choice(units) * p ** rng.randint(0, 1))
+            brute = class_hilbert_bit(squarefree_part(a), squarefree_part(b), p)
+            assert formula_hilbert_bit(a, b, p) == brute, (a, b, p)
+
+
+def test_invariants_hasse_matches_formula_oracle_over_primes_below_200():
+    # spaces shaped like the benchmark's, over primes the brute-force search
+    # cannot reach: the odd places against the closed-formula pairwise sum
+    rng = random.Random(63)
+    parities = set()
+    for _ in range(200):
+        entries = space_over_odd_primes(rng, rng.randint(1, 10))
+        inv = invariants(QuadSpace(tuple(entries)))
+        _assert_det_and_signature(inv, entries)
+        support = [q for q in ODD_PRIMES_BELOW_200 if any(e.numerator * e.denominator % q == 0 for e in entries)]
+        for p in support:
+            # A, the number of entries of odd valuation at p
+            parities.add(sum(1 for e in entries if squarefree_part(e) % p == 0) % 2)
+            assert inv.hasse_at(Place(p)) == pairwise_hasse_bit(entries, p, formula_hilbert_bit), (entries, p)
+        for place in (2, None):
+            assert inv.hasse_at(Place(place)) == pairwise_hasse_bit(entries, place), (entries, place)
+        assert {pl.prime for pl in inv.hasse} <= {2, None, *support}, entries
+    assert parities == {0, 1}
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from k3cert.arith import Place, SquareClass
-from k3cert.condition import CandidateReport, CheckResult, FeasibilityVerdict, feasibility
+from k3cert.condition import CandidateReport, CheckResult, FeasibilityVerdict, check_candidate, feasibility
 from k3cert.k3lattice import LatticeReport, LatticeSpec, NoMinusTwoCertificate
 from k3cert.qform import (
     CMFieldData,
@@ -20,7 +20,7 @@ from k3cert.qform import (
     QuadSpace,
     SpaceInvariants,
 )
-from k3cert.weilpoly import IrreducibilityCertificate, NewtonPolygon, RatPoly, format_poly
+from k3cert.weilpoly import IrreducibilityCertificate, NewtonPolygon, RatPoly, format_poly, parse_poly
 
 POLYGON = NewtonPolygon(((Fraction(-1, 2), 2), (Fraction(0), 2), (Fraction(1, 2), 2)))
 CHECK = CheckResult("pass", {"e": 1})
@@ -198,15 +198,27 @@ def test_record_contract(cls, fields, change, hashable):
         assert type(clone) is cls and clone == record
 
 
+def _parts(value) -> list:
+    """value and everything in it, through dicts, lists, tuples and records."""
+    if isinstance(value, dict):
+        inner = value.values()
+    elif isinstance(value, (list, tuple)):
+        inner = value
+    elif hasattr(type(value), "_values"):  # a record
+        inner = value._values(value)
+    else:
+        inner = ()
+    return [value] + [part for v in inner for part in _parts(v)]
+
+
 def _dicts(value) -> list:
     """The dicts in value, itself included, through lists, tuples and records."""
-    if isinstance(value, dict):
-        return [value] + [d for v in value.values() for d in _dicts(v)]
-    if isinstance(value, (list, tuple)):
-        return [d for v in value for d in _dicts(v)]
-    if hasattr(type(value), "_values"):  # a record
-        return [d for v in value._values(value) for d in _dicts(v)]
-    return []
+    return [part for part in _parts(value) if isinstance(part, dict)]
+
+
+def _mutables(value) -> list:
+    """The dicts and lists in value, itself included, through lists, tuples and records."""
+    return [part for part in _parts(value) if isinstance(part, (dict, list))]
 
 
 def test_one_hash_rule_for_every_record_class():
@@ -398,10 +410,10 @@ def _assert_json(record, expected) -> None:
     # == tells a list from a tuple; the dump pins the order of the keys
     assert doc == expected
     assert json.dumps(doc) == json.dumps(expected)
-    # no dict of the document is one the record holds, so editing the
-    # document cannot change the record
-    held = {id(d) for d in _dicts(record)}
-    assert not [d for d in _dicts(doc) if id(d) in held]
+    # no dict or list of the document is one the record holds, so editing
+    # the document cannot change the record
+    held = {id(part) for part in _mutables(record)}
+    assert not [part for part in _mutables(doc) if id(part) in held]
 
 
 def test_every_record_json_literally():
@@ -412,6 +424,13 @@ def test_every_record_json_literally():
     for record, expected in EXTRA_JSON:
         _assert_json(record, expected)
 
+
+
+def test_editing_a_report_document_leaves_the_report():
+    report = check_candidate(parse_poly("1,1/7,1,1/7,1"), 7)
+    doc = report.to_json()
+    doc["checks"]["slope_profile"]["segments"].append(["9", 9])
+    assert report == check_candidate(parse_poly("1,1/7,1,1/7,1"), 7)
 
 
 def test_polynomial_json_is_its_text():
