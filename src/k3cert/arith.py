@@ -14,17 +14,22 @@ Q at v.
 
 The package's records (`SquareClass`, `Place`, the polynomial, report and
 lattice records of the other modules) derive from `_Record`: immutable
-value classes that declare their fields as `__slots__`.  A record that
-checks and normalises nothing declares only its slots (and, in `_defaults`,
-the default values of its last fields): `_Record` gives it an `__init__`
-whose parameters are the slots, in order, and which stores each argument
-with `_assign`.  That `__init__` is compiled once, when the class is made,
-as `collections.namedtuple` compiles its `__new__`, so it has real
-parameter names, Python's own `TypeError`s and the speed of a hand-written
-one.  Compiling it costs 0.05 ms for two fields and 0.12 ms for eight
-(Python 3.11, 2-CPU VM), about 0.7 ms for all eight such records.  A
-record that checks or copies its arguments writes its own `__init__`,
-which stores them with `_assign`.
+value classes that declare their fields as `__slots__`.  `_Record` owns
+the writing of their fields: when a class is made, one `exec` compiles two
+functions whose parameters are its slots, in order, as
+`collections.namedtuple` compiles its `__new__`.  `_store(self, ...)`
+stores each argument in its slot; `_trusted(...)`, a classmethod, builds a
+record from its fields without calling `__init__`.  A record that checks
+and normalises nothing declares only its slots (and, in `_defaults`, the
+default values of its last fields), and `_store` is its `__init__`, with
+real parameter names, Python's own `TypeError`s and the speed of a
+hand-written one.  A record that checks or copies its arguments writes its
+own `__init__`, which ends in one `self._store(...)`; a caller that has
+proved what that `__init__` would check, say a prime it found by
+factoring, builds the record with `_trusted`.  No other code writes a
+slot.  Compiling the two functions costs about 0.07 ms for two fields and
+0.18 ms for eight, 1.7 ms for all sixteen record classes (Python 3.11,
+2-CPU VM).
 `_Record` reads the fields in slot order through one `operator.attrgetter`
 and gives field-wise `==` and `hash`, the repr `Name(field=value, ...)`,
 pickling by constructor call, and an `AttributeError` on any assignment
@@ -97,10 +102,6 @@ class _Infinity:
 
 INF = _Infinity()
 
-# stores a field of a `_Record`, whose own __setattr__ refuses every assignment
-_assign = object.__setattr__
-
-
 class _Record:
     """Base of the immutable records; a subclass names its fields in `__slots__`."""
 
@@ -114,14 +115,25 @@ class _Record:
         get = attrgetter(*fields)
         # the field values as a tuple, also for a single field
         cls._values = staticmethod(get if len(fields) > 1 else lambda self: (get(self),))
-        if "__init__" not in cls.__dict__:
-            stores = "".join(f"\n    _assign(self, {name!r}, {name})" for name in fields)
-            namespace = {"_assign": _assign}
-            exec(f"def __init__(self, {', '.join(fields)}):{stores}", namespace)
-            init = cls.__init__ = namespace["__init__"]
-            init.__defaults__ = cls._defaults
-            init.__qualname__ = f"{cls.__qualname__}.__init__"
-            init.__module__ = cls.__module__
+        # the only code that writes a record's slots; its own __setattr__
+        # refuses every assignment
+        names = ", ".join(fields)
+        stores = "".join(f"\n    _assign(self, {name!r}, {name})" for name in fields)
+        namespace = {"_assign": object.__setattr__, "_new": object.__new__}
+        exec(
+            f"def _store(self, {names}):{stores}\n"
+            f"def _trusted(cls, {names}):\n    self = _new(cls){stores}\n    return self",
+            namespace,
+        )
+        store, trusted = namespace["_store"], namespace["_trusted"]
+        plain = "__init__" not in cls.__dict__
+        store.__qualname__ = f"{cls.__qualname__}.{'__init__' if plain else '_store'}"
+        trusted.__qualname__ = f"{cls.__qualname__}._trusted"
+        store.__module__ = trusted.__module__ = cls.__module__
+        if plain:
+            store.__defaults__ = cls._defaults
+            cls.__init__ = store
+        cls._store, cls._trusted = store, classmethod(trusted)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -298,13 +310,12 @@ class SquareClass(_Record):
             raise ValueError("squarefree part must be positive")
         if sqfree > 1 and any(e > 1 for e in prime_factors(sqfree).values()):
             raise ValueError(f"{sqfree} is not squarefree")
-        _assign(self, "sign", sign)
-        _assign(self, "sqfree", sqfree)
+        self._store(sign, sqfree)
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         g = math.gcd(self.sqfree, other.sqfree)
         # (a/g)(b/g) is squarefree for squarefree a and b
-        return _known_class(self.sign * other.sign, (self.sqfree // g) * (other.sqfree // g))
+        return SquareClass._trusted(self.sign * other.sign, (self.sqfree // g) * (other.sqfree // g))
 
     @property
     def is_trivial(self) -> bool:
@@ -326,22 +337,13 @@ def square_class(x) -> SquareClass:
     # num/den and num*den differ by the square den^2; a product of
     # distinct primes is squarefree
     v = x.numerator * x.denominator
-    return _known_class(1 if v > 0 else -1, math.prod(_sqfree_primes(v)))
+    return SquareClass._trusted(1 if v > 0 else -1, math.prod(_sqfree_primes(v)))
 
 
 def _sqfree_primes(v: int) -> list[int]:
     """The primes of odd exponent in the nonzero integer v, ascending:
     those dividing the squarefree part of its square class."""
     return [p for p, e in prime_factors(v).items() if e % 2]
-
-
-def _known_class(sign: int, sqfree: int) -> SquareClass:
-    """SquareClass(sign, sqfree) without `__init__`'s factoring check,
-    for a sqfree the caller has proved squarefree."""
-    out = object.__new__(SquareClass)
-    _assign(out, "sign", sign)
-    _assign(out, "sqfree", sqfree)
-    return out
 
 
 class Place(_Record):
@@ -352,7 +354,7 @@ class Place(_Record):
     def __init__(self, prime: int | None = None) -> None:
         if prime is not None:
             check_prime(prime)
-        _assign(self, "prime", prime)
+        self._store(prime)
 
     @classmethod
     def finite(cls, p: int) -> "Place":
@@ -385,14 +387,6 @@ class Place(_Record):
 
 
 INFINITE_PLACE = Place(None)
-
-
-def _known_place(p: int | None) -> Place:
-    """Place(p) without `__init__`'s primality proof, for a p the caller
-    has proved prime, say by finding it with `prime_factors`."""
-    out = object.__new__(Place)
-    _assign(out, "prime", p)
-    return out
 
 
 def _hasse_bit(values, p: int | None) -> int:

@@ -40,7 +40,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .arith import _assign, _json, _Record, check_prime
+from .arith import _json, _Record, check_prime
 from .weilpoly import (
     RatPoly,
     _alternation,
@@ -147,8 +147,8 @@ def _check_candidate(
 
     The six checks read the fields of that one analysis: the slope
     profile its h and a, and the local check its local, the slope of R's
-    local factor in lowest terms and its length, which passes when the
-    length is the slope's denominator."""
+    local factor in lowest terms and its length, and its verdict
+    local_irreducible, which `kronecker_certificate` reads too."""
     m = (len(f) - 1) // 2
     # r has the roots of L, each once; e is None unless L = R^e for
     # R = r / r(0).
@@ -157,7 +157,7 @@ def _check_candidate(
     local = CheckResult("fail", {"reason": "negative part is empty or splits by slope"})
     if analysis.local is not None:
         rise, run, length = analysis.local
-        local = _result(run == length, {"slope": f"{rise}/{run}", "length": length})
+        local = _result(analysis.local_irreducible, {"slope": f"{rise}/{run}", "length": length})
     cyc, offending = analysis.cyc, analysis.offending
     checks = {
         "unit_circle": _result(analysis.on_circle, {"squarefree_degree": len(analysis.r) - 1}),
@@ -316,9 +316,7 @@ def _mirrored(f: list[int], q: int) -> RatPoly:
     coefficients are Fractions and the last is 1, so the constructor's
     normalisation is skipped."""
     half = [Fraction(c, q) for c in f[: len(f) // 2 + 1]]
-    out = object.__new__(RatPoly)
-    _assign(out, "coeffs", tuple(half + half[-2::-1]))
-    return out
+    return RatPoly._trusted(tuple(half + half[-2::-1]))
 
 
 def _search(

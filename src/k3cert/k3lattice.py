@@ -17,7 +17,7 @@ represents 2 but not -2.
 
 from __future__ import annotations
 
-from .arith import INFINITE_PLACE, SquareClass, _assign, _known_place, _Record, companion_prime, square_class
+from .arith import INFINITE_PLACE, Place, SquareClass, _Record, companion_prime, square_class
 from .qform import (
     CMFieldData,
     QuadSpace,
@@ -54,7 +54,7 @@ class LatticeSpec(_Record):
                 raise ValueError(f"diagonal block {b!r} must be a nonzero even integer")
         if not blocks:
             raise ValueError("lattice needs at least one block")
-        _assign(self, "blocks", blocks)
+        self._store(blocks)
 
     @property
     def rank(self) -> int:
@@ -75,7 +75,7 @@ def k3_ambient_invariants() -> SpaceInvariants:
         dim=K3_RANK,
         det=SquareClass(-1, 1),
         signature=(3, 19),
-        hasse={_known_place(2): 1, INFINITE_PLACE: 1},
+        hasse={Place._trusted(2): 1, INFINITE_PLACE: 1},
     )
 
 

@@ -40,10 +40,7 @@ from fractions import Fraction
 from .arith import (
     Place,
     SquareClass,
-    _assign,
     _hasse_bit,
-    _known_class,
-    _known_place,
     _odd_place_bit,
     _Record,
     _sqfree_primes,
@@ -79,7 +76,7 @@ class QuadSpace(_Record):
             raise ValueError("a quadratic space needs at least one entry")
         if not all(es):
             raise ValueError("diagonal entries must be nonzero")
-        _assign(self, "entries", es)
+        self._store(es)
 
     @classmethod
     def of(cls, *entries) -> "QuadSpace":
@@ -114,10 +111,7 @@ class SpaceInvariants(_Record):
             raise ValueError("signature must sum to the dimension")
         if any(bit != 1 for bit in hasse.values()):
             raise ValueError("stored Hasse bits must be 1 (zeros are implicit)")
-        _assign(self, "dim", dim)
-        _assign(self, "det", det)
-        _assign(self, "signature", signature)
-        _assign(self, "hasse", hasse)
+        self._store(dim, det, signature, hasse)
 
     def hasse_at(self, place: Place) -> int:
         return self.hasse.get(place, 0)
@@ -169,9 +163,9 @@ def invariants(space: QuadSpace) -> SpaceInvariants:
             A, q = len(divided[p]), math.prod(divided[p])
             bit = _odd_place_bit(A, total // q if A % 2 else q // p**A, p)
         if bit:
-            hasse[_known_place(p)] = 1
+            hasse[Place._trusted(p)] = 1
     # the primes dividing an odd number of reps divide their product, the others cancel
-    det = _known_class(1 if total > 0 else -1, math.prod(p for p, reps_p in divided.items() if len(reps_p) % 2))
+    det = SquareClass._trusted(1 if total > 0 else -1, math.prod(p for p, reps_p in divided.items() if len(reps_p) % 2))
     neg = sum(1 for v in values if v < 0)
     return SpaceInvariants(space.dim, det, (space.dim - neg, neg), hasse)
 
@@ -203,7 +197,7 @@ def complement_invariants(ambient: SpaceInvariants, sub: SpaceInvariants) -> Spa
     # the places where exactly one of ambient and sub has bit 1
     flipped = {pl.prime for pl in ambient.hasse} ^ {pl.prime for pl in sub.hasse}
     pair = (sub.det.representative(), det.representative())
-    hasse = {_known_place(v): 1 for v in _places({*odd, *flipped}) if (v in flipped) ^ _hasse_bit(pair, v)}
+    hasse = {Place._trusted(v): 1 for v in _places({*odd, *flipped}) if (v in flipped) ^ _hasse_bit(pair, v)}
     return SpaceInvariants(ambient.dim - sub.dim, det, (pos, neg), hasse)
 
 
@@ -235,12 +229,11 @@ class CMFieldData(_Record):
                 raise ValueError("nonsplit witness must be odd")
             if split_table.get(nonsplit_witness) is True:
                 raise ValueError(f"prime {nonsplit_witness} cannot be both split and a nonsplit witness")
-        for q in split_table:
+        for q, split in split_table.items():
             check_prime(q)
-        _assign(self, "degree", degree)
-        _assign(self, "n", n)
-        _assign(self, "nonsplit_witness", nonsplit_witness)
-        _assign(self, "split_table", split_table)
+            if not isinstance(split, bool):
+                raise ValueError(f"split status of prime {q} must be True or False, got {split!r}")
+        self._store(degree, n, nonsplit_witness, split_table)
 
     @classmethod
     def from_m(

@@ -115,7 +115,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import _assign, _int_val, _Record, check_prime, format_rational, parse_rational, prime_factors
+from .arith import _int_val, _Record, check_prime, format_rational, parse_rational, prime_factors
 
 __all__ = [
     "IrreducibilityCertificate",
@@ -149,7 +149,7 @@ class RatPoly(_Record):
         cs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
-        _assign(self, "coeffs", cs)
+        self._store(cs)
 
     @classmethod
     def of(cls, *coeffs) -> "RatPoly":
@@ -737,7 +737,7 @@ class NewtonPolygon(_Record):
                 raise ValueError("polygon slopes must be strictly increasing")
         if any(l < 1 for _, l in segments):
             raise ValueError("polygon lengths must be positive")
-        _assign(self, "segments", segments)
+        self._store(segments)
 
     @property
     def total_length(self) -> int:
@@ -814,9 +814,7 @@ def _polygon(segs: list[tuple[int, int]]) -> NewtonPolygon:
     """The `NewtonPolygon` of the integer segments (rise, run) of a hull,
     whose slopes increase strictly and whose runs are positive, so the
     constructor's checks are skipped."""
-    out = object.__new__(NewtonPolygon)
-    _assign(out, "segments", tuple((Fraction(rise, run), run) for rise, run in segs))
-    return out
+    return NewtonPolygon._trusted(tuple((Fraction(rise, run), run) for rise, run in segs))
 
 
 def squarefree_decompose(L: RatPoly) -> tuple[RatPoly, int] | None:
@@ -941,7 +939,7 @@ class IrreducibilityCertificate(_Record):
 
 
 # What `_analyse` reads off a candidate; see there.
-_Analysis = namedtuple("_Analysis", "polygon h a local r e on_circle cyc offending")
+_Analysis = namedtuple("_Analysis", "polygon h a local local_irreducible r e on_circle cyc offending")
 
 
 def _analyse(
@@ -959,6 +957,11 @@ def _analyse(
                  factor in lowest terms and its length, as R's polygon is
                  L's with every run divided by e; None when the negative
                  part is empty or splits by slope, or e is None
+      local_irreducible
+                 whether local is set and that factor is irreducible over
+                 Q_p, that is its length is its slope's denominator, or
+                 g = e; `check_candidate` and `kronecker_certificate` both
+                 read it
       r, e       as in `_squarefree_power_ints`
       on_circle  whether every root of L lies on the unit circle
       cyc        the smallest k with Phi_k dividing L, or None
@@ -1001,6 +1004,7 @@ def _analyse(
         on_circle = len(rest) == 1 or _unit_circle_ints(rest)
         cyc = _cyclotomic_index_ints(r, flat)
     h = a = local = None
+    local_irreducible = False
     # the slopes increase, so the negative segments come first
     if segs and segs[0][0] < 0 and (len(segs) == 1 or segs[1][0] >= 0):
         rise, run = segs[0]
@@ -1010,7 +1014,8 @@ def _analyse(
         if e is not None:
             gcd = math.gcd(rise, run)
             local = rise // gcd, run // gcd, run // e
-    return _Analysis(_polygon(segs), h, a, local, r, e, on_circle, cyc, _off_p_indices(f, f[0], p))
+            local_irreducible = gcd == e
+    return _Analysis(_polygon(segs), h, a, local, local_irreducible, r, e, on_circle, cyc, _off_p_indices(f, f[0], p))
 
 
 def kronecker_certificate(R: RatPoly, p: int) -> IrreducibilityCertificate:
@@ -1034,7 +1039,7 @@ def kronecker_certificate(R: RatPoly, p: int) -> IrreducibilityCertificate:
     if analysis.e != 1:
         raise ValueError("certificate needs a squarefree polynomial")
     detail: dict = {"segments": analysis.polygon.to_json()}
-    pure = analysis.h is not None and analysis.local[1] == analysis.h
+    pure = analysis.h is not None and analysis.local_irreducible
     if analysis.h is not None:
         detail.update({"h": analysis.h, "a": analysis.a if pure else None})
     if analysis.cyc is not None:

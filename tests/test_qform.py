@@ -361,6 +361,15 @@ def test_fielddata_validation():
         CMFieldData.from_m(2, 15, split_table={4: False})
 
 
+def test_fielddata_split_values_must_be_bools():
+    # 1 == True, so a table {2: 1} would compare equal to {2: True} while
+    # `split_status` and the JSON read it as something else
+    for value in (1, 0, None, "true"):
+        with pytest.raises(ValueError, match="prime 2 must be True or False"):
+            CMFieldData.from_m(10, 3, None, {2: value})
+    assert CMFieldData.from_m(10, 3, None, {2: True}).split_status(2) is True
+
+
 def test_fielddata_split_status():
     fd = CMFieldData.from_m(2, 15, nonsplit_witness=3, split_table={5: True, 7: False})
     assert fd.split_status(3) is False

@@ -2,11 +2,13 @@
 keyword and default, equality, hashing, repr, immutability, pickling and
 JSON."""
 
+import ast
 import copy
 import inspect
 import json
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -437,3 +439,43 @@ def test_polynomial_json_is_its_text():
     for poly in (RatPoly((Fraction(1), Fraction(1, 7), Fraction(1))), RatPoly.of(0, -3, Fraction(5, 2)), RatPoly(())):
         assert poly.to_json() == format_poly(poly)
     assert RatPoly.of(1, Fraction(1, 7), 1).to_json() == "1,1/7,1"
+
+
+@pytest.mark.parametrize("cls, fields", [r[:2] for r in RECORDS], ids=[r[0].__name__ for r in RECORDS])
+def test_trusted_construction_equals_the_constructor(cls, fields):
+    trusted, record = cls._trusted(*fields.values()), cls(**fields)
+    assert type(trusted) is cls and trusted == record
+    assert repr(trusted) == repr(record)
+    assert json.dumps(trusted.to_json()) == json.dumps(record.to_json())
+    clone = pickle.loads(pickle.dumps(trusted))
+    assert type(clone) is cls and clone == record
+
+
+def test_trusted_construction_runs_no_check():
+    # the callers of `_trusted` have proved what the constructor would check
+    assert SquareClass._trusted(1, 4).sqfree == 4
+    assert Place._trusted(4).prime == 4
+    assert NewtonPolygon._trusted(((Fraction(1), 1), (Fraction(0), 1))).total_length == 2
+    assert RatPoly._trusted((Fraction(1), Fraction(0))).coeffs == (Fraction(1), Fraction(0))
+    with pytest.raises(ValueError):
+        SquareClass(1, 4)
+
+
+def _references(path: Path) -> set[str]:
+    """The names a module uses: bare, imported, and as name.attribute."""
+    nodes = list(ast.walk(ast.parse(path.read_text(), filename=str(path))))
+    return (
+        {n.id for n in nodes if isinstance(n, ast.Name)}
+        | {n.name for n in nodes if isinstance(n, ast.alias)}
+        | {f"{n.value.id}.{n.attr}" for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)}
+    )
+
+
+def test_only_arith_writes_record_slots():
+    # `_Record.__init_subclass__` compiles the only code that stores fields:
+    # every other module builds a record through its class
+    writers = {"_assign", "arith._assign", "object.__new__", "object.__setattr__"}
+    modules = {path.name: _references(path) for path in (Path(__file__).parent.parent / "src" / "k3cert").glob("*.py")}
+    assert len(modules) >= 6 and {"object.__new__", "object.__setattr__"} <= modules.pop("arith.py")
+    for name, references in modules.items():
+        assert not references & writers, name
