@@ -17,6 +17,8 @@ represents 2 but not -2.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .arith import INFINITE_PLACE, Place, SquareClass, _Record, companion_prime, square_class
 from .qform import (
     CMFieldData,
@@ -58,12 +60,13 @@ class LatticeSpec(_Record):
 
     @property
     def rank(self) -> int:
-        return sum(2 if b == "U" else 1 for b in self.blocks)
+        return len(self.blocks) + self.blocks.count("U")  # U has rank 2
 
     @property
     def signature(self) -> tuple[int, int]:
-        pos = sum(1 for b in self.blocks if b == "U" or b > 0)  # U has signature (1, 1)
-        return (pos, self.rank - pos)
+        # U has signature (1, 1), <d> the sign of d
+        neg = self.blocks.count("U") + sum(1 for b in self.blocks if b != "U" and b < 0)
+        return (self.rank - neg, neg)
 
     def to_json(self) -> dict:
         return {"blocks": [b if b == "U" else {"diag": b} for b in self.blocks]}
@@ -77,6 +80,11 @@ def k3_ambient_invariants() -> SpaceInvariants:
         signature=(3, 19),
         hasse={Place._trusted(2): 1, INFINITE_PLACE: 1},
     )
+
+
+# `verify_lattice` only reads it; `k3_ambient_invariants` hands each caller
+# a record of its own, whose hasse dict the caller may change
+_K3_AMBIENT = k3_ambient_invariants()
 
 
 def build_picard_lattice(m: int, fielddata: CMFieldData) -> LatticeSpec:
@@ -115,20 +123,22 @@ def build_picard_lattice(m: int, fielddata: CMFieldData) -> LatticeSpec:
     return spec
 
 
+_U_ENTRIES = (Fraction(1), Fraction(-1))
+
+
 def rationalize(spec: LatticeSpec) -> QuadSpace:
     """The rational quadratic space of a lattice, entries reduced modulo squares.
 
     U diagonalizes to <1, -1> over Q; a block <d> keeps its square class,
-    e.g. <-4n> becomes <-n>.
+    e.g. <-4n> becomes <-n>.  Each distinct block is reduced once and its
+    entry, one `Fraction`, is shared by every copy of the block; the two
+    entries of U are made once, at import.  The space is built with
+    `QuadSpace._trusted`: the representative of a square class is a
+    nonzero integer, so every entry is already a nonzero `Fraction`.
     """
-    reps = {b: square_class(b).representative() for b in set(spec.blocks) - {"U"}}
-    entries: list[int] = []
-    for b in spec.blocks:
-        if b == "U":
-            entries.extend((1, -1))
-        else:
-            entries.append(reps[b])
-    return QuadSpace.of(*entries)
+    entries = {b: (Fraction(square_class(b).representative()),) for b in set(spec.blocks) - {"U"}}
+    entries["U"] = _U_ENTRIES
+    return QuadSpace._trusted(tuple(e for b in spec.blocks for e in entries[b]))
 
 
 class NoMinusTwoCertificate(_Record):
@@ -201,7 +211,7 @@ def verify_lattice(m: int, fielddata: CMFieldData) -> LatticeReport:
     spec = build_picard_lattice(m, fielddata)
     space = rationalize(spec)
     picard_inv = invariants(space)
-    t_inv = complement_invariants(k3_ambient_invariants(), picard_inv)
+    t_inv = complement_invariants(_K3_AMBIENT, picard_inv)
     embedding = embedding_from_invariants(t_inv, fielddata)
     # <2> + <-8n> represents 2 but not -2, which is what the surface-side
     # argument needs in place of U.

@@ -22,7 +22,10 @@ entries (`arith._hasse_bit`).  The primes dividing an odd number of reps
 give the determinant's squarefree part.  Inside the kernels a place is a
 plain integer (None for inf); a `Place` is built only for a place whose
 bit is 1, when the report is assembled, and its prime, found by
-factoring, is not proved prime again.
+factoring, is not proved prime again.  `invariants` and
+`complement_invariants` build their `SpaceInvariants` with `_trusted`, not
+through its checks: the dimension is positive, the signature counts each
+entry once and every stored Hasse bit is 1 by construction.
 
 `embedding_criterion` packages the three-part embedding test for a space
 against the invariants of a CM field: determinant matching, even
@@ -167,7 +170,10 @@ def invariants(space: QuadSpace) -> SpaceInvariants:
     # the primes dividing an odd number of reps divide their product, the others cancel
     det = SquareClass._trusted(1 if total > 0 else -1, math.prod(p for p, reps_p in divided.items() if len(reps_p) % 2))
     neg = sum(1 for v in values if v < 0)
-    return SpaceInvariants(space.dim, det, (space.dim - neg, neg), hasse)
+    # what `SpaceInvariants` checks holds by construction: a space has at
+    # least one entry, the signature counts each entry once, and hasse is
+    # a new dict of 1s
+    return SpaceInvariants._trusted(space.dim, det, (space.dim - neg, neg), hasse)
 
 
 def hyperbolic(m: int) -> QuadSpace:
@@ -198,7 +204,10 @@ def complement_invariants(ambient: SpaceInvariants, sub: SpaceInvariants) -> Spa
     flipped = {pl.prime for pl in ambient.hasse} ^ {pl.prime for pl in sub.hasse}
     pair = (sub.det.representative(), det.representative())
     hasse = {Place._trusted(v): 1 for v in _places({*odd, *flipped}) if (v in flipped) ^ _hasse_bit(pair, v)}
-    return SpaceInvariants(ambient.dim - sub.dim, det, (pos, neg), hasse)
+    # the dimension is positive (checked above), pos + neg is the difference
+    # of two signatures that sum to their dimensions, and hasse is a new
+    # dict of 1s: what `SpaceInvariants` checks holds by construction
+    return SpaceInvariants._trusted(ambient.dim - sub.dim, det, (pos, neg), hasse)
 
 
 class CMFieldData(_Record):
@@ -219,6 +228,9 @@ class CMFieldData(_Record):
         self, degree: int, n: int, nonsplit_witness: int | None = None, split_table: dict[int, bool] | None = None
     ) -> None:
         split_table = dict(split_table or ())
+        for name, value in (("degree", degree), ("n", n)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if degree < 2 or degree % 2 != 0:
             raise ValueError("degree must be a positive even integer")
         if n < 1:

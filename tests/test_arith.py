@@ -216,6 +216,27 @@ def test_square_class_validation():
         square_class(0)
 
 
+def test_square_class_of_an_int_matches_the_oracle():
+    # an int goes straight to its factorisation, without a Fraction
+    for n in range(1, 1 << 12):
+        assert square_class(n).representative() == squarefree_part(n), n
+        assert square_class(-n).representative() == squarefree_part(-n), -n
+    rng = random.Random(1 << 12)
+    for _ in range(60):
+        n = rng.randrange(1, 1 << 40) * rng.choice((-1, 1))
+        assert square_class(n).representative() == squarefree_part(n), n
+        assert square_class(n) == square_class(Fraction(n))
+
+
+def test_square_class_of_other_inputs_keeps_the_rational_path():
+    assert square_class(True) == square_class(1)
+    for zero in (0, Fraction(0), False):
+        with pytest.raises(ValueError, match="0 has no square class"):
+            square_class(zero)
+    with pytest.raises(TypeError):
+        square_class(None)
+
+
 def test_square_class_product_is_not_factored_again(monkeypatch):
     # (a/g)(b/g) is squarefree for squarefree a and b; two primes above 2**20
     # multiply to a number that trial division to 2**20 cannot factor

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from k3cert.arith import format_rational, parse_rational, square_class, support_primes
 from k3cert.k3lattice import verify_lattice
-from k3cert.qform import CMFieldData, QuadSpace, embedding_criterion
+from k3cert.qform import CMFieldData, QuadSpace, embedding_criterion, invariants
 
 from oracles import space_over_odd_primes
 
@@ -135,6 +135,27 @@ def test_corpus_size():
 def test_reports_match_corpus_bytes():
     for line in _corpus():
         assert _line(_request(json.loads(line))) == line
+
+
+def _rebuilt(record):
+    """The record built again by its checking constructor, from its fields."""
+    return type(record)(*(getattr(record, name) for name in record.__slots__))
+
+
+def test_trusted_builds_equal_the_constructor():
+    # invariants, complement_invariants and rationalize skip the
+    # constructors' checks; what they build must pass them unchanged.  The
+    # reprs also compare the types, say of a Fraction entry and an equal int
+    for line in _corpus():
+        request = _request(json.loads(line))
+        if request["kind"] == "verify":
+            report = _report(request)
+            spaces = (report.picard_invariants, report.transcendental_invariants, report.rational_space)
+        else:
+            spaces = (invariants(QuadSpace(tuple(parse_rational(e) for e in request["entries"]))),)
+        for record in spaces:
+            rebuilt = _rebuilt(record)
+            assert rebuilt == record and repr(rebuilt) == repr(record)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import k3cert.k3lattice as k3lattice
-from k3cert.arith import SquareClass, companion_prime, legendre, square_class
+from k3cert.arith import Place, SquareClass, companion_prime, legendre, square_class
 from k3cert.k3lattice import (
     K3_RANK,
     LatticeSpec,
@@ -73,6 +73,15 @@ def test_ambient_shape():
     assert inv.det == SquareClass(-1, 1)
     assert inv.signature == (3, 19)
     assert sorted(str(v) for v in inv.hasse) == ["2", "inf"]
+
+
+def test_changing_an_ambient_record_leaves_verify_lattice_unchanged():
+    # verify_lattice reads a record of its own, built once at import
+    fd = fielddata(9, 3)
+    before = verify_lattice(9, fd)
+    k3_ambient_invariants().hasse.clear()
+    assert verify_lattice(9, fd) == before
+    assert k3_ambient_invariants().hasse_support == (Place.finite(2), Place.infinite())
 
 
 # ---------------------------------------------------------------------------

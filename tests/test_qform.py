@@ -348,6 +348,17 @@ def test_fielddata_from_m_derives_square_flag():
     assert CMFieldData.from_m(3, 9).disc_is_square is True
 
 
+def test_fielddata_n_and_degree_must_be_ints():
+    # refused at construction: a bool passes `n >= 1`, and a float would fail only inside the case table
+    for call, value in (
+        (lambda: CMFieldData.from_m(6, True), "True"),
+        (lambda: CMFieldData.from_m(6, 5.0), "5.0"),
+        (lambda: CMFieldData(12.0, 5), "12.0"),
+    ):
+        with pytest.raises(ValueError, match=f"must be an integer, got {value}"):
+            call()
+
+
 def test_fielddata_validation():
     with pytest.raises(ValueError):
         CMFieldData(3, 1)  # odd degree
