@@ -98,10 +98,10 @@ def _report_lines(report) -> list[str]:
 
 
 def _cmd_construct(args) -> tuple[dict, dict, list[str]]:
-    from .condition import _witness
+    from .condition import construct_witness
     from .weilpoly import format_poly
 
-    L, report = _witness(args.p, args.m, args.h, args.a_start)
+    L, report = construct_witness(args.p, args.m, args.h, args.a_start)
     inputs = {"p": args.p, "m": args.m, "h": args.h, "a_start": args.a_start}
     result = {"coefficients": format_poly(L), "report": report.to_json()}
     text = [f"coefficients: {format_poly(L)}"] + _report_lines(report)

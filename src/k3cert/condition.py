@@ -29,9 +29,10 @@ in Z[T] on p^a times the perturbed seed and its transform, and the six
 checks read that integer transform directly; the returned witness is the
 only `RatPoly` the search builds.  Its circle facts come from the signs
 of the perturbed seed at the seed's own alternation points, and from a
-Sturm chain only when those signs settle nothing.  For even h at m = 10
-the square of a degree-10 witness is used instead, giving e = 2;
-`_witness` picks the route.
+Sturm chain only when those signs settle nothing.  `feasibility` and
+`k3cert construct` take this direct search for every (m, h), so each
+witness they return has e = 1.  `construct_witness_even_h(p, h)` is the
+public square route: the square of a degree-10 witness, with e = 2.
 """
 
 from __future__ import annotations
@@ -388,14 +389,6 @@ def construct_witness_even_h(
     return _mirrored(f, q * q), report
 
 
-def _witness(p: int, m: int, h: int, a_start: int = 1) -> tuple[RatPoly, CandidateReport]:
-    """The witness for (m, h): the square route for m = 10 and even h,
-    `construct_witness` otherwise."""
-    if m == 10 and h % 2 == 0:
-        return construct_witness_even_h(p, h, a_start)
-    return construct_witness(p, m, h, a_start)
-
-
 class FeasibilityVerdict(_Record):
     """Answer to: can Picard number rho coexist with slope height h over F_p?
 
@@ -437,6 +430,6 @@ def feasibility(p: int, rho: int, h: int, want_witness: bool = False) -> Feasibi
         return verdict(True, "theorem_case", description, m, witness_status="unsupported_case")
     if not want_witness:
         return verdict(True, "theorem_case", f"rho = {rho} <= 22 - 2h = {bound}; witness degree m = {m}", m)
-    witness, report = _witness(p, m, h)
+    witness, report = construct_witness(p, m, h)
     description = f"explicit degree-{2 * m} witness with slope height {h} over p^a"
     return verdict(True, "witness_provided", description, m, witness, report, "computed")

@@ -256,6 +256,8 @@ class CMFieldData(_Record):
         split_table: dict[int, bool] | None = None,
     ) -> "CMFieldData":
         """Build field data for degree 2m."""
+        if type(m) is not int:  # 2 * True is an int, and 2 * "6" is "66"
+            raise ValueError(f"m must be an integer, got {m!r}")
         return cls(2 * m, n, nonsplit_witness, split_table)
 
     @property

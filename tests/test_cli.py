@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output shapes, and JSON stability."""
 
+import argparse
 import inspect
 import json
 import os
@@ -59,10 +60,11 @@ def test_construct_text_output(capsys):
     assert "verdict: pass" in out
 
 
-def test_construct_even_h_route(capsys):
+def test_construct_even_h_direct_route(capsys):
+    # m = 10 with even h takes the direct search: e = 1 and q = p^a (a = 3 here), not a square
     code, out, _ = run(capsys, "construct", "--p", "7", "--m", "10", "--h", "4")
     assert code == 0
-    assert "e=2" in out and "q=49" in out
+    assert "m=10 h=4 a=3 e=1 q=343" in out
 
 
 def test_lattice_text_output(capsys):
@@ -186,6 +188,35 @@ def test_table_json_grid(capsys):
     assert by_pair[(20, 2)]["feasible"] is False
 
 
+@pytest.mark.parametrize("p", (5, 7, 11, 13))
+def test_feasibility_construct_and_table_agree_on_the_whole_grid(p, capsys):
+    # every feasible (rho, h) cell outside the p = 5, m = 10, odd-h pocket
+    # gets from `feasibility` the witness and report of the direct search,
+    # which `k3cert construct` prints, with e = 1; the table marks it "o"
+    _, _, rows = cli._cmd_table(argparse.Namespace(p=p))
+    witnessed = 0
+    for row in rows[1:11]:
+        rho, *marks = row.split()
+        rho = int(rho)
+        m = 11 - rho // 2
+        for h, mark in enumerate(marks, start=1):
+            if rho > 22 - 2 * h:
+                assert mark == ".", (rho, h)
+                continue
+            if p == 5 and m == 10 and h % 2:
+                assert mark == "u", (rho, h)
+                continue
+            assert mark == "o", (rho, h)
+            verdict = condition.feasibility(p, rho, h, want_witness=True)
+            L, report = condition.construct_witness(p, m, h)
+            assert (verdict.witness, verdict.report) == (L, report), (rho, h)
+            assert verdict.witness_status == "computed" and report.e == 1, (rho, h)
+            code, out, _ = run(capsys, "construct", "--p", str(p), "--m", str(m), "--h", str(h), "--json")
+            assert code == 0 and json.loads(out)["result"]["report"] == report.to_json(), (rho, h)
+            witnessed += 1
+    assert witnessed == (50 if p == 5 else 55)
+
+
 def test_hilbert_json(capsys):
     # argparse needs the = form for negative non-integer values
     _, out, _ = run(capsys, "hilbert", "--a", "1/2", "--b=-3/4", "--place", "2", "--json")
@@ -208,7 +239,7 @@ def test_hilbert_json(capsys):
         ("construct", "--p", "7", "--m", "12", "--h", "1"),  # m out of range
         ("construct", "--p", "7", "--m", "3", "--h", "1", "--a-start", "60"),  # a_start > a_cap
         ("construct", "--p", "9", "--m", "2", "--h", "1"),  # composite p
-        ("construct", "--p", "7", "--m", "10", "--h", "0"),  # h = 0 on the even-h route
+        ("construct", "--p", "7", "--m", "10", "--h", "0"),  # h = 0 at m = 10
         ("lattice", "--m", "5", "--n", "1"),  # m below case table
         ("lattice", "--m", "7", "--n", "1"),  # missing p1
         ("lattice", "--m", "9", "--n", "0"),  # bad n

@@ -730,11 +730,11 @@ def test_feasibility_witness_direct_route():
     assert verdict.witness_status == "computed"
 
 
-def test_feasibility_witness_even_h_square_route():
+def test_feasibility_witness_even_h_direct_route():
+    # m = 10 with even h takes the direct search: e = 1 over q = p^a, here a = 1
     verdict = feasibility(7, 2, 10, want_witness=True)
     assert verdict.report.m == 10 and verdict.report.h == 10
-    assert verdict.report.e == 2
-    assert math.isqrt(verdict.report.q) ** 2 == verdict.report.q
+    assert (verdict.report.e, verdict.report.a, verdict.report.q) == (1, 1, 7)
 
 
 def test_feasibility_unsupported_pocket():
@@ -745,7 +745,7 @@ def test_feasibility_unsupported_pocket():
     # the same pocket with even h is fully supported
     verdict = feasibility(5, 2, 8, want_witness=True)
     assert verdict.witness is not None
-    assert verdict.report.e == 2
+    assert verdict.report.e == 1
 
 
 def test_feasibility_input_guards():
@@ -778,18 +778,20 @@ CONSTRUCT_GRID = [(p, m, h) for p in (5, 7, 11, 13) for m in range(1, MAX_M + 1)
 
 
 def test_witnesses_are_the_integer_palindrome_over_q():
+    def palindrome_over_q(L, report, f, q, cell):
+        assert q == report.q, cell
+        assert L.coeffs == tuple(Fraction(c, q) for c in f), cell
+        assert L.coeffs == L.coeffs[::-1] and L.constant == 1 and L.degree == 2 * cell[1], cell
+
     squared = 0
     for p, m, h in CONSTRUCT_GRID:
-        L, report = condition._witness(p, m, h)
-        if m == 10 and h % 2 == 0:
+        _, f, q, _ = condition._search(p, m, h, 1, 50)
+        palindrome_over_q(*construct_witness(p, m, h), f, q, (p, m, h))
+        if m == 10 and h % 2 == 0:  # the public square route on the same cell
             F, _, q, _ = condition._search(p, 5, h // 2, 1, 50)
-            f, q = weilpoly._transform_ints(weilpoly._mul_ints(F, F)), q * q
+            f = weilpoly._transform_ints(weilpoly._mul_ints(F, F))
+            palindrome_over_q(*construct_witness_even_h(p, h), f, q * q, (p, m, h))
             squared += 1
-        else:
-            _, f, q, _ = condition._search(p, m, h, 1, 50)
-        assert q == report.q, (p, m, h)
-        assert L.coeffs == tuple(Fraction(c, q) for c in f), (p, m, h)
-        assert L.coeffs == L.coeffs[::-1] and L.constant == 1 and L.degree == 2 * m, (p, m, h)
     assert (len(CONSTRUCT_GRID), squared) == (220, 20)
 
 
@@ -815,8 +817,9 @@ def test_the_check_evaluates_no_proved_end_value(monkeypatch):
         return report
 
     monkeypatch.setattr(condition, "_check_candidate", checking)
-    for p, m, h in REJECTING_TRIPLES + [(7, 10, 4)]:
-        condition._witness(p, m, h)
+    for p, m, h in REJECTING_TRIPLES:
+        construct_witness(p, m, h)
+    construct_witness_even_h(7, 4)  # the square's facts (G, F, 5) for (7, 10, 4)
     assert proved > 5, proved
 
 

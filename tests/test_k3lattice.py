@@ -8,6 +8,7 @@ import pytest
 
 import k3cert.k3lattice as k3lattice
 from k3cert.arith import Place, SquareClass, companion_prime, legendre, square_class
+from k3cert.condition import construct_witness
 from k3cert.k3lattice import (
     K3_RANK,
     LatticeSpec,
@@ -225,6 +226,21 @@ def test_verify_lattice_rank2_square_case():
     assert report.lattice.blocks == ("U",)
     assert report.embedding.verdict == "pass"
     assert report.no_minus2_certificate is None
+
+
+@pytest.mark.parametrize("p", (5, 7, 11, 13))
+def test_m10_even_h_witnesses_take_the_U_route(p):
+    # L = T^10 F(T + 1/T), so L(1) L(-1) = F(2) F(-2): its square class is
+    # read from the witness's own Fraction coefficients, with no weilpoly kernel
+    for h in (2, 4, 6, 8, 10):
+        L, report = construct_witness(p, 10, h)
+        assert report.e == 1, h
+        at_one = sum(L.coeffs)
+        at_minus_one = sum(-c if i % 2 else c for i, c in enumerate(L.coeffs))
+        disc = square_class(at_one * at_minus_one)
+        assert disc == SquareClass(1, 1), h  # a positive square: n = 1
+        report = verify_lattice(10, fielddata(10, disc.sqfree))
+        assert report.lattice.blocks == ("U",) and report.embedding.verdict == "pass", h
 
 
 def test_verify_lattice_rank2_nonsquare_case():

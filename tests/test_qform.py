@@ -349,13 +349,17 @@ def test_fielddata_from_m_derives_square_flag():
 
 
 def test_fielddata_n_and_degree_must_be_ints():
-    # refused at construction: a bool passes `n >= 1`, and a float would fail only inside the case table
-    for call, value in (
-        (lambda: CMFieldData.from_m(6, True), "True"),
-        (lambda: CMFieldData.from_m(6, 5.0), "5.0"),
-        (lambda: CMFieldData(12.0, 5), "12.0"),
+    # refused at construction: a bool passes `n >= 1`, and a float would fail only inside the case table;
+    # from_m refuses m itself, as 2 * True is the degree 2 and 2 * "6" the degree "66"
+    for call, message in (
+        (lambda: CMFieldData.from_m(6, True), "n must be an integer, got True"),
+        (lambda: CMFieldData.from_m(6, 5.0), "n must be an integer, got 5.0"),
+        (lambda: CMFieldData(12.0, 5), "degree must be an integer, got 12.0"),
+        (lambda: CMFieldData.from_m(True, 5), "m must be an integer, got True"),
+        (lambda: CMFieldData.from_m(6.0, 5), "m must be an integer, got 6.0"),
+        (lambda: CMFieldData.from_m("6", 5), "m must be an integer, got '6'"),
     ):
-        with pytest.raises(ValueError, match=f"must be an integer, got {value}"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             call()
 
 
