@@ -27,6 +27,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import k3cert.weilpoly as weilpoly
 from k3cert.condition import check_candidate, construct_witness, construct_witness_even_h, seed_polynomial
 from k3cert.weilpoly import (
     RatPoly,
@@ -122,6 +123,15 @@ def test_corpus_size():
 
 
 def test_reports_match_corpus_bytes():
+    for line in _corpus():
+        doc = json.loads(line)
+        assert _line(doc["p"], parse_poly(doc["coeffs"])) == line
+
+
+def test_reports_match_corpus_bytes_when_the_squarefree_screen_proves_nothing(monkeypatch):
+    """Off the descent path `_gcd_ints` then proves every squarefree line
+    too, and every report is unchanged."""
+    monkeypatch.setattr(weilpoly, "_coprime_to_derivative", lambda f: False)
     for line in _corpus():
         doc = json.loads(line)
         assert _line(doc["p"], parse_poly(doc["coeffs"])) == line

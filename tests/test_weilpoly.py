@@ -18,10 +18,9 @@ import k3cert.weilpoly as weilpoly
 from k3cert.arith import is_prime
 from k3cert.weilpoly import (
     NewtonPolygon,
-    _SQUAREFREE_SCREEN_PRIME,
     RatPoly,
     _analyse,
-    _coprime_to_derivative_mod,
+    _coprime_to_derivative,
     _cyclotomic_ints,
     _descent_facts,
     _descent_ints,
@@ -65,7 +64,6 @@ from oracles import (
     naive_phi,
     proper_factor_degree_candidates,
     rational_gcd_monic,
-    _fp_gcd,
     _q_mul,
     _q_trim,
 )
@@ -874,64 +872,87 @@ def test_squarefree_decompose_requires_unit_constant():
 
 def test_squarefree_power_and_polygon_match_fraction_oracles_on_golden_candidates():
     corpus = Path(__file__).parent / "golden" / "check_reports.jsonl"
-    powers = 0
+    powers = proved = 0
     for line in corpus.read_text().splitlines():
         entry = json.loads(line)
         L, p = parse_poly(entry["coeffs"]), entry["p"]
         R, e = _squarefree_power(L)
         assert (R.coeffs, e) == fraction_squarefree_power(L.coeffs), entry["coeffs"]
         assert newton_polygon(L, p).segments == fraction_newton_polygon(L.coeffs, p)
+        # the screen proves exactly the squarefree lines
+        assert _coprime_to_derivative(_integer_multiple(L)) == (e == 1), entry["coeffs"]
         powers += e is not None and e > 1
-    assert powers > 0
+        proved += e == 1
+    assert powers > 0 and proved == 360
 
 
-ELL = _SQUAREFREE_SCREEN_PRIME
+ELL = (1 << 31) - 1
 
 
 @pytest.mark.parametrize(
-    "L, e",
+    "L, proved, e",
     [
-        # ell divides the leading coefficient
-        (RatPoly.of(1, 1, ELL), 1),
-        # (1 + ell T)^2 (1 - T/2) is a multiple of 2 - T mod ell, which is squarefree
-        (RatPoly.of(1, 2 * ELL, ELL**2) * RatPoly.of(1, Fraction(-1, 2)), None),
+        # (T - 3)^2 (T + 1) / 9: gcd(f(xi), f'(xi)) = xi - 3, below xi but
+        # above xi - 1 - M, so only a bound with the root radius M refuses it
+        (RatPoly.of(1, Fraction(1, 3), Fraction(-5, 9), Fraction(1, 9)), False, None),
+        # (T + 3)^2 / 9
+        (RatPoly.of(1, Fraction(2, 3), Fraction(1, 9)), False, 2),
+        # (1 + ell T)^2 (1 - T/2): a double root -1/ell, coefficients near ell^2
+        (RatPoly.of(1, 2 * ELL, ELL**2) * RatPoly.of(1, Fraction(-1, 2)), False, None),
+        (RatPoly.of(1, 5), True, 1),
+        (RatPoly.of(1, 1, ELL), True, 1),
         # (T - 1)(T - 1 - ell) / (1 + ell): squarefree, with a double root mod ell
-        (RatPoly.of(1, Fraction(-2 - ELL, 1 + ELL), Fraction(1, 1 + ELL)), 1),
+        (RatPoly.of(1, Fraction(-2 - ELL, 1 + ELL), Fraction(1, 1 + ELL)), True, 1),
     ],
+    ids=["double_root_3", "double_root_minus_3", "square_with_ell", "degree_1", "lc_ell", "double_root_mod_ell"],
 )
-def test_squarefree_power_where_the_residue_screen_proves_nothing(L, e):
-    assert not _coprime_to_derivative_mod(_integer_multiple(L))
+def test_squarefree_screen_on_fixed_inputs(L, proved, e):
+    assert _coprime_to_derivative(_integer_multiple(L)) == proved
     R, got_e = _squarefree_power(L)
     assert (R.coeffs, got_e) == fraction_squarefree_power(L.coeffs)
     assert got_e == e
 
 
-def test_squarefree_screen_matches_the_gcd_mod_ell_oracle():
-    """`_coprime_to_derivative_mod(f)` holds iff ell does not divide lc(f)
-    and gcd(f, f') mod ell is a constant, on seeded products with factors
-    repeated or not, some with lc(f) = 0 mod ell, some with coefficients
-    >= ell and some with a double root mod ell only."""
+def _is_squarefree(f: list[int]) -> bool:
+    """By `fraction_squarefree_power`: f = T^k g with g(0) != 0 is
+    squarefree iff k <= 1 and g is."""
+    k = next(i for i, c in enumerate(f) if c)
+    g = f[k:]
+    return k <= 1 and (len(g) == 1 or fraction_squarefree_power([Fraction(c, g[0]) for c in g])[1] == 1)
+
+
+def test_squarefree_screen_proves_exactly_the_squarefree_products():
+    """`_coprime_to_derivative(f)` holds iff f is squarefree, on seeded
+    products with factors repeated or not, some with lc(f) = 0 mod ell,
+    some with coefficients >= ell or >= 2^64, some with a double root
+    mod ell only, and some with a double root c > 0, whose factor
+    xi - c of gcd(f(xi), f'(xi)) lies just below xi."""
     rng = random.Random(16)
     verdicts = {True: 0, False: 0}
     for _ in range(400):
         f = [Fraction(1)]
+        big = rng.random() < 0.2
         for _ in range(rng.randint(1, 3)):
-            factor = [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 3))]
+            bound = 2**66 if big else 5
+            factor = [Fraction(rng.randint(-bound, bound)) for _ in range(rng.randint(1, 3))]
             factor.append(Fraction(rng.choice((-2, -1, 1, 3))))
             for _ in range(rng.choice((1, 1, 2))):
                 f = _q_mul(f, factor)
         if rng.random() < 0.2:
             a = rng.randint(-3, 3)
             f = _q_mul(f, [Fraction(a * (a + ELL)), Fraction(-2 * a - ELL), Fraction(1)])  # (T - a)(T - a - ell)
+        if rng.random() < 0.2:
+            c = rng.choice((rng.randint(1, 9), rng.randint(2**64, 2**70)))
+            f = _q_mul(f, [Fraction(c * c), Fraction(-2 * c), Fraction(1)])  # (T - c)^2
         f = [int(c) for c in f]
         if rng.random() < 0.2:
             f[-1] *= ELL
         if rng.random() < 0.3:
             f = [c + ELL * rng.randint(-2, 2) if i < len(f) - 1 else c for i, c in enumerate(f)]
-        want = f[-1] % ELL != 0 and len(_fp_gcd(f, [i * c for i, c in enumerate(f)][1:], ELL)) == 1
-        assert _coprime_to_derivative_mod(f) == want, f
+        want = _is_squarefree(f)
+        assert _coprime_to_derivative(f) == want, f
         verdicts[want] += 1
-    assert min(verdicts.values()) > 100, verdicts
+    assert verdicts == {True: 251, False: 149}, verdicts
 
 
 @st.composite
