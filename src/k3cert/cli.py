@@ -128,6 +128,8 @@ def _parse_split_table(pairs: list[str]) -> dict[int, bool]:
                 raise ValueError
         except ValueError:
             raise UsageError(f"--split expects PRIME=true|false, got {pair!r}") from None
+        if prime in table:
+            raise UsageError(f"--split gives the prime {prime} more than once")
         table[prime] = flag == "true"
     return table
 

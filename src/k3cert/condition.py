@@ -46,8 +46,8 @@ from .weilpoly import (
     RatPoly,
     _alternation,
     _analyse,
-    _at,
     _descent_facts,
+    _homogeneous,
     _integer_multiple,
     _mul_ints,
     _psi_ints,
@@ -250,8 +250,7 @@ def _seed_ints(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     for k in _SEED_FACTORS[m]:
         seed = _mul_ints(seed, _psi_ints(k))
     points, D = _SEED_POINTS[m], _POINT_DENOMINATOR
-    scaled = [c * D ** (len(seed) - 1 - i) for i, c in enumerate(seed)]
-    values = [_at(scaled, n) for n in points]
+    values = [_homogeneous(seed, n, D) for n in points]
     # construction-time verification, not just bookkeeping: m + 1 values of
     # strictly alternating sign at points from -2 up to 2 prove that the
     # seed of degree m has m simple roots, all in (-2, 2)

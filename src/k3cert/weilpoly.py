@@ -70,17 +70,9 @@ candidate.
 
 Palindromes are read at half size.  Every L = T^m G(T + 1/T), and so
 every candidate of the witness search, is a palindrome: f_i = f_(n-i)
-for n = deg f.  The cloud of points (i, v_p(f_i)) is then symmetric
-about x = n / 2, and so is its lower hull: the hull's mirror image is a
-lower convex hull of the same cloud, and there is only one.  The hull's
-lowest points span [x*, n - x*] for its leftmost lowest vertex
-x* <= n / 2, and left of x* it is the hull of the left half, i <= n / 2,
-up to that half's leftmost lowest vertex.  So `_polygon_ints` builds the left
-half's hull, keeps its falling segments, and adds the flat segment of
-run n - 2x* (when positive) and the falling segments mirrored.  Every
-basis polynomial T^(m-k) (T^2 + 1)^k of the transform is a palindrome
-too, so the transform computes the upper half of L and mirrors it, and
-the descent peels the upper half only.
+for n = deg f.  Every basis polynomial T^(m-k) (T^2 + 1)^k of the
+transform is a palindrome too, so the transform computes the upper half
+of L and mirrors it, and the descent peels the upper half only.
 
 Two integer screens run before the Z[T] kernels, and each can only rule
 a fact out.  The root-of-unity screen is one remainder in Z at the
@@ -103,18 +95,19 @@ heuristic gcd GCDHEU of Char, Geddes and Gonnet (J. Symbolic Comput. 7,
 M = max |f_i| and xi = 2^K for K = M.bit_length() + 32, every root of
 f has modulus below 1 + M (Cauchy), so a primitive common factor d of
 f and f' of degree >= 1, which divides both in Z[T] by Gauss's lemma,
-has |d(xi)| > xi - 1 - M and divides gcd(f(xi), f'(xi)) != 0.  A gcd of at most xi - 1 - M so
-proves f squarefree; a larger one proves nothing, and `_gcd_ints`
-decides.  Its cost grows with the bit size of f(xi).  On a degree-20
-non-palindrome `check_candidate` takes 0.09 ms at 64-bit coefficients,
+has |d(xi)| > xi - 1 - M and divides gcd(f(xi), f'(xi)) != 0.  A gcd
+of at most xi - 1 - M so proves f squarefree; a larger one proves
+nothing, and the Sturm chain of f decides.  The screen's cost grows
+with the bit size of f(xi).  On a degree-20 non-palindrome
+`check_candidate` takes 0.09 ms at 64-bit coefficients,
 0.6 ms at 1024-bit and 6.6 ms at 4096-bit ones (2-CPU x86_64 VM,
 Python 3.11.7), where a Euclid of f and f' mod a 31-bit prime would
 take 0.27 and 0.50 ms; the two cross between 2^384 and 2^512.  A
 palindrome of that size already spends 18 and 230 ms in its Sturm
 chain, and the coefficients of the search's candidates and of the
 golden corpora stay below 2^32.  Only `_prem` reports a cyclotomic
-factor, and only `_gcd_ints` or a nonconstant last member of a Sturm
-chain a repeated root.
+factor, and only a nonconstant last member of a Sturm chain a repeated
+root.
 
 Beside the screens, the Newton polygon bounds the cyclotomic scan of the
 candidate analysis: the roots of Phi_k have p-adic valuation 0, so
@@ -314,14 +307,20 @@ def _prem(a: list[int], b: list[int] | tuple[int, ...]) -> list[int]:
     return r
 
 
-def _gcd_ints(a: list[int], b: list[int]) -> list[int]:
-    """A primitive gcd of the primitive integer polynomials a and b, of
-    either sign, by a primitive pseudo-remainder sequence ([] if both are 0)."""
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _primitive(_prem(a, b))
-    return a
+def _prs(a: list[int], b: list[int]) -> list[list[int]]:
+    """The primitive pseudo-remainder sequence of the primitive integer
+    polynomials a and b, in Sturm's signs: a, b, then each member is the
+    negated primitive part of `_prem` of the two before it, up to a
+    constant or zero, and a final zero is dropped.  The last member is a
+    primitive gcd of a and b, of either sign ([] if both are 0), as in
+    Brown (J. ACM 18, 1971); for b = a' the sequence is a Sturm chain
+    (see `_sturm_chain_ints`)."""
+    chain = [a, b]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in _primitive(_prem(chain[-2], chain[-1]))])
+    if not chain[-1]:
+        chain.pop()
+    return chain
 
 
 def _divexact(a: list[int], b: list[int]) -> list[int]:
@@ -357,7 +356,7 @@ def poly_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
     Runs a primitive pseudo-remainder sequence on the integer multiples
     of f and g, then makes the last nonzero member monic.
     """
-    return RatPoly(tuple(_gcd_ints(_integer_multiple(f), _integer_multiple(g)))).monic()
+    return RatPoly(tuple(_prs(_integer_multiple(f), _integer_multiple(g))[-1])).monic()
 
 
 def parse_poly(text: str) -> RatPoly:
@@ -449,12 +448,7 @@ def _sturm_chain_ints(a: list[int]) -> list[list[int]]:
     the same signs.  The last member is a multiple of gcd(a, a'), a
     constant iff a is squarefree."""
     a = _primitive(a)
-    chain = [a, _primitive([i * c for i, c in enumerate(a)][1:])]
-    while len(chain[-1]) > 1:
-        chain.append([-c for c in _primitive(_prem(chain[-2], chain[-1]))])
-    if not chain[-1]:
-        chain.pop()
-    return chain
+    return _prs(a, _primitive([i * c for i, c in enumerate(a)][1:]))
 
 
 def _at(cs: list[int], x: int) -> int:
@@ -464,17 +458,18 @@ def _at(cs: list[int], x: int) -> int:
     return acc
 
 
+def _homogeneous(cs: list[int], n: int, d: int) -> int:
+    """d^k P(n / d) = sum_i c_i n^i d^(k-i) for P = cs of degree k; it has
+    the sign of P(n / d) when d > 0."""
+    acc, dk = 0, 1
+    for c in reversed(cs):
+        acc = acc * n + c * dk
+        dk *= d
+    return acc
+
+
 def _variations(chain: list[list[int]], x: Fraction | int) -> int:
-    # d^k P(n/d) = sum_i c_i n^i d^(k-i) has the sign of P(x) since d > 0
-    n, d = x.numerator, x.denominator
-    values = []
-    for cs in chain:
-        acc, dk = 0, 1
-        for c in reversed(cs):
-            acc = acc * n + c * dk
-            dk *= d
-        values.append(acc)
-    return _sign_changes(values)
+    return _sign_changes([_homogeneous(cs, x.numerator, x.denominator) for cs in chain])
 
 
 def sturm_count(f: RatPoly, lo, hi) -> int:
@@ -653,6 +648,21 @@ def _cyclotomic_screen(maxdeg: int) -> tuple[tuple[int, int], ...]:
     return tuple((k, _at(_cyclotomic_ints(k), _SCREEN_POINT)) for k in _cyclotomic_indices(maxdeg))
 
 
+def _first_factor(f: list[int], screen: tuple[tuple[int, int], ...], factor) -> int | None:
+    """The first k of screen, pairs (k, P_k(N)) with N = `_SCREEN_POINT`,
+    whose monic integer P_k = factor(k) divides the integer f, or None.
+
+    f is evaluated at N once.  A nonzero f(N) mod P_k(N) rules P_k out
+    (see the module docstring); a zero one proves nothing, and only
+    `_prem` reports a factor.
+    """
+    at_n = _at(f, _SCREEN_POINT)
+    for k, value in screen:
+        if at_n % value == 0 and not _prem(f, factor(k)):
+            return k
+    return None
+
+
 def has_cyclotomic_factor(L: RatPoly) -> int | None:
     """Smallest k with cyclotomic(k) dividing L, or None.
 
@@ -674,15 +684,11 @@ def has_cyclotomic_factor(L: RatPoly) -> int | None:
 def _cyclotomic_index_ints(f: list[int], flat: int) -> int | None:
     """`has_cyclotomic_factor` on a nonzero integer multiple f of L, over
     the k with phi(k) <= flat (see `_analyse`)."""
-    at_n = _at(f, _SCREEN_POINT)
     # flat can exceed deg f: `_analyse` passes the flat length of L's
     # polygon with the squarefree part r of L = R^e, e times shorter; for
     # (1 + 2T + 3T^3)^2 at p = 7, deg r = 3 and flat = 6.  No Phi_k with
     # phi(k) > deg f divides f, so the min only bounds the scan.
-    for k, phi_n in _cyclotomic_screen(min(len(f) - 1, flat)):
-        if at_n % phi_n == 0 and not _prem(f, _cyclotomic_ints(k)):
-            return k
-    return None
+    return _first_factor(f, _cyclotomic_screen(min(len(f) - 1, flat)), _cyclotomic_ints)
 
 
 @lru_cache(maxsize=None)
@@ -705,18 +711,11 @@ def _psi_index_ints(s: list[int], flat: int) -> int | None:
     The transform has no root +-1, so neither Phi_1 nor Phi_2 divides it.
     For k >= 3, Phi_k divides it iff the root 2 cos(2 pi / k) of the
     irreducible psi_k is a root of s, that is iff psi_k divides s.  The
-    indices run in the same order, so the smallest k is the same.  One
-    integer screens each k, as in `has_cyclotomic_factor`: psi_k is monic
-    in Z[x], so psi_k | s gives s = psi_k * q with q in Z[x], and psi_k(N)
-    divides s(N).  psi_k(N) > 0, as the roots of psi_k lie in (-2, 2) and
-    N = 2^64 lies above them.  A nonzero s(N) mod psi_k(N) rules psi_k
-    out; a zero one proves nothing, and only `_prem` reports a factor.
+    indices run in the same order, so the smallest k is the same.  psi_k
+    is monic in Z[x], and psi_k(N) > 0 as its roots lie in (-2, 2), below
+    N = 2^64, so `_first_factor` screens each k as for Phi_k.
     """
-    at_n = _at(s, _SCREEN_POINT)
-    for k, psi_n in _psi_screen(min(2 * len(s) - 2, flat)):
-        if at_n % psi_n == 0 and not _prem(s, _psi_ints(k)):
-            return k
-    return None
+    return _first_factor(s, _psi_screen(min(2 * len(s) - 2, flat)), _psi_ints)
 
 
 def strip_cyclotomic(P: RatPoly) -> tuple[RatPoly, list[int]]:
@@ -785,33 +784,14 @@ def _polygon_ints(f: list[int], p: int) -> list[tuple[int, int]]:
     of P, as (rise, run): the hull's vertices are integer points, so a
     segment of slope s and length l has rise s * l in Z and run l > 0.
 
-    A palindrome f of degree n reads only its left half, i <= n // 2.
-    Its cloud of points is symmetric about x = n / 2, so its hull is too,
-    and the hull's lowest points span [x*, n - x*] for the leftmost
-    lowest vertex x* <= n / 2.  Left of x* the hull is the hull of the
-    points with i <= x*: a point further right lies no lower than x*, so
-    above every falling segment that ends there.  The left half's hull
-    starts with that falling part, and its vertices after x* do not fall,
-    so popping them leaves the falling segments.  The whole hull is those,
-    then (0, n - 2 x*) when that run is positive, then their mirror image,
-    the same segments in reverse order with negated rise.
+    The vertices of the lower convex hull of the points (i, v_p(f_i))
+    over the nonzero f_i are found from left to right; a point on a
+    segment between two others is no vertex.  A palindrome's hull is
+    symmetric and could be built from its left half, but that saves only
+    about 1 %: 0.9 us per `construct` operation and 0.4 us per `check`
+    operation on perfbench's seed-7 inputs, of about 85 and 90 us each
+    (2-CPU x86_64 VM, Python 3.11.7).  So every hull is read whole.
     """
-    n = len(f) - 1
-    if f != f[::-1]:
-        hull = _lower_hull(f, p)
-        return [(y2 - y1, x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
-    hull = _lower_hull(f[: n // 2 + 1], p)
-    while len(hull) >= 2 and hull[-1][1] >= hull[-2][1]:
-        hull.pop()
-    falling = [(y2 - y1, x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
-    flat = n - 2 * hull[-1][0]
-    return falling + [(0, flat)] * (flat > 0) + [(-rise, run) for rise, run in reversed(falling)]
-
-
-def _lower_hull(f: list[int], p: int) -> list[tuple[int, int]]:
-    """The vertices of the lower convex hull of the points (i, v_p(f_i))
-    over the nonzero f_i, from left to right; a point on a segment between
-    two others is no vertex."""
     hull: list[tuple[int, int]] = []
     for x, c in enumerate(f):
         if c:
@@ -823,7 +803,7 @@ def _lower_hull(f: list[int], p: int) -> list[tuple[int, int]]:
                 else:
                     break
             hull.append((x, y))
-    return hull
+    return [(y2 - y1, x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
 
 
 def _polygon(segs: list[tuple[int, int]]) -> NewtonPolygon:
@@ -854,11 +834,12 @@ def _squarefree_power_ints(f: list[int]) -> tuple[list[int], int | None]:
 
     One integer gcd screens f first: if `_coprime_to_derivative` holds,
     f is squarefree over Q, so r = f and e = 1.  Otherwise, which proves
-    nothing, `_radical` divides f by the primitive gcd(f, f').
+    nothing, `_radical` divides f by the primitive gcd(f, f') that ends
+    the Sturm chain of f.
     """
     if _coprime_to_derivative(f):
         return f, 1
-    return _radical(f, _gcd_ints(f, _primitive([i * c for i, c in enumerate(f)][1:])))
+    return _radical(f, _sturm_chain_ints(f)[-1])
 
 
 def _radical(a: list[int], d: list[int]) -> tuple[list[int], int | None]:

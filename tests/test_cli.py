@@ -245,6 +245,7 @@ def test_hilbert_json(capsys):
         ("lattice", "--m", "9", "--n", "0"),  # bad n
         ("lattice", "--m", "9", "--n", "3", "--split", "5"),  # malformed split
         ("lattice", "--m", "9", "--n", "3", "--split", "4=true"),  # composite prime
+        ("lattice", "--m", "8", "--n", "5", "--p1", "7", "--split", "11=true", "--split", "11=false"),  # repeated prime
         ("feasible", "--p", "3", "--rho", "2", "--height", "1"),  # p too small
         ("feasible", "--p", "7", "--rho", "3", "--height", "1"),  # odd rho
         ("table", "--p", "4"),  # composite p

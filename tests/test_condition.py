@@ -315,8 +315,8 @@ def test_seed_points_are_dyadic_gap_points_of_the_seed():
 CONDITION_PRIVATE_IMPORTS = {
     "_alternation",
     "_analyse",
-    "_at",
     "_descent_facts",
+    "_homogeneous",
     "_integer_multiple",
     "_mul_ints",
     "_psi_ints",
@@ -793,6 +793,52 @@ def test_witnesses_are_the_integer_palindrome_over_q():
             palindrome_over_q(*construct_witness_even_h(p, h), f, q * q, (p, m, h))
             squared += 1
     assert (len(CONSTRUCT_GRID), squared) == (220, 20)
+
+
+def test_the_screens_pass_only_true_factors_to_prem(monkeypatch):
+    # the integer screen at N = 2^64 rules out every k but a true factor:
+    # while the two cyclotomic scans run, each `_prem` leaves no
+    # remainder, one per golden line that names a cyclotomic index, and
+    # none on the witness search's grid
+    remainders: list[list[int]] = []
+    scans = 0
+    prem = weilpoly._prem
+
+    def recording(a, b):
+        r = prem(a, b)
+        if scanning:
+            remainders.append(r)
+        return r
+
+    def scanned(scan):
+        def run(f, flat):
+            nonlocal scanning, scans
+            scanning, scans = True, scans + 1
+            try:
+                return scan(f, flat)
+            finally:
+                scanning = False
+
+        return run
+
+    scanning = False
+    monkeypatch.setattr(weilpoly, "_prem", recording)
+    for name in ("_cyclotomic_index_ints", "_psi_index_ints"):
+        monkeypatch.setattr(weilpoly, name, scanned(getattr(weilpoly, name)))
+    named = 0
+    for line in GOLDEN_CHECKS.read_text().splitlines():
+        doc = json.loads(line)
+        remainders.clear()
+        check_candidate(parse_poly(doc["coeffs"]), doc["p"])
+        k = doc["report"]["checks"]["no_root_of_unity"].get("cyclotomic_index")
+        assert remainders == [[]] * (k is not None), (doc["coeffs"], doc["p"])
+        named += k is not None
+    assert named == 25
+    remainders.clear()
+    scans = 0
+    for p, m, h in CONSTRUCT_GRID:
+        construct_witness(p, m, h)
+    assert remainders == [] and scans >= len(CONSTRUCT_GRID), scans
 
 
 def test_the_check_evaluates_no_proved_end_value(monkeypatch):

@@ -129,8 +129,8 @@ def test_reports_match_corpus_bytes():
 
 
 def test_reports_match_corpus_bytes_when_the_squarefree_screen_proves_nothing(monkeypatch):
-    """Off the descent path `_gcd_ints` then proves every squarefree line
-    too, and every report is unchanged."""
+    """Off the descent path the last member of the Sturm chain of f then
+    proves every squarefree line too, and every report is unchanged."""
     monkeypatch.setattr(weilpoly, "_coprime_to_derivative", lambda f: False)
     for line in _corpus():
         doc = json.loads(line)

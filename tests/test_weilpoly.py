@@ -1273,8 +1273,8 @@ def test_kronecker_certified_outputs_survive_factor_sieve():
 
 
 # ---------------------------------------------------------------------------
-# palindrome kernels at half size: the hull, the transform and descent, and
-# the window
+# the hull on symmetric and other clouds, the palindrome kernels at half
+# size (the transform and descent), and the window
 
 
 def _valued(rng: random.Random, p: int, v: int) -> int:
@@ -1294,7 +1294,7 @@ def _as_oracle_segments(segs):
     return tuple((Fraction(rise, run), run) for rise, run in segs)
 
 
-def test_half_hull_matches_the_oracle_on_palindromes():
+def test_hull_matches_the_oracle_on_palindromes():
     rng = random.Random(2601)
     seen = dict.fromkeys(
         ("odd degree", "even degree", "zero coefficient", "flat", "no flat", "lowest at 0", "flat in left half"), 0
@@ -1320,9 +1320,9 @@ def test_half_hull_matches_the_oracle_on_palindromes():
     assert min(seen.values()) > 100, seen
 
 
-def test_half_hull_worked_examples():
-    # valuations 2, 0, 0, 0, 0, 0, 2: the left half's own hull runs flat
-    # from x = 1 to the middle, and only x* = 1 is kept
+def test_hull_worked_examples_on_palindromes():
+    # valuations 2, 0, 0, 0, 0, 0, 2: the points x = 2 ... 4 on the flat
+    # segment are no vertices
     f = [49, 1, 1, 1, 1, 1, 49]
     assert weilpoly._polygon_ints(f, 7) == [(-2, 1), (0, 4), (2, 1)]
     # valuations 2, 1, 0 | 0, 1, 2: collinear points are no vertices
