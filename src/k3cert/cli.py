@@ -22,14 +22,20 @@ import sys
 __all__ = ["main"]
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on bad usage; route through UsageError for exit 1 instead
+    # argparse exits 2 on bad usage; raise ValueError for exit 1 instead
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
+
+
+def _integer(text: str) -> int:
+    """An integer option: ASCII digits with an optional sign (`arith._INTEGER_RE`)."""
+    from .arith import _INTEGER_RE
+
+    text = text.strip()
+    if not _INTEGER_RE.match(text):
+        raise argparse.ArgumentTypeError(f"cannot parse integer {text!r}")
+    return int(text)
 
 
 def _build_parser() -> _Parser:
@@ -37,19 +43,19 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_construct = sub.add_parser("construct", help="build a passing candidate for (p, m, h)")
-    p_construct.add_argument("--p", type=int, required=True)
-    p_construct.add_argument("--m", type=int, required=True)
-    p_construct.add_argument("--h", type=int, required=True)
-    p_construct.add_argument("--a-start", type=int, default=1)
+    p_construct.add_argument("--p", type=_integer, required=True)
+    p_construct.add_argument("--m", type=_integer, required=True)
+    p_construct.add_argument("--h", type=_integer, required=True)
+    p_construct.add_argument("--a-start", type=_integer, default=1)
 
     p_check = sub.add_parser("check", help="run the six-part test on given coefficients")
-    p_check.add_argument("--p", type=int, required=True)
+    p_check.add_argument("--p", type=_integer, required=True)
     p_check.add_argument("--coeffs", type=str, required=True, help="ascending, e.g. 1,1/7,1,1/7,1")
 
     p_lattice = sub.add_parser("lattice", help="build and certify a case lattice")
-    p_lattice.add_argument("--m", type=int, required=True)
-    p_lattice.add_argument("--n", type=int, required=True)
-    p_lattice.add_argument("--p1", type=int, default=None, help="nonsplit witness prime")
+    p_lattice.add_argument("--m", type=_integer, required=True)
+    p_lattice.add_argument("--n", type=_integer, required=True)
+    p_lattice.add_argument("--p1", type=_integer, default=None, help="nonsplit witness prime")
     p_lattice.add_argument(
         "--split",
         action="append",
@@ -59,13 +65,13 @@ def _build_parser() -> _Parser:
     )
 
     p_feasible = sub.add_parser("feasible", help="decide a (rho, height) pair")
-    p_feasible.add_argument("--p", type=int, required=True)
-    p_feasible.add_argument("--rho", type=int, required=True)
-    p_feasible.add_argument("--height", type=int, required=True)
+    p_feasible.add_argument("--p", type=_integer, required=True)
+    p_feasible.add_argument("--rho", type=_integer, required=True)
+    p_feasible.add_argument("--height", type=_integer, required=True)
     p_feasible.add_argument("--witness", action="store_true")
 
     p_table = sub.add_parser("table", help="full rho x height feasibility grid")
-    p_table.add_argument("--p", type=int, required=True)
+    p_table.add_argument("--p", type=_integer, required=True)
 
     p_hilbert = sub.add_parser("hilbert", help="Hilbert symbol of two rationals at a place")
     p_hilbert.add_argument("--a", type=str, required=True)
@@ -119,17 +125,16 @@ def _cmd_check(args) -> tuple[dict, dict, list[str]]:
 
 
 def _parse_split_table(pairs: list[str]) -> dict[int, bool]:
+    from .arith import _INTEGER_RE
+
     table: dict[int, bool] = {}
     for pair in pairs:
-        try:
-            prime_text, _, flag = pair.partition("=")
-            prime = int(prime_text)
-            if flag not in ("true", "false"):
-                raise ValueError
-        except ValueError:
-            raise UsageError(f"--split expects PRIME=true|false, got {pair!r}") from None
+        prime_text, _, flag = pair.partition("=")
+        if not _INTEGER_RE.match(prime_text.strip()) or flag not in ("true", "false"):
+            raise ValueError(f"--split expects PRIME=true|false, got {pair!r}")
+        prime = int(prime_text)
         if prime in table:
-            raise UsageError(f"--split gives the prime {prime} more than once")
+            raise ValueError(f"--split gives the prime {prime} more than once")
         table[prime] = flag == "true"
     return table
 
@@ -258,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         inputs, result, text = _HANDLERS[args.command](args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -31,7 +31,10 @@ only `RatPoly` the search builds.  Its circle facts come from the signs
 of the perturbed seed at the seed's own alternation points, and from a
 Sturm chain only when those signs settle nothing.  `feasibility` and
 `k3cert construct` take this direct search for every (m, h), so each
-witness they return has e = 1.  `construct_witness_even_h(p, h)` is the
+witness they return has e = 1.  `feasibility` attaches none at p = 5
+with m = 10 and odd h, where the search finds one: that case needs
+discriminant control that the lattice side lacks (see
+`FeasibilityVerdict`).  `construct_witness_even_h(p, h)` is the
 public square route: the square of a degree-10 witness, with e = 2.
 """
 
@@ -243,7 +246,7 @@ def _seed_ints(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(seed, values): the integer coefficients of the monic
     `seed_polynomial(m)`, and the integers D^m seed(n / D) at its points
     n in `_SEED_POINTS[m]`, D = `_POINT_DENOMINATOR`; built and verified
-    once per m."""
+    once per m, which is worth 30 % of `construct`."""
     if m not in _SEED_FACTORS:
         raise ValueError(f"seed polynomials cover 1 <= m <= {MAX_M}")
     seed = [1]
@@ -394,11 +397,13 @@ class FeasibilityVerdict(_Record):
     feasible is decided by the rank bound rho <= 22 - 2h.  For feasible
     pairs m = 11 - rho/2 names the witness degree; witness_status is
     "computed" when a witness polynomial is attached, "unsupported_case"
-    when existence holds but this library's constructive route does not
-    reach the case (p = 5 with m = 10 and odd h), and None when no
-    witness was requested.  reason is "artin_violation" | "theorem_case" |
-    "witness_provided".  m, witness, report and witness_status default to
-    None.
+    when existence holds but no witness is attached (p = 5 with m = 10
+    and odd h), and None when no witness was requested.  The search does
+    reach that case: `construct_witness(5, 10, h)` passes for every odd
+    h.  What is missing is on the lattice side, which has no control of
+    a witness's discriminant class, and the m = 10 case needs it.
+    reason is "artin_violation" | "theorem_case" | "witness_provided".
+    m, witness, report and witness_status default to None.
     """
 
     __slots__ = ("p", "rho", "h", "feasible", "reason", "description", "m", "witness", "report", "witness_status")

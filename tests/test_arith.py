@@ -447,8 +447,10 @@ def test_rational_text_roundtrip():
     for text in ("3", "-3", "1/7", "-22/7", "0"):
         assert format_rational(parse_rational(text)) == text
     assert parse_rational(" 2/4 ") == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        parse_rational("1.5")
+    # ASCII digits only: not 7/3 in Arabic-Indic digits, nor 10 with a digit-group underscore
+    for text in ("1.5", "\u0667/\u0663", "1_0"):
+        with pytest.raises(ValueError, match="cannot parse rational"):
+            parse_rational(text)
     with pytest.raises(ValueError, match="zero denominator"):
         parse_rational("1/0")
 

@@ -255,6 +255,10 @@ def test_hilbert_json(capsys):
         ("strip", "--coeffs", "0"),  # zero polynomial
         ("strip", "--coeffs", "0,1"),  # zero constant term
         ("check", "--p", "-7", "--coeffs", "1,0,1"),  # negative p
+        ("check", "--p", "7_0_0_1", "--coeffs", "1,1,1"),  # digit-group underscores
+        ("lattice", "--m", "8", "--n", "5", "--p1", "7", "--split", "1_1=false"),  # underscores in a split prime
+        ("hilbert", "--a", "3", "--b", "5", "--place", "1_1"),  # underscores in a place
+        ("check", "--p", "\u0667", "--coeffs", "1,1/\u0667,1,1/\u0667,1"),  # Arabic-Indic digits for 7
         ("nonsense",),  # unknown command
         (),  # no command
     ],

@@ -492,10 +492,10 @@ def _counting(monkeypatch, name: str, *modules) -> list:
 
 
 def test_witness_search_counts_the_sign_variations_once_per_chain(monkeypatch):
-    # each chain's window is read once, in one pass that also gives G(2)
-    # G(-2); at p = 2 some F of the search vanish at 2 or -2, and their
-    # facts carry no count; Phi_1 or Phi_2 then divides L, so the search
-    # skips them
+    # each chain's window is read once, by one `_window` call that also
+    # gives G(2) G(-2); at p = 2 some F of the search vanish at 2 or -2,
+    # and their facts carry no count; Phi_1 or Phi_2 then divides L, so
+    # the search skips them
     chains = _counting(monkeypatch, "_sturm_chain_ints", weilpoly)
     counted = _counting(monkeypatch, "_window", weilpoly)
     checks = _counting(monkeypatch, "_check_candidate", condition)

@@ -1371,7 +1371,7 @@ def test_half_transform_and_descent_match_the_fraction_descent():
     assert rejected > 300
 
 
-def test_one_pass_window_matches_the_oracle():
+def test_window_matches_the_oracle():
     # G of both parities of degree, some with a root at 2 or -2, whose
     # chain's last member is nonzero at +-2
     rng = random.Random(2604)
