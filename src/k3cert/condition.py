@@ -120,10 +120,6 @@ class CandidateReport(_Record):
         return tuple(name for name in _CHECK_NAMES if self.checks[name].status == "unknown")
 
 
-def _result(ok: bool, detail: dict) -> CheckResult:
-    return CheckResult("pass" if ok else "fail", detail)
-
-
 def check_candidate(L: RatPoly, p: int) -> CandidateReport:
     """Run the six-part test on L in characteristic p.  See the module docstring.
 
@@ -149,56 +145,51 @@ def _check_candidate(
     facts of G for L = T^m G(T + 1/T) passes them (see
     `weilpoly._analyse`).
 
-    The six checks read the fields of that one analysis: the slope
+    The six checks read the fields of that one analysis once: the slope
     profile its h and a, and the local check its local, the slope of R's
     local factor in lowest terms and its length, and its verdict
-    local_irreducible, which `kronecker_certificate` reads too."""
-    m = (len(f) - 1) // 2
-    # r has the roots of L, each once; e is None unless L = R^e for
-    # R = r / r(0).
+    local_irreducible, which `kronecker_certificate` reads too.  The
+    verdict, and prime_power_shape when e is set, are the conjunction of
+    five of those facts, so no pass over the checks is made."""
     analysis = _analyse(f, p, descent)
-    h, a, e = analysis.h, analysis.a, analysis.e
-    local = CheckResult("fail", {"reason": "negative part is empty or splits by slope"})
-    if analysis.local is not None:
-        rise, run, length = analysis.local
-        local = _result(analysis.local_irreducible, {"slope": f"{rise}/{run}", "length": length})
-    cyc, offending = analysis.cyc, analysis.offending
+    h, a, e, cyc, offending = analysis.h, analysis.a, analysis.e, analysis.cyc, analysis.offending
+    facts = circle, no_cyc, integral, shaped, irreducible = (
+        analysis.on_circle, cyc is None, not offending, h is not None, analysis.local_irreducible
+    )
+    status = ("fail", "pass")
     checks = {
-        "unit_circle": _result(analysis.on_circle, {"squarefree_degree": len(analysis.r) - 1}),
-        "no_root_of_unity": _result(cyc is None, {} if cyc is None else {"cyclotomic_index": cyc}),
-        "integral_away_from_p": _result(not offending, {"offending_indices": offending} if offending else {}),
-        "slope_profile": _result(
-            h is not None, {"segments": analysis.polygon.to_json(), **({"h": h, "a": a} if h else {})}
+        # r has the roots of L, each once
+        "unit_circle": CheckResult(status[circle], {"squarefree_degree": len(analysis.r) - 1}),
+        "no_root_of_unity": CheckResult(status[no_cyc], {} if no_cyc else {"cyclotomic_index": cyc}),
+        "integral_away_from_p": CheckResult(status[integral], {} if integral else {"offending_indices": offending}),
+        "slope_profile": CheckResult(
+            status[shaped], {"segments": analysis.polygon.to_json(), **({"h": h, "a": a} if shaped else {})}
         ),
     }
-
+    # e is None unless L = R^e for R = r / r(0).  Else each premise of R's
+    # certificate is a check already made: the circle and cyclotomic tests
+    # hold for R iff they hold for L; content(L) = content(R)^e by Gauss's
+    # lemma, so R is integral away from p iff L is; and R's polygon has the
+    # pure symmetric shape iff L's has the slope profile and R's local
+    # factor is irreducible.  So R is certified irreducible, and the
+    # verdict is a pass, iff those five facts hold.
+    certified = e is not None and all(facts)
     if e is None:
         checks["prime_power_shape"] = CheckResult("fail", {"reason": "not a power of a squarefree polynomial"})
-        checks["local_factor_irreducible"] = CheckResult(
-            "unknown", {"reason": "no prime-power decomposition"}
-        )
+        checks["local_factor_irreducible"] = CheckResult("unknown", {"reason": "no prime-power decomposition"})
     else:
-        # Each premise of R's certificate is a check already made: the
-        # circle and cyclotomic tests hold for R iff they hold for L;
-        # content(L) = content(R)^e by Gauss's lemma, so R is integral away
-        # from p iff L is; and R's polygon has the pure symmetric shape iff
-        # L's has the slope profile and R's local factor is irreducible.
-        # So R is certified irreducible iff the other five checks pass.
-        certified = local.status == "pass" and all(c.status == "pass" for c in checks.values())
         checks["prime_power_shape"] = CheckResult("pass" if certified else "unknown", {"e": e})
-        checks["local_factor_irreducible"] = local
-
-    verdict = "pass" if all(c.status == "pass" for c in checks.values()) else "fail"
-    return CandidateReport(
-        verdict=verdict,
-        m=m,
-        h=h,
-        a=a,
-        e=e,
-        q=p**a if a is not None else None,
-        slope_profile=analysis.polygon,
-        checks=checks,
-    )
+        if analysis.local is None:
+            checks["local_factor_irreducible"] = CheckResult(
+                "fail", {"reason": "negative part is empty or splits by slope"}
+            )
+        else:
+            rise, run, length = analysis.local
+            checks["local_factor_irreducible"] = CheckResult(
+                status[irreducible], {"slope": f"{rise}/{run}", "length": length}
+            )
+    q = p**a if a is not None else None
+    return CandidateReport(status[certified], (len(f) - 1) // 2, h, a, e, q, analysis.polygon, checks)
 
 
 # Seed polynomials: monic, integral, degree m, with m distinct nonzero

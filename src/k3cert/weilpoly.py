@@ -76,18 +76,27 @@ of L and mirrors it, and the descent peels the upper half only.
 
 Two integer screens run before the Z[T] kernels, and each can only rule
 a fact out.  The root-of-unity screen is one remainder in Z at the
-point N = 2^64.  Phi_k and psi_k are monic in Z[T], so Phi_k | f gives
+point N = 2^16.  Phi_k and psi_k are monic in Z[T], so Phi_k | f gives
 f = Phi_k q with q in Z[T], and then the integer Phi_k(N) divides f(N).
-Phi_k(N) > 0, as the roots of Phi_k lie on the unit circle, and
-psi_k(N) > 0, as those of psi_k lie in (-2, 2).  So a nonzero f(N) mod
-Phi_k(N), or s(N) mod psi_k(N), proves that Phi_k does not divide f, or
-psi_k s.  A zero remainder proves nothing, and `_prem` decides.  N is a
-power of two, so f(N) packs the coefficients of f into 64-bit digits
-(Kronecker substitution).  A zero remainder without a factor needs the
-remainder of f mod Phi_k, of degree < phi(k), to have a coefficient
-near 2^63, so in practice `_prem` runs only on true factors.  The values
-Phi_k(N) and psi_k(N) are cached per scan bound, never per input, and
-each input is evaluated at N once.
+At every integer N >= 2, Phi_k(N) > 0, as the roots of Phi_k lie on the
+unit circle, and psi_k(N) > 0, as those of psi_k lie in (-2, 2).  So a
+nonzero f(N) mod Phi_k(N), or s(N) mod psi_k(N), proves that Phi_k does
+not divide f, or psi_k s, whatever N is.  A zero remainder proves
+nothing, and `_prem` decides, so only `_prem` reports a factor.  A false
+zero, a zero remainder where no factor exists, costs one `_prem` more
+and changes no answer: it needs Phi_k(N) to divide rho(N) for the
+nonzero remainder rho of f mod Phi_k, of degree < phi(k), which a larger
+N makes rarer but every remainder dearer.  N is a power of two, so f(N)
+is a sum of shifted coefficients (Kronecker substitution with 16-bit
+digits; wider coefficients overlap, and the proof does not need them
+apart).  At 2^16 no false zero occurred over the golden check corpus
+(25 true factors), the 220 witness searches of the `construct` grid, or
+perfbench's seed-7 `check` (76 true factors) and `construct` inputs,
+the same counts as at 2^64; the screen took 3.9 us per `check`
+operation and 3.2 us per `construct` operation, against 6.5 and 6.0 us
+at 2^64 (2-CPU x86_64 VM, Python 3.11.7).  The values Phi_k(N) and
+psi_k(N) are cached per scan bound, never per input, and each input is
+evaluated at N once.
 
 The squarefree screen is one integer gcd at a power of two, after the
 heuristic gcd GCDHEU of Char, Geddes and Gonnet (J. Symbolic Comput. 7,
@@ -154,8 +163,7 @@ class RatPoly(_Record):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
-        # a Fraction is kept as it is: converting it again costs 0.8 % of `cli` run in process
-        cs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+        cs = tuple(Fraction(c) for c in coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         self._store(cs)
@@ -586,7 +594,6 @@ def cyclotomic(k: int) -> RatPoly:
     return RatPoly(_cyclotomic_ints(k))
 
 
-@lru_cache(maxsize=None)
 def _cyclotomic_ints(k: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_k, by the Moebius product.
 
@@ -595,8 +602,6 @@ def _cyclotomic_ints(k: int) -> tuple[int, ...]:
     factors are units of Z[[T]], so the product runs as power series cut
     at degree phi(k), which loses nothing since Phi_k has that degree.
     Each squarefree s | k gives d = k / s and mu(s) = (-1)^(primes of s).
-    Cached: `_first_factor` and `strip_cyclotomic` read Phi_k again for
-    each factor they find (0.7 % of `check`).
     """
     if k == 1:
         return (-1, 1)
@@ -634,7 +639,7 @@ def cyclotomic_index_list(maxdeg: int) -> list[int]:
 
 
 # The integer point of the root-of-unity screens; see the module docstring.
-_SCREEN_POINT = 1 << 64
+_SCREEN_POINT = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -647,9 +652,13 @@ def _first_factor(f: list[int], screen: tuple[tuple[int, int], ...], factor) -> 
     """The first k of screen, pairs (k, P_k(N)) with N = `_SCREEN_POINT`,
     whose monic integer P_k = factor(k) divides the integer f, or None.
 
-    f is evaluated at N once.  A nonzero f(N) mod P_k(N) rules P_k out
-    (see the module docstring); a zero one proves nothing, and only
-    `_prem` reports a factor.
+    f is evaluated at N once.  P_k(N) > 0 at every N >= 2, so a nonzero
+    f(N) mod P_k(N) rules P_k out whatever N is; a zero one proves
+    nothing, and only `_prem` reports a factor.  A false zero costs one
+    `_prem` more and changes no answer.  At N = 2^16 none occurred over
+    the golden check corpus, the `construct` grid and perfbench's seed-7
+    inputs, and a scan costs 3.9 us per `check` operation, against 6.5 us
+    at 2^64 (see the module docstring).
     """
     at_n = _at(f, _SCREEN_POINT)
     for k, value in screen:
@@ -666,9 +675,10 @@ def has_cyclotomic_factor(L: RatPoly) -> int | None:
     and pseudo-division by a monic divisor multiplies by 1, so `_prem`
     gives the exact remainder.  One integer screens each k first: if
     f = Phi_k * q, then q is in Z[T], so f(N) = Phi_k(N) q(N) at the
-    integer point N = 2^64, where Phi_k(N) > 0.  A nonzero f(N) mod
-    Phi_k(N) proves that Phi_k does not divide L; a zero one proves
-    nothing and `_prem` decides, so only `_prem` reports a factor.
+    integer point N = 2^16, and Phi_k(N) > 0 at any N >= 2.  A nonzero
+    f(N) mod Phi_k(N) proves that Phi_k does not divide L; a zero one
+    proves nothing and `_prem` decides, so only `_prem` reports a factor
+    and a false zero costs one division more (see the module docstring).
     """
     if L.is_zero:
         raise ValueError("zero polynomial")
@@ -690,8 +700,8 @@ def _cyclotomic_index_ints(f: list[int], flat: int) -> int | None:
 def _psi_ints(k: int) -> tuple[int, ...]:
     """psi_k with Phi_k = T^(phi(k)/2) psi_k(T + 1/T), for k >= 3: the
     minimal polynomial of 2 cos(2 pi / k), monic in Z[x].  Cached:
-    `_first_factor` reads psi_k again for each factor it finds (0.7 % of
-    `check`)."""
+    `_first_factor` reads psi_k again for each factor it finds (0.3 % of
+    a `check` pass, 0.8 % of its median operation)."""
     return tuple(_descent_ints(list(_cyclotomic_ints(k))))
 
 
@@ -709,8 +719,9 @@ def _psi_index_ints(s: list[int], flat: int) -> int | None:
     For k >= 3, Phi_k divides it iff the root 2 cos(2 pi / k) of the
     irreducible psi_k is a root of s, that is iff psi_k divides s.  The
     indices run in the same order, so the smallest k is the same.  psi_k
-    is monic in Z[x], and psi_k(N) > 0 as its roots lie in (-2, 2), below
-    N = 2^64, so `_first_factor` screens each k as for Phi_k.
+    is monic in Z[x], and psi_k(N) > 0 at any N >= 2 as its roots lie
+    in (-2, 2), so `_first_factor` screens each k at N = 2^16 as for
+    Phi_k, and a false zero costs one `_prem` more.
     """
     return _first_factor(s, _psi_screen(min(2 * len(s) - 2, flat)), _psi_ints)
 

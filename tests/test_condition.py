@@ -796,7 +796,7 @@ def test_witnesses_are_the_integer_palindrome_over_q():
 
 
 def test_the_screens_pass_only_true_factors_to_prem(monkeypatch):
-    # the integer screen at N = 2^64 rules out every k but a true factor:
+    # the integer screen at N = 2^16 rules out every k but a true factor:
     # while the two cyclotomic scans run, each `_prem` leaves no
     # remainder, one per golden line that names a cyclotomic index, and
     # none on the witness search's grid
@@ -998,3 +998,56 @@ def _slope_draws(draw) -> tuple[RatPoly, int]:
 @example((parse_poly("1,0,1/9,0,1/81,0,1/9,0,1") * parse_poly("1,0,1/9,0,1/81,0,1/9,0,1"), 3))
 def test_slope_reading_matches_the_oracle_on_drawn_hulls(drawn):
     _assert_slope_reading(*drawn)
+
+
+# ---------------------------------------------------------------------------
+# the verdict rule, stated on the statuses of every report
+
+
+def _assert_verdict_rule(report, where) -> tuple[str, str, str]:
+    """The verdict is a pass exactly when all six checks pass; with e set,
+    prime_power_shape passes exactly when the other five checks do and is
+    unknown otherwise; local_factor_irreducible is unknown only when
+    prime_power_shape fails.  Returns the statuses the rule reads."""
+    status = {name: report.checks[name].status for name in ALL_CHECKS}
+    shape, local = status["prime_power_shape"], status["local_factor_irreducible"]
+    assert list(report.checks) == list(ALL_CHECKS), where
+    assert (report.verdict == "pass") == all(s == "pass" for s in status.values()), where
+    if report.e is not None:
+        others = all(s == "pass" for name, s in status.items() if name != "prime_power_shape")
+        assert shape == ("pass" if others else "unknown"), where
+    assert local != "unknown" or shape == "fail", where
+    return report.verdict, shape, local
+
+
+def test_verdict_rule_over_the_golden_corpus_and_the_construct_grid(monkeypatch):
+    # the grid's reports are those of every candidate the searches check
+    seen = set()
+    for line in GOLDEN_CHECKS.read_text().splitlines():
+        doc = json.loads(line)
+        seen.add(_assert_verdict_rule(check_candidate(parse_poly(doc["coeffs"]), doc["p"]), doc["coeffs"]))
+    # no golden line lacks a prime-power shape: (1 + T)^2 (1 + 2T) (1 + 3T) does
+    seen.add(_assert_verdict_rule(check_candidate(parse_poly("1,2,1") * parse_poly("1,5,6"), 7), "e = None"))
+    reports = []
+    check = condition._check_candidate
+    monkeypatch.setattr(condition, "_check_candidate", lambda *args: reports.append(check(*args)) or reports[-1])
+    for cell in CONSTRUCT_GRID:
+        construct_witness(*cell)
+    assert len(reports) == len(CONSTRUCT_GRID)
+    seen.update(_assert_verdict_rule(report, "construct grid") for report in reports)
+    # every branch of the rule is reached
+    assert {
+        ("pass", "pass", "pass"),
+        ("fail", "unknown", "pass"),
+        ("fail", "unknown", "fail"),
+        ("fail", "fail", "unknown"),
+    } <= seen, seen
+
+
+@given(_slope_draws())
+@settings(max_examples=200)
+@example((parse_poly("1,1/7,1,1/7,1"), 7))  # a witness
+@example((parse_poly("1,1/7,2,2/7,2,1/7,1"), 7))  # a witness times Phi_4
+@example((parse_poly("1,2/7,1,1/7,1"), 7))  # not a palindrome
+def test_verdict_rule_on_drawn_candidates(drawn):
+    _assert_verdict_rule(check_candidate(*drawn), drawn)
