@@ -27,9 +27,12 @@ it to a degree-2m self-reciprocal candidate, and returns the first a
 (coprime to h, searched upward) whose candidate passes.  The search runs
 in Z[T] on p^a times the perturbed seed and its transform, and the six
 checks read that integer transform directly; the returned witness is the
-only `RatPoly` the search builds.  Its circle facts come from the signs
-of the perturbed seed at the seed's own alternation points, and from a
-Sturm chain only when those signs settle nothing.  `feasibility` and
+only `RatPoly` the search builds.  The search hands the check one
+proved fact per candidate, (F, e): the candidate is the transform of
+F^e, with F squarefree and every root of F in (-2, 2).  It proves that
+from the signs of the perturbed seed at the seed's own alternation
+points, and from a Sturm chain only when those signs settle nothing;
+an F it cannot prove it skips.  `feasibility` and
 `k3cert construct` take this direct search for every (m, h), so each
 witness they return has e = 1.  `feasibility` attaches none at p = 5
 with m = 10 and odd h, where the search finds one: that case needs
@@ -49,8 +52,8 @@ from .weilpoly import (
     RatPoly,
     _alternation,
     _analyse,
-    _descent_facts,
     _homogeneous,
+    _in_window,
     _integer_multiple,
     _mul_ints,
     _psi_ints,
@@ -137,12 +140,11 @@ def check_candidate(L: RatPoly, p: int) -> CandidateReport:
     return _check_candidate(_integer_multiple(L), p)
 
 
-def _check_candidate(
-    f: list[int], p: int, descent: tuple[list[int], list[int], int | None] | None = None
-) -> CandidateReport:
+def _check_candidate(f: list[int], p: int, descent: tuple[list[int], int] | None = None) -> CandidateReport:
     """`check_candidate` on the primitive integer multiple f of L, with
-    f(0) > 0, so that L = f / f(0).  A caller that has proved the descent
-    facts of G for L = T^m G(T + 1/T) passes them (see
+    f(0) > 0, so that L = f / f(0).  A caller that has proved f to be the
+    transform of s^e, with s primitive and squarefree, lc(s) > 0 and every
+    root of s in (-2, 2), passes descent = (s, e) (see
     `weilpoly._analyse`).
 
     The six checks read the fields of that one analysis once: the slope
@@ -285,20 +287,19 @@ def construct_witness(
     the only `RatPoly` the search builds, from the first half of the
     palindrome f (`_mirrored`).
 
-    F is the descent of L, and the search proves F's descent facts for
-    the check, by the alternation and descent arguments in the
-    `weilpoly` module docstring.  First come the signs of p^a F at the
-    seed's points, which need no chain: when they strictly alternate, F
-    has m simple roots in (-2, 2) and F(2) F(-2) != 0, so the facts
-    (F, 1, m) carry their count and the check evaluates nothing at +-2;
-    when an end sign is wrong, F has a real root beyond +-2, so L has a
-    root off the unit circle and that a is skipped before the transform.
-    Otherwise one Sturm chain of F decides (`_descent_facts`): a
-    squarefree F with a count, below m, of roots in (-2, 2) is skipped
-    the same way; so is an F with F(2) F(-2) = 0, which has no count, as
-    Phi_1 or Phi_2 then divides L (only p = 2 reaches this, since
-    q seed(+-2) = -(+-2)^(m-h) needs p | 2); and any other F goes on to
-    the check.
+    F is the descent of L.  The search hands the check (F, 1) for each
+    F it proves squarefree with every root in (-2, 2), by the alternation
+    and descent arguments in the `weilpoly` module docstring, so the
+    check evaluates nothing at +-2; it skips every other F before the
+    transform.  First come the signs of p^a F at the seed's points, which
+    need no chain: when they strictly alternate, F has m simple roots in
+    (-2, 2); when an end sign is wrong, F has a real root beyond +-2, so
+    L has a root off the unit circle.  Otherwise one Sturm chain of F
+    decides (`_in_window`).  An F it does not prove is no witness: a
+    squarefree F with a root outside (-2, 2) gives L a root off the
+    circle, or a root +-1 when F(2) F(-2) = 0 (only p = 2 reaches this,
+    since q seed(+-2) = -(+-2)^(m-h) needs p | 2), and a repeated root
+    gives L no e = 1.
     """
     _, f, q, report = _search(p, m, h, a_start, a_cap)
     return _mirrored(f, q), report
@@ -336,17 +337,11 @@ def _search(
         F = [q * c for c in seed]
         F[m - h] += 1
         inside = _alternation([q * v + t for v, t in zip(seed_values, term)])
-        if inside is False:
-            continue  # F has a real root beyond +-2, so L has a root off the unit circle
-        descent = (F, [1], m) if inside else _descent_facts(F)
-        _, d, count = descent
-        if count is None:
-            continue  # F(2) F(-2) = 0, so Phi_1 or Phi_2 divides L = T^m F(T + 1/T)
-        if len(d) == 1 and count < m:
-            continue  # so L has a root off the unit circle
+        if not (inside or (inside is None and _in_window(F))):
+            continue  # F is not proved squarefree with every root in (-2, 2)
         f = _transform_ints(F)
-        report = _check_candidate(f, p, descent)
-        if report.passed and report.h == h and report.e == 1:
+        report = _check_candidate(f, p, (F, 1))
+        if report.passed and report.h == h:
             return F, f, q, report
     raise WitnessSearchError(
         f"no witness for p={p}, m={m}, h={h} with {a_start} <= a <= {a_cap}; "
@@ -363,19 +358,17 @@ def construct_witness_even_h(
     square passes with (m, h, e) = (10, h, 2) and doubled exponent a, so
     the slope profile lives over q = p^(2a), a square.
 
-    The square is built in Z[T].  The base witness passed with e = 1, so
-    its descent F has 5 simple roots in (-2, 2), and F(2) F(-2) != 0 as
-    no root of unity divides it.  So G = F^2 has the descent facts
-    (G, F, 5): F is gcd(G, G'), and G has the 5 distinct roots of F;
-    and G(2) G(-2) = (F(2) F(-2))^2 != 0.
+    The square is built in Z[T].  The search proved the base witness's
+    descent F squarefree with every root in (-2, 2), so the square is the
+    transform of F^2 and the check is handed (F, 2).  F^2 is built only
+    for its transform.
     """
     if h % 2 != 0 or not 2 <= h <= 10:
         raise ValueError("this path needs even h with 2 <= h <= 10")
     F, _, q, base_report = _search(p, 5, h // 2, a_start, a_cap)
-    G = _mul_ints(F, F)
-    f = _transform_ints(G)
-    report = _check_candidate(f, p, (G, F, 5))
-    if not (report.passed and report.m == 10 and report.h == h and report.e == 2):
+    f = _transform_ints(_mul_ints(F, F))
+    report = _check_candidate(f, p, (F, 2))
+    if not (report.passed and report.h == h):
         raise WitnessSearchError(
             f"squared witness for p={p}, h={h} failed verification (base a={base_report.a})"
         )

@@ -48,7 +48,12 @@ it iff G is the same power of s, L is squarefree iff d is a constant,
 and all roots of L lie on the circle iff the window count of G is
 deg s.  Neither T - 1 nor T + 1 divides L then, and for k >= 3,
 Phi_k = T^(phi(k)/2) psi_k(T + 1/T) with psi_k irreducible, so Phi_k
-divides L iff psi_k divides s, at half the degree.  Any other L (not a
+divides L iff psi_k divides s, at half the degree.  One fact carries
+the whole descent: L is the transform of s^e, with s squarefree and
+every root of s in (-2, 2).  Then G = s^e, L = R^e for the transform R
+of s, and every root of L lies on the circle.  `_alternation` proves
+that fact for s without a chain, and `_in_window` with one; a caller
+that has proved it hands `_analyse` the pair (s, e).  Any other L (not a
 palindrome, or a root of G at +-2) takes the circle test on its
 squarefree part R with T - 1 and T + 1 divided out: the roots z of the
 rest, none of them +-1, lie on the circle iff they pair up with
@@ -536,21 +541,16 @@ def _sign_changes(values: list[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _descent_facts(g: list[int]) -> tuple[list[int], list[int], int | None]:
-    """(g, d, count) for the nonzero integer g, by its Sturm chain: g made
-    primitive, d the chain's last member, a primitive multiple of
-    gcd(g, g'), and count the `_window` of g when g(2) g(-2) != 0, or None
-    otherwise.  d divides g, so d(2) d(-2) != 0 then too.  The end values
-    are those `_window` reads: g made primitive is a positive multiple of g.
-
-    These are the descent facts `_analyse` reads, and it takes the descent
-    path exactly when count is not None.  A caller that has proved them
-    otherwise, g(2) g(-2) != 0 included, say by `_alternation`, hands them
-    to `_analyse` with their count, and nothing is evaluated at +-2.
-    """
-    chain = _sturm_chain_ints(g)
-    count, ends = _window(chain)
-    return chain[0], chain[-1], count if ends else None
+def _in_window(g: list[int]) -> bool:
+    """Whether the nonzero integer g is squarefree with every root in
+    (-2, 2), by its Sturm chain; what `_alternation` proves when it gives
+    True, proved for any g.  When g(2) g(-2) != 0, the last member of the
+    chain, which divides g, is nonzero at +-2 too, so the `_window` count
+    is that of the distinct roots of g in (-2, 2) (see the module
+    docstring).  So it is deg g exactly when g has deg g distinct roots
+    there, and no squarefree test is needed."""
+    count, ends = _window(_sturm_chain_ints(g))
+    return ends != 0 and count == len(g) - 1
 
 
 def _alternation(values: list[int]) -> bool | None:
@@ -579,8 +579,6 @@ def _unit_circle_ints(f: list[int]) -> bool:
 def euler_phi(k: int) -> int:
     if k < 1:
         raise ValueError("euler_phi needs a positive integer")
-    if k == 1:
-        return 1
     out = 1
     for p, e in prime_factors(k).items():
         out *= (p - 1) * p ** (e - 1)
@@ -732,13 +730,16 @@ def strip_cyclotomic(P: RatPoly) -> tuple[RatPoly, list[int]]:
     The removed indices form a multiset, in ascending order; P must have
     a nonzero constant term.  P is cleared once, and each Phi_k, monic in
     Z[T], divides the integer multiple exactly; each k found is the least
-    one left, which keeps the order.
+    one left, which keeps the order.  Every quotient is scanned against
+    the one screen of deg P: its k include those of any smaller bound,
+    and `_prem` still decides each factor.
     """
     if P.is_zero or P.constant == 0:
         raise ValueError("strip_cyclotomic needs a nonzero constant term")
     D, f = _cleared(P.coeffs)
+    screen = _cyclotomic_screen(len(f) - 1)
     removed: list[int] = []
-    while (k := _cyclotomic_index_ints(f, len(f) - 1)) is not None:
+    while (k := _first_factor(f, screen, _cyclotomic_ints)) is not None:
         f = _divexact(f, _cyclotomic_ints(k))
         removed.append(k)
     return RatPoly(tuple(Fraction(c, D) for c in f)), removed
@@ -944,9 +945,7 @@ class IrreducibilityCertificate(_Record):
 _Analysis = namedtuple("_Analysis", "polygon h a local local_irreducible r e on_circle cyc offending")
 
 
-def _analyse(
-    f: list[int], p: int, descent: tuple[list[int], list[int], int | None] | None = None
-) -> _Analysis:
+def _analyse(f: list[int], p: int, descent: tuple[list[int], int] | None = None) -> _Analysis:
     """The `_Analysis` of the primitive integer multiple f of some L with
     L(0) = 1, at p:
 
@@ -978,25 +977,30 @@ def _analyse(
     that many roots.
 
     The paths are those of the descent argument in the module docstring.
-    A palindrome f of even degree descends to the primitive g, and its
-    descent facts (g, d, count) are those of `_descent_facts`; a caller
-    that has proved them passes them, and otherwise one Sturm chain of g
-    gives them.  The descent path is taken exactly when count is not
-    None, that is when g(2) g(-2) != 0.  There `_radical` gives s = g / d
-    and e with g = s^e (lc(g) = f(0) > 0), and r is the transform of s,
-    with L = R^e because the transform is multiplicative and one-to-one;
-    the cyclotomic scan runs on s (`_psi_index_ints`).
+    A caller that has proved the descent hands it over as (s, e): f is the
+    transform of s^e, with s primitive and squarefree, lc(s) > 0 and every
+    root of s in (-2, 2).  Then every root of L lies on the circle, and
+    nothing is evaluated at +-2.  Otherwise a palindrome f of even degree
+    descends to g, and one Sturm chain of g decides: when g(2) g(-2) != 0,
+    `_radical` gives s = g / d for the chain's last member d and e with
+    g = s^e (lc(g) = f(0) > 0), and L is on the circle iff the window
+    count of g is deg s.  On the descent path r is the transform of s,
+    with L = R^e because the transform is multiplicative and one-to-one,
+    and the cyclotomic scan runs on s (`_psi_index_ints`).
     """
     segs = _polygon_ints(f, p)
     flat = next((run for rise, run in segs if rise == 0), 0)
+    on_circle = True  # what a handed descent proves
     if descent is None and (g := _descent_ints(f)) is not None:
-        descent = _descent_facts(g)
-    g, d, count = descent or (None, None, None)
-    if count is not None:
-        s, e = _radical(g, d)
+        chain = _sturm_chain_ints(g)
+        count, ends = _window(chain)
+        if ends:
+            descent = _radical(chain[0], chain[-1])
+            on_circle = count == len(descent[0]) - 1
+    if descent is not None:
+        s, e = descent
         # for e = 1, s is g and its transform is f: worth 4 % of `construct`
         r = f if e == 1 else _transform_ints(s)
-        on_circle = count == len(s) - 1
         cyc = _psi_index_ints(s, flat)
     else:
         r, e = _squarefree_power_ints(f)

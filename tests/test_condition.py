@@ -308,15 +308,15 @@ def test_seed_points_are_dyadic_gap_points_of_the_seed():
 
 # Private names of `weilpoly` that `condition` may import: the one analysis,
 # the integer kernels of the witness search, the sign test at the seed's
-# points and the chain's descent facts, and the psi_k the seeds are built
-# from.  The descent decisions (the polygon's flat bound, the chain's sign
+# points and its chain proof, and the psi_k the seeds are built from.  The
+# descent decisions (the polygon's flat bound, the chain's sign
 # variations, the circle and off-p tests) stay behind `_analyse`,
-# `_alternation` and `_descent_facts`.
+# `_alternation` and `_in_window`.
 CONDITION_PRIVATE_IMPORTS = {
     "_alternation",
     "_analyse",
-    "_descent_facts",
     "_homogeneous",
+    "_in_window",
     "_integer_multiple",
     "_mul_ints",
     "_psi_ints",
@@ -478,8 +478,8 @@ def test_witness_search_builds_one_sturm_chain_per_a(monkeypatch):
     assert fallbacks > 0
 
 
-# at p = 2 some a pass the degree-m test and fail the check, so these
-# triples send rejected a through the whole candidate analysis
+# every triple here but (7, 4, 2) has an a that the chain rejects (at
+# p = 2 some F vanish at 2 or -2); only each witness reaches the check
 REJECTING_TRIPLES = [(2, 3, 1), (2, 4, 3), (2, 7, 3), (7, 4, 2), (5, 10, 3)]
 
 
@@ -494,8 +494,8 @@ def _counting(monkeypatch, name: str, *modules) -> list:
 def test_witness_search_counts_the_sign_variations_once_per_chain(monkeypatch):
     # each chain's window is read once, by one `_window` call that also
     # gives G(2) G(-2); at p = 2 some F of the search vanish at 2 or -2,
-    # and their facts carry no count; Phi_1 or Phi_2 then divides L, so
-    # the search skips them
+    # so the chain does not prove them in the window; Phi_1 or Phi_2 then
+    # divides L, and the search skips them
     chains = _counting(monkeypatch, "_sturm_chain_ints", weilpoly)
     counted = _counting(monkeypatch, "_window", weilpoly)
     checks = _counting(monkeypatch, "_check_candidate", condition)
@@ -613,7 +613,7 @@ def test_seed_point_mutants_raise_or_keep_the_witness(monkeypatch, fresh_seeds):
     # a table that passes the seed's verification may send more a to the
     # chain, but never changes a witness
     primes = (2, 7)
-    fallbacks = _counting(monkeypatch, "_descent_facts", condition)
+    fallbacks = _counting(monkeypatch, "_in_window", condition)
 
     def search(m: int) -> tuple[list, int]:
         fallbacks.clear()
@@ -642,8 +642,8 @@ def test_seed_point_mutants_raise_or_keep_the_witness(monkeypatch, fresh_seeds):
 
 
 def test_squared_witnesses_match_a_fresh_check():
-    # the square route hands the check descent facts derived from its base
-    # witness; a fresh check of the square builds its own Sturm chain
+    # the square route hands the check (F, 2) for its base witness's
+    # descent F; a fresh check of the square builds its own Sturm chain
     for p in (5, 7, 11, 13):
         for h in range(2, 11, 2):
             L, report = construct_witness_even_h(p, h)
@@ -777,6 +777,43 @@ def test_feasibility_json_carries_witness_text():
 CONSTRUCT_GRID = [(p, m, h) for p in (5, 7, 11, 13) for m in range(1, MAX_M + 1) for h in range(1, m + 1)]
 
 
+def _oracle_in_window(F: list[int]) -> bool:
+    """Whether F, with F(0) != 0, is squarefree with every root in
+    (-2, 2), by the Fraction oracles: e = 1, deg F distinct roots in
+    (-2, 2] and F(2) != 0."""
+    F = [Fraction(c) for c in F]
+    if fraction_squarefree_power([c / F[0] for c in F])[1] != 1:
+        return False
+    return count_real_roots_halfopen(F, -2, 2) == len(F) - 1 and _horner(F, 2) != 0
+
+
+def test_in_window_agrees_with_the_oracles():
+    # every F the search builds, up to the returned a, on the grid and the
+    # rejecting triples (the seeds have no root 0 and p does not divide 1,
+    # so F(0) != 0), and hand cases at the window's edges
+    proved = {True: 0, False: 0}
+    vanishing = 0
+    for p, m, h in [*CONSTRUCT_GRID, *REJECTING_TRIPLES]:
+        for a in _tried(h, construct_witness(p, m, h)[1].a):
+            F = [int(c * p**a) for c in _perturbed_seed(p, m, h, a).coeffs]
+            assert F[0] != 0, (p, m, h, a)
+            got = weilpoly._in_window(F)
+            assert got == _oracle_in_window(F), (p, m, h, a)
+            proved[got] += 1
+            vanishing += weilpoly._at(F, 2) * weilpoly._at(F, -2) == 0
+    assert min(proved.values()) > 100 and vanishing > 0, (proved, vanishing)
+    hand = {
+        (2, -3, 1): False,  # (T - 1)(T - 2): a root at 2
+        (-2, 1, 1): False,  # (T - 1)(T + 2): a root at -2
+        (1, -1, -1, 1): False,  # (T - 1)^2 (T + 1): a repeated root, all inside
+        (3, -4, 1): False,  # (T - 1)(T - 3): a root beyond 2
+        (1, 0, 1): False,  # T^2 + 1: no real root
+        (-1, 0, 1): True,  # (T - 1)(T + 1)
+    }
+    for F, want in hand.items():
+        assert weilpoly._in_window(list(F)) == _oracle_in_window(list(F)) == want, F
+
+
 def test_witnesses_are_the_integer_palindrome_over_q():
     def palindrome_over_q(L, report, f, q, cell):
         assert q == report.q, cell
@@ -842,49 +879,50 @@ def test_the_screens_pass_only_true_factors_to_prem(monkeypatch):
 
 
 def test_the_check_evaluates_no_proved_end_value(monkeypatch):
-    # descent facts that carry a count come with g(2) g(-2) != 0 proved:
-    # the alternation facts (F, [1], m), a chain's facts with a count and
-    # the squared route's (G, F, 5); the check evaluates nothing at +-2
-    # for them, and its report is the one of the check that finds every
-    # fact itself.  The search hands over no facts without a count.
+    # the search hands the check (F, 1) for each F it proves squarefree
+    # with every root in (-2, 2), by the signs or by `_in_window`, and the
+    # square route hands it (F, 2); the check evaluates nothing at +-2 for
+    # them, and its report is the one of the check that finds every fact
+    # itself
     at, check = weilpoly._at, condition._check_candidate
-    proved = 0
+    handed: list[int] = []
 
     def checking(f, p, descent):
-        nonlocal proved
-        assert descent[2] is not None, descent
+        F, e = descent
+        assert f == weilpoly._transform_ints(weilpoly._mul_ints(F, F) if e == 2 else F), descent
         ends: list[int] = []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(weilpoly, "_at", lambda cs, x: (x in (2, -2) and ends.append(x)) or at(cs, x))
             report = check(f, p, descent)
         assert ends == [], descent
-        proved += 1
+        handed.append(e)
         assert report == check(f, p), descent
         return report
 
     monkeypatch.setattr(condition, "_check_candidate", checking)
     for p, m, h in REJECTING_TRIPLES:
         construct_witness(p, m, h)
-    construct_witness_even_h(7, 4)  # the square's facts (G, F, 5) for (7, 10, 4)
-    assert proved > 5, proved
+    construct_witness_even_h(7, 4)  # the square's (F, 2) for (7, 10, 4)
+    assert len(handed) > 5 and set(handed) == {1, 2}, handed
 
 
-def test_facts_without_a_count_are_not_trusted_and_fail_the_root_of_unity_check(monkeypatch):
+def test_vanishing_F_is_never_proved_in_window_and_fails_the_root_of_unity_check(monkeypatch):
     # F(2) F(-2) = 0 (the search meets such F at p = 2): T - 1 or T + 1
-    # divides L = T^m F(T + 1/T), the check finds every fact itself, and
-    # the report fails
-    facts = _counting(monkeypatch, "_descent_facts", weilpoly, condition)
+    # divides L = T^m F(T + 1/T), so the chain proves nothing, the search
+    # skips F, and a fresh check of L fails
+    in_window = weilpoly._in_window
+    proofs: list = []
+    monkeypatch.setattr(condition, "_in_window", lambda F: proofs.append((F, in_window(F))) or proofs[-1][1])
+    checks = _counting(monkeypatch, "_check_candidate", condition)
     for p, m, h in REJECTING_TRIPLES:
         construct_witness(p, m, h)
     monkeypatch.undo()
-    vanishing = [F for (F,) in facts if weilpoly._at(F, 2) * weilpoly._at(F, -2) == 0]
+    vanishing = [(F, proved) for F, proved in proofs if weilpoly._at(F, 2) * weilpoly._at(F, -2) == 0]
     assert vanishing
-    for F in vanishing:
-        descent = weilpoly._descent_facts(F)
-        assert descent[2] is None, F
-        f = weilpoly._transform_ints(F)
-        report = condition._check_candidate(f, 2, descent)
-        assert report == condition._check_candidate(f, 2), F
+    handed = [descent[0] for _, _, descent in checks]
+    for F, proved in vanishing:
+        assert not proved and F not in handed, F
+        report = condition._check_candidate(weilpoly._transform_ints(F), 2)
         assert not report.passed and "no_root_of_unity" in report.failed_checks, F
         assert report.checks["no_root_of_unity"].detail["cyclotomic_index"] in (1, 2), F
 

@@ -22,9 +22,9 @@ from k3cert.weilpoly import (
     _analyse,
     _coprime_to_derivative,
     _cyclotomic_ints,
-    _descent_facts,
     _descent_ints,
     _divexact,
+    _in_window,
     _integer_multiple,
     _mul_ints,
     _psi_ints,
@@ -480,6 +480,7 @@ def test_cyclotomic_small_table():
         cyclotomic(0)
     with pytest.raises(ValueError, match="positive integer"):
         euler_phi(0)
+    assert [euler_phi(k) for k in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 15, 24, 36, 40])
@@ -736,6 +737,18 @@ def test_strip_cyclotomic_is_idempotent():
 def test_strip_cyclotomic_rejects_zero():
     with pytest.raises(ValueError):
         strip_cyclotomic(RatPoly.zero())
+
+
+def test_strip_cyclotomic_peels_t_to_the_n_minus_one_with_one_screen():
+    # T^n - 1 is the product of the Phi_d over the divisors d of n; every
+    # quotient is scanned against the screen of deg P, so a call adds at
+    # most one screen to the cache
+    for n in (12, 60, 120):
+        before = weilpoly._cyclotomic_screen.cache_info().currsize
+        quotient, removed = strip_cyclotomic(RatPoly.monomial(n) - RatPoly.one())
+        assert quotient == RatPoly.one(), n
+        assert removed == [d for d in range(1, n + 1) if n % d == 0], n
+        assert weilpoly._cyclotomic_screen.cache_info().currsize <= before + 1, n
 
 
 def test_strip_cyclotomic_matches_the_oracle_peel():
@@ -1079,29 +1092,45 @@ def test_descent_analysis_matches_the_slow_path_and_the_oracles(monkeypatch):
     assert min(paths.values()) > 80, paths
 
 
-def test_descent_facts_carry_a_count_exactly_when_g_is_nonzero_at_both_ends():
-    """`_descent_facts` of the descent G of a palindrome gives a count iff
-    G(2) G(-2) != 0 over Q, and then the oracle's window count.  Facts
-    whose count is None give the record of passing no facts."""
+def test_analyse_takes_the_descent_path_exactly_when_g_is_nonzero_at_both_ends(monkeypatch):
+    """`_analyse` of a palindrome reads the chain of its descent G, and
+    takes the descent path (the scan on s) iff G(2) G(-2) != 0 over Q;
+    its window count is then the oracle's.  Where that path proves s in
+    the window, handing `_analyse` the (s, e) it derived gives the same
+    record."""
+    windows: list = []
+    scans: list = []
+    window, psi_index_ints = weilpoly._window, weilpoly._psi_index_ints
+    monkeypatch.setattr(weilpoly, "_window", lambda chain: windows.append(window(chain)) or windows[-1])
+    monkeypatch.setattr(weilpoly, "_psi_index_ints", lambda s, flat: scans.append(s) or psi_index_ints(s, flat))
     corpus = Path(__file__).parent / "golden" / "check_reports.jsonl"
     candidates = [parse_poly(json.loads(line)["coeffs"]) for line in corpus.read_text().splitlines()]
     candidates += _seeded_candidates(15, 300)
-    counted = uncounted = 0
+    counted = uncounted = handed = 0
     for L in candidates:
         f = _integer_multiple(L)
         if len(f) % 2 == 0 or f != f[::-1]:
             continue
-        g, d, count = _descent_facts(weilpoly._descent_ints(list(f)))
         G = RatPoly(tuple(fraction_descent(list(L.coeffs))))
-        assert (count is not None) == (G.evaluate(2) * G.evaluate(-2) != 0), format_poly(L)
-        if count is None:
-            uncounted += 1
-        else:
-            assert count == _oracle_window(G), format_poly(L)
-            counted += 1
+        nonzero_ends = G.evaluate(2) * G.evaluate(-2) != 0
         for p in (2, 7):
-            assert _analyse(f, p, (g, d, None)) == _analyse(f, p), (format_poly(L), p)
-    assert counted > 100 and uncounted > 50, (counted, uncounted)
+            windows.clear()
+            scans.clear()
+            analysis = _analyse(f, p)
+            assert windows, format_poly(L)  # the first is the chain of G; a fallback may read more
+            assert (len(scans) == 1) == nonzero_ends, (format_poly(L), p)
+            if not nonzero_ends:
+                continue
+            assert windows[0][0] == _oracle_window(G), format_poly(L)
+            chain = _sturm_chain_ints(_descent_ints(list(f)))
+            s, e = weilpoly._radical(chain[0], chain[-1])
+            if analysis.on_circle and e is not None:
+                assert _in_window(s), format_poly(L)
+                assert _analyse(f, p, (s, e)) == analysis, (format_poly(L), p)
+                handed += 1
+        counted += nonzero_ends
+        uncounted += not nonzero_ends
+    assert counted > 100 and uncounted > 50 and handed > 100, (counted, uncounted, handed)
 
 
 def _candidates_at_primes(seed: int, count: int) -> list[tuple[RatPoly, int]]:
