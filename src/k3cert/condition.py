@@ -31,12 +31,13 @@ only `RatPoly` the search builds.  The search hands the check one
 proved fact per candidate, (F, e): the candidate is the transform of
 F^e, with F squarefree and every root of F in (-2, 2).  It proves that
 from the signs of the perturbed seed at the seed's own alternation
-points, and from a Sturm chain only when those signs settle nothing;
-an F it cannot prove it skips.  `feasibility` and
-`k3cert construct` take this direct search for every (m, h), so each
-witness they return has e = 1.  `feasibility` attaches none at p = 5
-with m = 10 and odd h, where the search finds one: that case needs
-discriminant control that the lattice side lacks (see
+points, and only when those signs settle nothing from the Sturm chain
+of F, built one member at a time up to the first member whose degree
+or signs at +-2 refute it; an F it cannot prove it skips.
+`feasibility` and `k3cert construct` take this direct search for every
+(m, h), so each witness they return has e = 1.  `feasibility` attaches
+none at p = 5 with m = 10 and odd h, where the search finds one: that
+case needs discriminant control that the lattice side lacks (see
 `FeasibilityVerdict`).  `construct_witness_even_h(p, h)` is the
 public square route: the square of a degree-10 witness, with e = 2.
 """
@@ -294,12 +295,14 @@ def construct_witness(
     transform.  First come the signs of p^a F at the seed's points, which
     need no chain: when they strictly alternate, F has m simple roots in
     (-2, 2); when an end sign is wrong, F has a real root beyond +-2, so
-    L has a root off the unit circle.  Otherwise one Sturm chain of F
-    decides (`_in_window`).  An F it does not prove is no witness: a
-    squarefree F with a root outside (-2, 2) gives L a root off the
-    circle, or a root +-1 when F(2) F(-2) = 0 (only p = 2 reaches this,
-    since q seed(+-2) = -(+-2)^(m-h) needs p | 2), and a repeated root
-    gives L no e = 1.
+    L has a root off the unit circle.  Otherwise the Sturm chain of F
+    decides (`_in_window`): it is built one member at a time, and the
+    first member whose degree or signs at +-2 break the pattern of m
+    roots in the window refutes F.  An F it does not prove is no
+    witness: a squarefree F with a root outside (-2, 2) gives L a root
+    off the circle, or a root +-1 when F(2) F(-2) = 0 (only p = 2
+    reaches this, since q seed(+-2) = -(+-2)^(m-h) needs p | 2), and a
+    repeated root gives L no e = 1.
     """
     _, f, q, report = _search(p, m, h, a_start, a_cap)
     return _mirrored(f, q), report

@@ -41,6 +41,7 @@ from oracles import (
     fraction_slope_shape,
     fraction_squarefree_power,
     fraction_unit_circle,
+    rational_gcd_monic,
 )
 
 WORKED = parse_poly("1,1/7,1,1/7,1")
@@ -263,12 +264,15 @@ def fresh_seeds():
 
 
 def test_seed_is_built_and_verified_once_per_m(monkeypatch, fresh_seeds):
-    # one alternation check at the seed's points, and no Sturm chain
+    # one alternation check at the seed's points, and no Sturm chain: no
+    # whole chain, no chain proof and no pseudo-remainder
     checks = _counting(monkeypatch, "_alternation", condition)
     chains = _counting(monkeypatch, "_sturm_chain_ints", weilpoly)
+    proofs = _counting(monkeypatch, "_in_window", condition, weilpoly)
+    remainders = _counting(monkeypatch, "_prem", weilpoly)
     first = seed_polynomial(7)
     assert seed_polynomial(7) is first
-    assert len(checks) == 1 and chains == []
+    assert len(checks) == 1 and chains == proofs == remainders == []
     for _ in range(2):  # a bad m raises on every call, not only the first
         with pytest.raises(ValueError):
             seed_polynomial(11)
@@ -456,26 +460,28 @@ def _tried(h: int, a: int) -> list[int]:
 
 
 def test_witness_search_builds_one_sturm_chain_per_a(monkeypatch):
-    # one chain for each a whose signs at the seed's points settle nothing,
-    # and none for the others, nor for the square on the even-h route; at
-    # odd p, F(2) F(-2) != 0, so the check never builds a chain of its own
+    # one chain decision (`_in_window`) for each a whose signs at the
+    # seed's points settle nothing, and none for the others, nor for the
+    # square on the even-h route; at odd p, F(2) F(-2) != 0, so the check
+    # never builds a chain of its own
+    decisions = _counting(monkeypatch, "_in_window", condition)
     chains = _counting(monkeypatch, "_sturm_chain_ints", weilpoly)
     triples = [(7, 4, 2), (5, 10, 3), (7, 9, 4), (13, 8, 5), *ACCEPTANCE_GRID]
     fallbacks = 0
     for p, m, h in triples:
         seed_polynomial(m)
-        chains.clear()
+        decisions.clear()
         if m == 10 and h % 2 == 0:
             _, report = construct_witness_even_h(p, h)
             m, h, a = 5, h // 2, report.a // 2
         else:
             a = construct_witness(p, m, h)[1].a
         expected = sum(1 for b in _tried(h, a) if _sign_outcome(p, m, h, b) == "chain")
-        assert len(chains) == expected, (p, m, h)
+        assert len(decisions) == expected, (p, m, h)
         if a == 1 and (p, m, h) in ACCEPTANCE_GRID:
-            assert chains == [], (p, m, h)
+            assert decisions == [], (p, m, h)
         fallbacks += expected
-    assert fallbacks > 0
+    assert fallbacks > 0 and chains == []
 
 
 # every triple here but (7, 4, 2) has an a that the chain rejects (at
@@ -492,23 +498,39 @@ def _counting(monkeypatch, name: str, *modules) -> list:
 
 
 def test_witness_search_counts_the_sign_variations_once_per_chain(monkeypatch):
-    # each chain's window is read once, by one `_window` call that also
-    # gives G(2) G(-2); at p = 2 some F of the search vanish at 2 or -2,
-    # so the chain does not prove them in the window; Phi_1 or Phi_2 then
-    # divides L, and the search skips them
-    chains = _counting(monkeypatch, "_sturm_chain_ints", weilpoly)
-    counted = _counting(monkeypatch, "_window", weilpoly)
+    # one decision for each a the signs leave open; each chain member that
+    # `_in_window` builds is read once at 2 and once at -2, and no whole
+    # chain or `_window` is built; at p = 2 some F of the search vanish at
+    # 2 or -2, so the chain does not prove them in the window; Phi_1 or
+    # Phi_2 then divides L, and the search skips them
+    at, in_window = weilpoly._at, weilpoly._in_window
+    reads: list = []
+    decisions: list = []
+
+    def deciding(F):
+        reads.clear()
+        proved = in_window(F)
+        decisions.append((F, list(reads)))
+        return proved
+
+    monkeypatch.setattr(condition, "_in_window", deciding)
+    monkeypatch.setattr(weilpoly, "_at", lambda cs, x: reads.append((tuple(cs), x)) or at(cs, x))
+    whole = _counting(monkeypatch, "_sturm_chain_ints", weilpoly) + _counting(monkeypatch, "_window", weilpoly)
     checks = _counting(monkeypatch, "_check_candidate", condition)
     vanishing = 0
     for p, m, h in REJECTING_TRIPLES:
         seed_polynomial(m)
-        for calls in (chains, counted, checks):
-            calls.clear()
-        construct_witness(p, m, h)
-        assert [chain[0] for (chain,) in counted] == [G for (G,) in chains], (p, m, h)
-        vanishing += sum(1 for (G,) in chains if weilpoly._at(G, 2) * weilpoly._at(G, -2) == 0)
+        decisions.clear()
+        checks.clear()
+        a = construct_witness(p, m, h)[1].a
+        expected = sum(1 for b in _tried(h, a) if _sign_outcome(p, m, h, b) == "chain")
+        assert len(decisions) == expected, (p, m, h)
+        for F, read in decisions:
+            members = {cs for cs, _ in read}
+            assert sorted(read) == sorted((cs, x) for cs in members for x in (2, -2)), F
+        vanishing += sum(1 for F, _ in decisions if at(F, 2) * at(F, -2) == 0)
         assert len(checks) == 1, (p, m, h)
-    assert vanishing > 0
+    assert vanishing > 0 and whole == []
 
 
 def test_witness_search_builds_no_fractions_for_a_rejected_a(monkeypatch):
@@ -778,13 +800,19 @@ CONSTRUCT_GRID = [(p, m, h) for p in (5, 7, 11, 13) for m in range(1, MAX_M + 1)
 
 
 def _oracle_in_window(F: list[int]) -> bool:
-    """Whether F, with F(0) != 0, is squarefree with every root in
-    (-2, 2), by the Fraction oracles: e = 1, deg F distinct roots in
-    (-2, 2] and F(2) != 0."""
+    """Whether the nonzero F is squarefree with every root in (-2, 2), by
+    the Fraction oracles: gcd(F, F') = 1 by Euclid over Q, deg F distinct
+    roots in (-2, 2] and F(2) != 0."""
     F = [Fraction(c) for c in F]
-    if fraction_squarefree_power([c / F[0] for c in F])[1] != 1:
+    if len(rational_gcd_monic(F, [i * c for i, c in enumerate(F)][1:])) != 1:
         return False
     return count_real_roots_halfopen(F, -2, 2) == len(F) - 1 and _horner(F, 2) != 0
+
+
+def _whole_chain_in_window(F: list[int]) -> bool:
+    """`_in_window` read from the whole Sturm chain of F and its `_window`."""
+    count, ends = weilpoly._window(weilpoly._sturm_chain_ints(F))
+    return ends != 0 and count == len(F) - 1
 
 
 def test_in_window_agrees_with_the_oracles():
@@ -806,12 +834,76 @@ def test_in_window_agrees_with_the_oracles():
         (2, -3, 1): False,  # (T - 1)(T - 2): a root at 2
         (-2, 1, 1): False,  # (T - 1)(T + 2): a root at -2
         (1, -1, -1, 1): False,  # (T - 1)^2 (T + 1): a repeated root, all inside
-        (3, -4, 1): False,  # (T - 1)(T - 3): a root beyond 2
+        # (T - 1)(T - 3): a root beyond 2; its chain's member T - 2 vanishes
+        # at 2 and the next member has the sign opposite to F(2)
+        (3, -4, 1): False,
+        (-3, 1): False,  # T - 3: F(2) has the sign opposite to lc(F)
+        (3, 4, 1): False,  # (T + 1)(T + 3): F' = 2T + 4 vanishes at -2
+        (-1, 0, 0, 0, 1): False,  # T^4 - 1: the chain goes from degree 3 to 0
         (1, 0, 1): False,  # T^2 + 1: no real root
         (-1, 0, 1): True,  # (T - 1)(T + 1)
+        (5,): True,  # a nonzero constant has no root
     }
     for F, want in hand.items():
-        assert weilpoly._in_window(list(F)) == _oracle_in_window(list(F)) == want, F
+        F = list(F)
+        assert weilpoly._in_window(F) == _whole_chain_in_window(F) == _oracle_in_window(F) == want, F
+
+
+_DYADIC_ROOT = st.sampled_from((1, 2, 4, 8)).flatmap(lambda d: st.tuples(st.integers(-3 * d, 3 * d), st.just(d)))
+
+
+@st.composite
+def _window_polynomials(draw) -> list[int]:
+    """c * prod (d T - n) over dyadic roots n / d in [-3, 3], inside the
+    window, at +-2 and beyond it, with a repeated root or with one
+    coefficient moved by +-1 (near collisions and complex pairs); no root
+    gives a constant."""
+    roots = draw(st.lists(_DYADIC_ROOT, max_size=10))
+    if 0 < len(roots) < 10 and draw(st.booleans()):
+        roots.append(draw(st.sampled_from(roots)))
+    F = [draw(st.sampled_from((-3, -1, 1, 2)))]
+    for n, d in roots:
+        F = weilpoly._mul_ints(F, [-n, d])
+    if len(F) > 1 and draw(st.booleans()):
+        F[draw(st.integers(0, len(F) - 1))] += draw(st.sampled_from((-1, 1)))
+        while F[-1] == 0:
+            F.pop()
+    return F
+
+
+@settings(max_examples=300, deadline=None)
+@given(_window_polynomials())
+def test_in_window_agrees_with_the_whole_chain_and_the_oracle_on_drawn_polynomials(F):
+    assert weilpoly._in_window(F) == _whole_chain_in_window(F) == _oracle_in_window(F)
+
+
+def test_in_window_stops_a_refuted_chain_early_and_builds_a_proving_chain_whole(monkeypatch):
+    # some F that the search's chains refute with F(2) F(-2) != 0 make fewer
+    # `_prem` calls than their whole chain has members after the first
+    # two; every F `_in_window` proves (with the signs switched off, the
+    # chain decides every witness) builds its whole chain
+    triples = [*REJECTING_TRIPLES, (5, 9, 2), (7, 7, 2)]
+    prem, in_window, at = weilpoly._prem, weilpoly._in_window, weilpoly._at
+    remainders: list = []
+    decided: dict[bool, list] = {True: [], False: []}
+
+    def deciding(F):
+        remainders.clear()
+        proved = in_window(F)
+        made = len(remainders)
+        if at(F, 2) * at(F, -2):
+            decided[proved].append((made, len(weilpoly._sturm_chain_ints(F)) - 2))
+        return proved
+
+    monkeypatch.setattr(weilpoly, "_prem", lambda a, b: remainders.append(b) or prem(a, b))
+    monkeypatch.setattr(condition, "_in_window", deciding)
+    for t in triples:  # also fills the seed caches
+        construct_witness(*t)
+    monkeypatch.setattr(condition, "_alternation", lambda values: None)
+    for t in triples:
+        construct_witness(*t)
+    assert any(made < whole for made, whole in decided[False]), decided
+    assert len(decided[True]) == len(triples) and all(made == whole for made, whole in decided[True]), decided
 
 
 def test_witnesses_are_the_integer_palindrome_over_q():
